@@ -18,12 +18,9 @@ from .pgf import (
     OffspringSpec,
     Pgf,
     Thinned,
-    pgf_deriv,
-    pgf_eval,
     sample_family_size,
     spec_from_json,
     spec_to_json,
-    truncate_pgf,
 )
 from .analysis import (
     CycleScan,

@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__, analysis, distiter, simulate
-from .errors import FeasibilityError, RdeLabError, ResourceError, SpecValidationError
+from .errors import FeasibilityError, ResourceError, SpecValidationError
 from .pgf import Pgf, Thinned, spec_from_json, spec_to_json
 
 EXIT_VALIDATION = 2
@@ -51,6 +51,11 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _load_config(path: str | None, seed: int | None, out: str | None, tol: float | None) -> dict:
     if path is None:
         raise ConfigError("--config PATH is required")
@@ -73,11 +78,11 @@ def _load_config(path: str | None, seed: int | None, out: str | None, tol: float
     for key, cap in CAPS.items():
         if key in config:
             v = config[key]
-            if not isinstance(v, int) or v < 0 or v > cap:
+            if not _is_int(v) or v < 0 or v > cap:
                 raise ConfigError(f"config field '{key}' must be an integer in [0, {cap}], got {v!r}")
-    if "tol" in config and not (isinstance(config["tol"], (int, float)) and config["tol"] > 0):
+    if "tol" in config and not ((_is_int(config["tol"]) or isinstance(config["tol"], float)) and config["tol"] > 0):
         raise ConfigError("tol must be a positive number")
-    if "seed" in config and not isinstance(config["seed"], int):
+    if "seed" in config and not _is_int(config["seed"]):
         raise ConfigError("seed must be an integer")
     return config
 
@@ -309,13 +314,10 @@ def transform(ctx):
         zs = np.linspace(0.0, 1.0, 101)
         h = pgf.eval(zs)
         resid = np.abs(h - base.eval(p * h + q * zs))
-        rows = []
-        for i, z in enumerate(zs):
-            try:
-                d = pgf.deriv(float(z))
-            except RdeLabError:
-                d = float("inf")
-            rows.append([float(z), float(h[i]), d, float(resid[i])])
+        rows = [
+            [float(z), float(h[i]), pgf.deriv_or_inf(float(z)), float(resid[i])]
+            for i, z in enumerate(zs)
+        ]
         out = _out_dir(config)
         _write_csv(out / "transform.csv", ["z", "H", "H_prime", "residual"], rows)
         payload = _envelope(config, "transform")

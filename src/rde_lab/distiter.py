@@ -26,6 +26,7 @@ import numpy as np
 from .errors import SpecValidationError
 from .pgf import INF_SENTINEL, OffspringSpec, Pgf, sample_family_sizes, validate_spec
 from . import analysis
+from .simulate import one_minus_prod
 from .streams import derive
 
 DEFAULT_SAMPLE_SIZE = 100_000
@@ -138,16 +139,10 @@ def apply_T(
     if m < 1:
         raise SpecValidationError("out_size must be >= 1")
     sizes = sample_family_sizes(spec, m, rng, budget)
-    out = np.ones(m)
-    finite = sizes != INF_SENTINEL
-    if finite.any():
-        counts = np.where(finite, sizes, 0)
-        total = int(counts.sum())
-        draws = nu.points[rng.integers(0, nu.size, total)]
-        starts = np.zeros(m, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        out[finite] = 1.0 - np.multiply.reduceat(draws, starts[finite])
-    return EmpiricalDist(out)
+    # INF_SENTINEL is -1: adding back one per infinite family counts the finite children
+    total = int(sizes.sum() + (sizes == INF_SENTINEL).sum())
+    draws = nu.points[rng.integers(0, nu.size, total)]
+    return EmpiricalDist(one_minus_prod(draws, sizes))
 
 
 def iterate_T(

@@ -389,18 +389,6 @@ class Pgf:
         return Pgf(FinitePmf(weights=weights, infinity_mass=0.0), thinned_tol=self.thinned_tol)
 
 
-def truncate_pgf(pgf: Pgf, n: int) -> Pgf:
-    return pgf.truncated(n)
-
-
-def pgf_eval(pgf: Pgf, s):
-    return pgf.eval(s)
-
-
-def pgf_deriv(pgf: Pgf, s):
-    return pgf.deriv(s)
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -109,64 +108,47 @@ def _sample_forest(
     return _Forest(depth=depth, reps=reps, fams=fams, rep_counts=rep_counts)
 
 
-def _pull_up_bool(fams: list[np.ndarray], boundary: np.ndarray) -> np.ndarray:
-    """Boolean fast path of the recursion for {0,1}-valued solutions.
+def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """For each parent, 1 - the product of its consecutive children.
 
-    On {0,1} the product of the children is their AND, so
-    value(u) = 1 - prod(children) is a NAND; infinite families pin to True.
+    ``sizes[i]`` is the family size of parent i; the children of the
+    parents are laid out back to back in ``values``.  An infinite family
+    (INF_SENTINEL) consumes no values and gives 1.  Float values use
+    (multiply, 1 - x); bool values use (logical_and, not), which is the
+    same map on {0,1}.
     """
-    v = boundary
-    for level in reversed(fams):
-        n = level.shape[0]
-        if n > 0 and level.min() == level.max() and level[0] != INF_SENTINEL:
-            w = int(level[0])
-            if w == 1:
-                new_v = ~v
-            elif w == 2:
-                new_v = ~(v[0::2] & v[1::2])
-            else:
-                new_v = ~v.reshape(n, w).all(axis=1)
-        else:
-            finite = level != INF_SENTINEL
-            new_v = np.ones(n, dtype=bool)
-            if finite.any():
-                counts = np.where(finite, level, 0)
-                starts = np.zeros(n, dtype=np.int64)
-                np.cumsum(counts[:-1], out=starts[1:])
-                new_v[finite] = ~np.logical_and.reduceat(v, starts[finite])
-        v = new_v
-    return v
+    if values.dtype == bool:
+        reduce, complement = np.logical_and, np.logical_not
+    else:
+        reduce, complement = np.multiply, lambda x: 1.0 - x
+    n = sizes.shape[0]
+    if n > 0 and sizes.min() == sizes.max() and sizes[0] != INF_SENTINEL:
+        w = int(sizes[0])
+        if w == 1:
+            return complement(values)
+        if w == 2:
+            return complement(reduce(values[0::2], values[1::2]))
+        return complement(reduce.reduce(values.reshape(n, w), axis=1))
+    finite = sizes != INF_SENTINEL
+    out = np.ones(n, dtype=values.dtype)
+    if finite.any():
+        counts = np.where(finite, sizes, 0)
+        starts = np.zeros(n, dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        out[finite] = complement(reduce.reduceat(values, starts[finite]))
+    return out
 
 
 def _pull_up(fams: list[np.ndarray], boundary: np.ndarray, keep_levels: bool = False):
     """Apply value(u) = 1 - prod(children) upward from boundary values.
 
-    Infinite-family nodes take value 1.  Returns root values, or the whole
-    list of per-level value arrays when keep_levels is set.
+    Bool boundaries give bool values throughout.  Returns root values, or
+    the whole list of per-level value arrays when keep_levels is set.
     """
     levels = [boundary] if keep_levels else None
     v = boundary
-    for level in reversed(fams):
-        n = level.shape[0]
-        homogeneous = n > 0 and level.min() == level.max() and level[0] != INF_SENTINEL
-        if homogeneous:
-            w = int(level[0])
-            if w == 1:
-                new_v = 1.0 - v
-            elif w == 2:
-                new_v = 1.0 - v[0::2] * v[1::2]
-            else:
-                new_v = 1.0 - v.reshape(n, w).prod(axis=1)
-        else:
-            finite = level != INF_SENTINEL
-            new_v = np.ones(n)
-            if finite.any():
-                counts = np.where(finite, level, 0)
-                starts = np.zeros(n, dtype=np.int64)
-                np.cumsum(counts[:-1], out=starts[1:])
-                prods = np.multiply.reduceat(v, starts[finite])
-                new_v[finite] = 1.0 - prods
-        v = new_v
+    for sizes in reversed(fams):
+        v = one_minus_prod(v, sizes)
         if keep_levels:
             levels.append(v)
     if keep_levels:
@@ -316,27 +298,24 @@ class EndogenyDiagnostic:
         }
 
 
-def _batched(reps: int, batch: int) -> Iterator[tuple[int, int, int]]:
-    start = 0
-    index = 0
-    while start < reps:
-        size = min(batch, reps - start)
-        yield index, start, size
-        start += size
-        index += 1
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0.0 for a single replicate)."""
+    se = float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
+    return float(x.mean()), se
 
 
-def _run_batches(worker, reps: int, batch_size: int, out_arrays: list[np.ndarray]) -> None:
+def _run_batches(worker, reps: int, out_arrays: list[np.ndarray]) -> None:
     """Fill slices of out_arrays batch by batch, optionally with threads.
 
     Batch results land in preassigned slots, so the outcome is independent
     of scheduling order and of RDE_LAB_THREADS.
     """
-    jobs = list(_batched(reps, batch_size))
+    jobs = list(enumerate(range(0, reps, DEFAULT_BATCH)))
     threads = _thread_count()
 
     def run(job):
-        index, start, size = job
+        index, start = job
+        size = min(DEFAULT_BATCH, reps - start)
         results = worker(index, size)
         for arr, res in zip(out_arrays, results):
             arr[start:start + size] = res
@@ -349,7 +328,7 @@ def _run_batches(worker, reps: int, batch_size: int, out_arrays: list[np.ndarray
             run(job)
 
 
-def _conditional_roots(
+def _conditional_moments(
     spec: OffspringSpec,
     depth: int,
     reps: int,
@@ -357,8 +336,8 @@ def _conditional_roots(
     boundary_value: float,
     node_cap: int,
     budget: int,
-    batch_size: int = DEFAULT_BATCH,
-) -> np.ndarray:
+) -> McMoments:
+    """Moments of the root value of C with the given constant boundary."""
     roots = np.empty(reps)
 
     def worker(index: int, size: int):
@@ -367,8 +346,10 @@ def _conditional_roots(
         boundary = np.full(forest.boundary_count(), boundary_value)
         return (_pull_up(forest.fams, boundary),)
 
-    _run_batches(worker, reps, batch_size, [roots])
-    return roots
+    _run_batches(worker, reps, [roots])
+    mean_c, se_mean = _mean_se(roots)
+    m2_c, se_m2 = _mean_se(roots ** 2)
+    return McMoments(mean_c=mean_c, m2_c=m2_c, se_mean=se_mean, se_m2=se_m2, depth=depth, reps=reps)
 
 
 def mc_moments(
@@ -387,16 +368,7 @@ def mc_moments(
     from .pgf import Pgf
 
     mu1 = solve_mu1(Pgf(spec))
-    roots = _conditional_roots(spec, depth, reps, seed, mu1, node_cap, budget)
-    sq = roots ** 2
-    return McMoments(
-        mean_c=float(roots.mean()),
-        m2_c=float(sq.mean()),
-        se_mean=float(roots.std(ddof=1) / np.sqrt(reps)),
-        se_m2=float(sq.std(ddof=1) / np.sqrt(reps)),
-        depth=depth,
-        reps=reps,
-    )
+    return _conditional_moments(spec, depth, reps, seed, mu1, node_cap, budget)
 
 
 def endogeny_diagnostic(
@@ -430,44 +402,24 @@ def endogeny_diagnostic(
         forest = _sample_forest(spec, depth, size, rng, node_cap=node_cap, budget=budget)
         nb = forest.boundary_count()
         c = _pull_up(forest.fams, np.full(nb, mu1))
-        s = _pull_up_bool(forest.fams, rng.random(nb) < mu1).astype(float)
-        s2 = _pull_up_bool(forest.fams, rng.random(nb) < mu1).astype(float)
+        s = _pull_up(forest.fams, rng.random(nb) < mu1).astype(float)
+        s2 = _pull_up(forest.fams, rng.random(nb) < mu1).astype(float)
         return c, s, s2
 
-    _run_batches(worker, reps, DEFAULT_BATCH, [c_roots, s_roots, s2_roots])
-    v = c_roots * (1.0 - c_roots)
-    dis = (s_roots != s2_roots).astype(float)
+    _run_batches(worker, reps, [c_roots, s_roots, s2_roots])
+    e_c_one_minus_c, se_e = _mean_se(c_roots * (1.0 - c_roots))
+    p_disagree, se_p = _mean_se((s_roots != s2_roots).astype(float))
     report = EndogenyDiagnostic(
-        e_c_one_minus_c=float(v.mean()),
-        p_disagree=float(dis.mean()),
-        se_e=float(v.std(ddof=1) / np.sqrt(reps)),
-        se_p=float(dis.std(ddof=1) / np.sqrt(reps)),
+        e_c_one_minus_c=e_c_one_minus_c,
+        p_disagree=p_disagree,
+        se_e=se_e,
+        se_p=se_p,
         depth=depth,
         reps=reps,
     )
     if keep_values:
         return report, c_roots, s_roots
     return report
-
-
-@dataclass(frozen=True)
-class IteratedMcMoments:
-    mean_cplus: float
-    m2_cplus: float
-    se_mean: float
-    se_m2: float
-    depth: int
-    reps: int
-
-    def to_json(self) -> dict:
-        return {
-            "mean_Cplus": self.mean_cplus,
-            "m2_Cplus": self.m2_cplus,
-            "se_mean": self.se_mean,
-            "se_m2": self.se_m2,
-            "depth": self.depth,
-            "reps": self.reps,
-        }
 
 
 def iterated_conditional(
@@ -478,7 +430,7 @@ def iterated_conditional(
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
     budget: int = DEFAULT_BUDGET,
-) -> IteratedMcMoments:
+) -> McMoments:
     """Moments of the iterated-recursion endogenous solution C+.
 
     Runs the conditional recursion with boundary constant mu_plus at even
@@ -487,18 +439,7 @@ def iterated_conditional(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     validate_spec(spec)
-    depth = 2 * half_depth
-    roots = _conditional_roots(spec, depth, reps, seed, float(cycle.mu_plus), node_cap, budget)
-    sq = roots ** 2
-    denom = np.sqrt(reps) if reps > 1 else 1.0
-    return IteratedMcMoments(
-        mean_cplus=float(roots.mean()),
-        m2_cplus=float(sq.mean()),
-        se_mean=float(roots.std(ddof=1) / denom) if reps > 1 else 0.0,
-        se_m2=float(sq.std(ddof=1) / denom) if reps > 1 else 0.0,
-        depth=depth,
-        reps=reps,
-    )
+    return _conditional_moments(spec, 2 * half_depth, reps, seed, float(cycle.mu_plus), node_cap, budget)
 
 
 def extract_tree(forest: _Forest, rep: int) -> SampledTree:

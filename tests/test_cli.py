@@ -165,6 +165,16 @@ def test_exit_code_on_zero_reps(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("field", ["depth", "seed", "tol"])
+def test_exit_code_on_boolean_config_field(tmp_path, field):
+    # JSON true is a Python bool, which isinstance(..., int) would accept as 1
+    cfg = {"spec": {"kind": "deterministic", "d": 2}, "reps": 200, "depth": 4, "seed": 1}
+    cfg[field] = True
+    result, _ = run_cli(tmp_path, cfg, "simulate")
+    assert result.exit_code == 2
+    assert field in result.output
+
+
 def test_exit_code_on_resource_limit(tmp_path):
     cfg = {"spec": {"kind": "geometric", "alpha": 0.25}, "reps": 200, "depth": 12,
            "seed": 3, "node_cap": 10_000}

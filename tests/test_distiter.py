@@ -17,7 +17,7 @@ from rde_lab.distiter import (
     point_mass,
 )
 from rde_lab.errors import SpecValidationError
-from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf
+from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, sample_family_sizes
 from rde_lab.streams import derive
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -58,6 +58,24 @@ def test_mean_transport_law():
         predicted = 1.0 - pgf.eval(nu.mean())
         se = out.points.std(ddof=1) / math.sqrt(out.size)
         assert abs(out.mean() - predicted) < 4.0 * se
+
+
+@pytest.mark.parametrize("spec", [Deterministic(3), FIN], ids=["det3", "finite-inf"])
+def test_apply_matches_per_point_loop(spec):
+    # replay apply_T's draws (family sizes, then child indices) from the same stream
+    nu = EmpiricalDist(derive(5, 0).random(300))
+    out = apply_T(nu, spec, derive(5, 1), out_size=400)
+    rng = derive(5, 1)
+    sizes = sample_family_sizes(spec, 400, rng)
+    idx = iter(rng.integers(0, nu.size, int(sizes[sizes > 0].sum())))
+    want = []
+    for n in sizes:
+        prod = 1.0
+        for _ in range(n):  # empty for an infinite family (-1)
+            prod *= nu.points[next(idx)]
+        want.append(1.0 if n == -1 else 1.0 - prod)
+    assert next(idx, None) is None
+    assert out.points.tolist() == want
 
 
 def test_apply_respects_out_size():

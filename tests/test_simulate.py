@@ -10,7 +10,6 @@ from rde_lab.simulate import (
     SOLUTION_CONDITIONAL,
     SOLUTION_DISCRETE,
     _pull_up,
-    _pull_up_bool,
     _sample_forest,
     conditional_solution,
     discrete_solution,
@@ -18,6 +17,7 @@ from rde_lab.simulate import (
     extract_tree,
     iterated_conditional,
     mc_moments,
+    one_minus_prod,
     sample_tree,
 )
 from rde_lab.streams import derive
@@ -134,7 +134,7 @@ def test_discrete_mean_invariance_binary_depth8():
     mu1 = solve_mu1(Pgf(DET2))
     rng = derive(12, 0)
     forest = _sample_forest(DET2, 8, 100_000, rng)
-    roots = _pull_up_bool(forest.fams, rng.random(forest.boundary_count()) < mu1)
+    roots = _pull_up(forest.fams, rng.random(forest.boundary_count()) < mu1)
     emp = float(roots.mean())
     se = math.sqrt(mu1 * (1.0 - mu1) / roots.size)
     assert abs(emp - mu1) < 3.0 * se
@@ -144,9 +144,42 @@ def test_bool_and_float_pull_up_agree():
     rng = derive(13, 0)
     forest = _sample_forest(MIXED, 4, 500, rng)
     boundary = rng.random(forest.boundary_count()) < 0.6
-    a = _pull_up_bool(forest.fams, boundary).astype(float)
+    a = _pull_up(forest.fams, boundary)
     b = _pull_up(forest.fams, boundary.astype(float))
+    assert a.dtype == bool
+    a = a.astype(float)
     assert np.array_equal(a, b)
+
+
+def _one_minus_prod_loop(values, sizes):
+    out, pos = [], 0
+    for n in sizes:
+        if n == -1:
+            out.append(1.0)
+            continue
+        prod = 1.0
+        for x in values[pos:pos + n]:
+            prod *= float(x)
+        out.append(1.0 - prod)
+        pos += n
+    assert pos == len(values)
+    return out
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[1] * 16, [2] * 16, [3] * 16, [2, -1, 3, 1, -1], [-1, 3, -1], [-1, -1], []],
+    ids=["w1", "w2", "w3", "ragged", "ragged-inf-ends", "all-inf", "empty"],
+)
+@pytest.mark.parametrize("dtype", [float, bool])
+def test_one_minus_prod_matches_loop(sizes, dtype):
+    sizes = np.array(sizes, dtype=np.int64)
+    rng = derive(16, 0)
+    raw = rng.random(int(sizes[sizes > 0].sum()))
+    values = raw < 0.6 if dtype is bool else raw
+    got = one_minus_prod(values, sizes)
+    assert got.dtype == values.dtype and got.shape == sizes.shape
+    assert got.astype(float).tolist() == _one_minus_prod_loop(values, sizes.tolist())
 
 
 def test_forest_matches_single_tree_recursion():
@@ -234,21 +267,21 @@ def test_iterated_conditional_reduces_to_mc_moments():
     cyc = make_two_cycle(Pgf(DET2), mu1, mu1)
     mc = mc_moments(DET2, 8, 400, seed=24)
     it = iterated_conditional(DET2, cyc, 4, 400, seed=24)
-    assert it.mean_cplus == mc.mean_c
-    assert it.m2_cplus == mc.m2_c
+    assert it.mean_c == mc.mean_c
+    assert it.m2_c == mc.m2_c
 
 
 def test_iterated_conditional_boundary_one_forces_root_one():
     cyc = make_two_cycle(Pgf(DET2), 1.0, 0.0)
     it = iterated_conditional(DET2, cyc, 3, 200, seed=25)
-    assert it.mean_cplus == 1.0 and it.se_mean == 0.0
+    assert it.mean_c == 1.0 and it.se_mean == 0.0
 
 
 def test_iterated_conditional_neutral_pair_preserved():
     # f(0.2) = 16/17 and f(16/17) = 0.2 for the alpha=1/4 geometric family
     pair = make_two_cycle(Pgf(GEO), 0.2, 16.0 / 17.0)
     it = iterated_conditional(GEO, pair, 4, 400, seed=26, node_cap=50_000_000)
-    assert abs(it.mean_cplus - 0.2) < 3.0 * it.se_mean
+    assert abs(it.mean_c - 0.2) < 3.0 * it.se_mean
 
 
 def test_thinned_spec_trees_sample_and_solve():
