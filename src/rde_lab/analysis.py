@@ -34,6 +34,7 @@ from .pgf import Pgf, require_analysis_assumptions
 DEFAULT_TOL = 1e-12
 CRITICAL_TOL = 1e-9
 NEUTRAL_SUP_TOL = 1e-9
+SCAN_GRID = 1001
 _ENDPOINT_FD_STEP = 1e-6
 
 
@@ -99,12 +100,15 @@ class CycleScan:
     fixed_points: tuple[float, ...]
     cycles: tuple[TwoCycle, ...]
     neutral_continuum: bool
+    # largest width of the f∘f(t) - t interval over the grid (0 for exact H)
+    resolution: float
 
     def to_json(self) -> dict:
         return {
             "fixed_points": list(self.fixed_points),
             "cycles": [c.to_json() for c in self.cycles],
             "neutral_continuum": self.neutral_continuum,
+            "resolution": self.resolution,
         }
 
 
@@ -244,32 +248,44 @@ def make_two_cycle(pgf: Pgf, mu_plus: float, mu_minus: float) -> TwoCycle:
     return TwoCycle(mu_plus=mu_plus, mu_minus=mu_minus, stability_product=prod, stable=prod <= 1.0)
 
 
-def find_two_cycles(pgf: Pgf, grid: int = 1001, tol: float = DEFAULT_TOL) -> CycleScan:
+def _ff_scan(pgf: Pgf, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(ts, lo, hi, neutral) for d(t) = f(f(t)) - t on an even grid of [0,1].
+
+    H is increasing and known only to its bracket [H_lo, H_hi], so
+    lo = 1 - H_hi(1 - H_lo(t)) - t <= d(t) <= 1 - H_lo(1 - H_hi(t)) - t = hi.
+    The scan is a neutral continuum (f∘f = id) when every interval meets
+    the open band |d| < NEUTRAL_SUP_TOL.
+    """
+    ts = np.linspace(0.0, 1.0, grid)
+    h_lo, h_hi = pgf.eval_bounds(ts)
+    lo = 1.0 - pgf.eval_bounds(1.0 - h_lo)[1] - ts
+    hi = 1.0 - pgf.eval_bounds(1.0 - h_hi)[0] - ts
+    neutral = bool(np.all((lo < NEUTRAL_SUP_TOL) & (hi > -NEUTRAL_SUP_TOL)))
+    return ts, lo, hi, neutral
+
+
+def find_two_cycles(pgf: Pgf, grid: int = SCAN_GRID, tol: float = DEFAULT_TOL) -> CycleScan:
     """All fixed points and two-cycles of the mean map f(t) = 1 - H(t).
 
-    f∘f is increasing, so roots of f(f(t)) - t are isolated sign changes
-    (plus possible exact zeros at grid points).  If f∘f is the identity to
-    within 1e-9 over the whole grid the scan returns the neutral-continuum
-    marker instead (every point then belongs to a neutral two-cycle).
+    f∘f is increasing, so roots of d(t) = f(f(t)) - t are grid points whose
+    d-interval contains 0 plus sign changes between grid points whose
+    intervals both exclude 0, bisected.  If every interval meets the
+    NEUTRAL_SUP_TOL band the scan returns the neutral-continuum marker
+    instead (every point then belongs to a neutral two-cycle).
     """
     if grid < 100:
         raise ValueError("grid must be >= 100")
     require_analysis_assumptions(pgf.spec)
     f = lambda t: 1.0 - pgf.eval(t)
     d = lambda t: f(f(t)) - t
-    ts = np.linspace(0.0, 1.0, grid)
-    ds = np.array([d(t) for t in ts])
-    if float(np.max(np.abs(ds))) < NEUTRAL_SUP_TOL:
-        return CycleScan((), (), neutral_continuum=True)
-    roots: list[float] = []
-    for i, t in enumerate(ts):
-        if ds[i] == 0.0:
-            roots.append(float(t))
-    for i in range(grid - 1):
-        if ds[i] == 0.0 or ds[i + 1] == 0.0:
-            continue
-        if ds[i] * ds[i + 1] < 0.0:
-            roots.append(_bisect(d, float(ts[i]), float(ts[i + 1])))
+    ts, lo, hi, neutral = _ff_scan(pgf, grid)
+    resolution = float(np.max(hi - lo))
+    if neutral:
+        return CycleScan((), (), neutral_continuum=True, resolution=resolution)
+    sign = np.where(lo > 0.0, 1, np.where(hi < 0.0, -1, 0))
+    roots: list[float] = [float(t) for t in ts[sign == 0]]
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        roots.append(_bisect(d, float(ts[i]), float(ts[i + 1])))
     roots.sort()
     deduped: list[float] = []
     for r in roots:
@@ -288,7 +304,7 @@ def find_two_cycles(pgf: Pgf, grid: int = 1001, tol: float = DEFAULT_TOL) -> Cyc
             continue
         seen.add(key)
         cycles.append(make_two_cycle(pgf, max(r, partner), min(r, partner)))
-    return CycleScan(tuple(fixed_points), tuple(cycles), neutral_continuum=False)
+    return CycleScan(tuple(fixed_points), tuple(cycles), neutral_continuum=False, resolution=resolution)
 
 
 @dataclass(frozen=True)
@@ -391,15 +407,15 @@ def basin_of_mean(pgf: Pgf, m0: float, max_iter: int = 400, tol: float = 1e-9) -
 
     ToMu1 when the orbit lands within tol of mu1; ToCycle when the even and
     odd subsequences settle on distinct limits; Neutral when f∘f is the
-    identity on a grid (the geometric-family involution); Inconclusive when
+    identity on the scan grid of find_two_cycles (the geometric-family
+    involution, the thinned binary tree at p = 1/2); Inconclusive when
     max_iter passes without a verdict.
     """
     if not (0.0 <= m0 <= 1.0):
         raise ValueError("m0 must lie in [0,1]")
     require_analysis_assumptions(pgf.spec)
     f = lambda t: 1.0 - pgf.eval(t)
-    probe = np.linspace(0.0, 1.0, 257)
-    if max(abs(f(f(t)) - t) for t in probe) < NEUTRAL_SUP_TOL:
+    if _ff_scan(pgf, SCAN_GRID)[3]:
         return MeanBasinResult(kind="Neutral", iterations=0, final=m0)
     mu1 = solve_mu1(pgf)
     history: list[float] = [m0]

@@ -38,6 +38,9 @@ CAPS = {
     "M": 10_000_000,
     "node_cap": 100_000_000,
 }
+# the library's lower limits (moment order, scan grid, map steps); below them
+# it raises ValueError, so a config there is rejected as invalid instead
+MINIMUMS = {"K": 1, "grid": 100, "steps": 1}
 
 
 class ConfigError(SpecValidationError):
@@ -78,8 +81,9 @@ def _load_config(path: str | None, seed: int | None, out: str | None, tol: float
     for key, cap in CAPS.items():
         if key in config:
             v = config[key]
-            if not _is_int(v) or v < 0 or v > cap:
-                raise ConfigError(f"config field '{key}' must be an integer in [0, {cap}], got {v!r}")
+            least = MINIMUMS.get(key, 0)
+            if not _is_int(v) or v < least or v > cap:
+                raise ConfigError(f"config field '{key}' must be an integer in [{least}, {cap}], got {v!r}")
     if "tol" in config and not ((_is_int(config["tol"]) or isinstance(config["tol"], float)) and config["tol"] > 0):
         raise ConfigError("tol must be a positive number")
     if "seed" in config and not _is_int(config["seed"]):
@@ -353,6 +357,7 @@ def cycles(ctx):
         payload.update(
             spec=spec_to_json(spec),
             neutral_continuum=scan.neutral_continuum,
+            resolution=scan.resolution,
             fixed_points=list(scan.fixed_points),
             cycles=cycles_json,
         )

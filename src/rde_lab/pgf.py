@@ -21,10 +21,12 @@ Four parametric variants are supported:
                              Its generating function is the least solution of
                              H(z) = G(p*H(z) + q*z) with G the base PGF.
 
-The thinned evaluation runs the monotone iteration h <- G(p*h + q*z) from
-h = 0 (whose limit is the correct, least fixed point) and finishes with a
-bracketed Newton polish so that the defining residual stays below ~1e-14
-even at the critical point where the fixed point is a double root.
+The thinned evaluation is vectorised Newton from h = 0 on the convex
+phi(h) = G(p*h + q*z) - h, which rises monotonically to the least root (the
+correct fixed point) without overshooting.  At a double root (binary base,
+p = 1/2, z = 1) floats resolve it only to about sqrt(eps); ``Pgf.eval_bounds``
+returns a bracket around H, which the two-cycle scans use.  Complex
+arguments (the FFT in ``pmf_prefix``) run the plain monotone iteration.
 """
 
 from __future__ import annotations
@@ -206,38 +208,26 @@ def _eval_thinned(spec: Thinned, z: np.ndarray, tol: float) -> np.ndarray:
     p, q = spec.p, 1.0 - spec.p
     base = spec.base
     h = np.zeros_like(z)
-    is_complex = np.iscomplexobj(z)
-    max_monotone = 100_000 if is_complex else 500
-    delta = np.inf
-    for _ in range(max_monotone):
-        h_new = _eval_array(base, p * h + q * z, tol)
-        delta = float(np.max(np.abs(h_new - h))) if h.size else 0.0
-        h = h_new
-        if delta < tol:
-            return h
-    if is_complex:
-        # monotone phase only; tolerance is met long before the cap in practice
+    if np.iscomplexobj(z):
+        # monotone iteration; tolerance is met long before the cap in practice
+        for _ in range(100_000):
+            h_new = _eval_array(base, p * h + q * z, tol)
+            delta = float(np.max(np.abs(h_new - h))) if h.size else 0.0
+            h = h_new
+            if delta < tol:
+                break
         return h
-    # Newton polish with a [h, 1] bracket; handles the critical double root
-    # (where the monotone iteration degrades to O(1/k)) at linear rate.
-    hi = np.ones_like(h)
+    # Newton from h = 0: phi(h) = G(p*h + q*z) - h is convex with phi(0) >= 0,
+    # so the iterates rise monotonically to the least root and never overshoot
     for _ in range(200):
         w = p * h + q * z
-        resid = _eval_array(base, w, tol) - h
-        if float(np.max(np.abs(resid))) < 5e-16:
+        excess = _eval_array(base, w, tol) - h
+        margin = 1.0 - p * _deriv_array(base, w, tol, allow_fd=False)
+        up = (excess > 0.0) & (margin > 0.0)
+        h_new = np.where(up, h + excess / np.where(up, margin, 1.0), h)
+        if not np.any(h_new > h):
             break
-        slope = p * _deriv_array(base, w, tol, allow_fd=False) - 1.0
-        step = np.where(np.abs(slope) > 1e-300, -resid / slope, 0.0)
-        cand = h + step
-        bad = (cand <= h) | (cand > hi) | ~np.isfinite(cand)
-        cand = np.where(bad, 0.5 * (h + hi), cand)
-        w_cand = p * cand + q * z
-        resid_cand = _eval_array(base, w_cand, tol) - cand
-        # keep the bracket: residual >= 0 below the least root, <= 0 above
-        h = np.where(resid_cand >= 0.0, cand, h)
-        hi = np.where(resid_cand < 0.0, cand, hi)
-        if float(np.max(hi - h)) < 1e-16:
-            break
+        h = h_new
     return h
 
 
@@ -266,7 +256,7 @@ def _deriv_array(spec: OffspringSpec, s: np.ndarray, tol: float, allow_fd: bool 
     degenerate = denom < 1e-6
     if np.any(degenerate):
         if not allow_fd:
-            # inner call of the Newton polish; an inf slope just freezes the step
+            # inner call of the thinned Newton solve; an inf slope stops the step
             return np.where(degenerate, np.inf, out)
         flat = np.atleast_1d(out)
         s_flat = np.atleast_1d(np.asarray(s, dtype=float))
@@ -312,6 +302,35 @@ class Pgf:
             arr = np.clip(arr, 0.0, 1.0)
         out = _eval_array(self.spec, arr, self.thinned_tol)
         return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
+
+    def eval_bounds(self, s):
+        """(lo, hi) with lo <= H(s) <= hi up to roundoff, for real s in [0,1].
+
+        Exact for non-thinned specs (lo = hi = H(s)).  For a thinned spec lo
+        is the Newton value and hi = lo + delta, with delta doubled from the
+        roundoff level while |phi(lo + delta)| stays within it, where
+        phi(h) = G(p*h + q*s) - h.  Past the root phi drops below the noise
+        and at a tangency it rises above it; phi is convex, so either way the
+        least root lies in [lo, hi].  hi is capped at max(lo, 1).
+        """
+        lo = self.eval(s)
+        spec = self.spec
+        if not isinstance(spec, Thinned):
+            return lo, lo
+        p, q = spec.p, 1.0 - spec.p
+        z = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+        lo_arr = np.asarray(lo, dtype=float)
+        noise = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(lo_arr))
+        cap = np.maximum(lo_arr, 1.0)  # lo can pass 1 by roundoff
+        delta = noise
+        while True:
+            hi = np.minimum(lo_arr + delta, cap)
+            phi = _eval_array(spec.base, p * hi + q * z, self.thinned_tol) - hi
+            grow = (np.abs(phi) <= noise) & (hi < cap)
+            if not np.any(grow):
+                break
+            delta = np.where(grow, 2.0 * delta, delta)
+        return (lo, float(hi)) if np.ndim(lo) == 0 else (lo, hi)
 
     def deriv(self, s):
         """H'(s); raises DomainError at a square-root-type singularity."""

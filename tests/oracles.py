@@ -74,9 +74,12 @@ def completely_monotone_violation(values) -> float:
 
 def thinned_binary_closed_form(p: float, z):
     """Example closed form for the thinned binary tree: the PGF solving
-    H = (pH + qz)^2, i.e. (1 - 2pqz - sqrt(1 - 4pqz)) / (2 p^2)."""
+    H = (pH + qz)^2, i.e. (1 - 2pqz - sqrt(1 - 4pqz)) / (2 p^2).
+
+    Evaluated as 2 q^2 z^2 / (1 - 2pqz + sqrt(1 - 4pqz)), the same value
+    without the cancellation in the numerator, so it is good to a few ulp."""
     z = np.asarray(z, dtype=float)
     q = 1.0 - p
     disc = np.sqrt(1.0 - 4.0 * p * q * z)
-    out = (1.0 - 2.0 * p * q * z - disc) / (2.0 * p * p)
+    out = 2.0 * q * q * z * z / (1.0 - 2.0 * p * q * z + disc)
     return float(out) if out.ndim == 0 else out

@@ -162,6 +162,37 @@ def test_two_cycles_contraction_case():
     assert scan.fixed_points[0] == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-9)
 
 
+def test_two_cycles_thinned_critical():
+    scan = find_two_cycles(TH05, 1001)
+    assert scan.neutral_continuum
+    assert scan.fixed_points == () and scan.cycles == ()
+    assert 1e-9 < scan.resolution < 1e-6
+    assert find_two_cycles(DET2, 1001).resolution == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, bound",
+    [(Thinned(Deterministic(2), 0.3), 600),
+     (Thinned(Deterministic(3), 0.4), 150),
+     (Thinned(Geometric(0.3), 0.4), 150)],
+)
+def test_cycle_scan_eval_budget(monkeypatch, spec, bound):
+    # a deterministic stand-in for a time budget: one vector call per grid
+    # and scalar calls only inside bisections (about 2100 calls per scan
+    # when the grid was evaluated point by point)
+    calls = 0
+    real_eval = Pgf.eval
+
+    def counting_eval(self, s):
+        nonlocal calls
+        calls += 1
+        return real_eval(self, s)
+
+    monkeypatch.setattr(Pgf, "eval", counting_eval)
+    find_two_cycles(Pgf(spec), 1001)
+    assert calls <= bound
+
+
 def test_iterated_map_monotone_audit():
     for pgf in (DET2, FIN, GEO):
         ts = np.linspace(0.0, 1.0, 1001)
@@ -242,6 +273,8 @@ def test_basin_of_mean_examples():
     assert (res.mu_plus, res.mu_minus) == (pytest.approx(1.0, abs=1e-6), pytest.approx(0.0, abs=1e-6))
     assert basin_of_mean(FIN, 0.2).kind == "ToMu1"
     assert basin_of_mean(GEO, 0.3).kind == "Neutral"
+    # f∘f = id exactly, and the neutral test respects H's sqrt(eps) bracket
+    assert basin_of_mean(TH05, 0.3).kind == "Neutral"
 
 
 # ------------------------------------------------------------ property tests

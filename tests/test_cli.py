@@ -55,6 +55,21 @@ def test_analyze_thinned_critical(tmp_path):
     assert payload["fixed_point"]["mu1"] == pytest.approx(0.75, abs=1e-8)
     assert payload["fixed_point"]["endogeny"] == "Endogenous"
     assert payload["fixed_point"]["critical"] is True
+    # H(z) = 2 - z - 2 sqrt(1 - z), so f∘f = id exactly; floats resolve the
+    # double root at z = 1 only to about sqrt(eps), which resolution shows
+    scan = payload["two_cycles"]
+    resolution = scan.pop("resolution")
+    assert scan == {"neutral_continuum": True, "fixed_points": [], "cycles": []}
+    assert 1e-9 < resolution < 1e-6
+
+
+def test_cycles_thinned_critical(tmp_path):
+    cfg = {"spec": {"kind": "thinned", "p": 0.5, "base": {"kind": "deterministic", "d": 2}}, "grid": 101}
+    result, out = run_cli(tmp_path, cfg, "cycles")
+    assert result.exit_code == 0
+    payload = json.loads((out / "cycles.json").read_text())
+    assert payload["neutral_continuum"] is True
+    assert payload["fixed_points"] == [] and payload["cycles"] == []
 
 
 def test_simulate_report_embeds_analytic_values(tmp_path):
@@ -137,6 +152,7 @@ def test_cycles_report(tmp_path):
     cyc = payload["cycles"][0]
     assert cyc["stable"] is True and cyc["degenerate"] is True
     assert cyc["mu2_plus"] == 1.0
+    assert payload["resolution"] == 0.0  # H of a deterministic spec is exact
 
 
 def test_exit_code_on_invalid_spec(tmp_path):
@@ -171,6 +187,18 @@ def test_exit_code_on_boolean_config_field(tmp_path, field):
     cfg = {"spec": {"kind": "deterministic", "d": 2}, "reps": 200, "depth": 4, "seed": 1}
     cfg[field] = True
     result, _ = run_cli(tmp_path, cfg, "simulate")
+    assert result.exit_code == 2
+    assert field in result.output
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [("analyze", "K", 0), ("analyze", "grid", 99), ("cycles", "grid", 99), ("iterate", "steps", 0)],
+)
+def test_exit_code_below_library_minimum(tmp_path, command, field, value):
+    cfg = {"spec": {"kind": "deterministic", "d": 2}, "seed": 1,
+           "initial": {"kind": "point_mass", "value": 0.5, "size": 1000}, field: value}
+    result, _ = run_cli(tmp_path, cfg, command)
     assert result.exit_code == 2
     assert field in result.output
 

@@ -104,6 +104,40 @@ def test_thinned_fixed_point_residual_on_grid():
         assert resid.max() < 1e-12
 
 
+@pytest.mark.parametrize("p", [0.4, 0.5, 0.6])
+def test_thinned_bounds_bracket_closed_form(p):
+    zs = np.linspace(0.0, 1.0, 101)
+    pgf = Pgf(Thinned(DET2, p))
+    lo, hi = pgf.eval_bounds(zs)
+    exact = thinned_binary_closed_form(p, zs)
+    assert np.array_equal(lo, pgf.eval(zs)) and np.all(hi >= lo)
+    # 1e-15 covers roundoff in the closed form and in the last Newton step
+    assert np.all(lo <= exact + 1e-15)
+    assert np.all(exact <= hi + 1e-15)
+    margin = 1.0 - p * Pgf(DET2).deriv(p * lo + (1.0 - p) * zs)
+    assert np.all((hi - lo)[margin >= 1e-3] <= 1e-13)
+    if p == 0.5:
+        # the double root at z = 1 is resolvable only to about sqrt(eps)
+        assert margin[-1] < 1e-3
+        assert hi[-1] - lo[-1] <= 1e-7
+
+
+@pytest.mark.parametrize("spec", [DET2, Deterministic(3), GEO, FIN, FinitePmf({1: 0.3, 2: 0.7})])
+def test_exact_specs_have_point_bounds(spec):
+    pgf = Pgf(spec)
+    zs = np.linspace(0.0, 1.0, 101)
+    lo, hi = pgf.eval_bounds(zs)
+    assert np.array_equal(lo, pgf.eval(zs)) and np.array_equal(hi, lo)
+    assert pgf.eval_bounds(0.3) == (pgf.eval(0.3), pgf.eval(0.3))
+
+
+def test_thinned_bounds_scalar():
+    lo, hi = Pgf(TH05).eval_bounds(1.0)
+    assert isinstance(lo, float) and isinstance(hi, float)
+    assert lo <= 1.0 == hi
+    assert Pgf(TH05).eval_bounds(0.75)[0] == pytest.approx(0.25, abs=1e-15)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_grid_shape_invariants(spec):
     pgf = Pgf(spec)
