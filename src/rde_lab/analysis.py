@@ -29,7 +29,7 @@ from math import comb, isfinite
 import numpy as np
 
 from .errors import FeasibilityError
-from .pgf import Pgf, require_analysis_assumptions
+from .pgf import Pgf, ess_sup, require_analysis_assumptions
 
 DEFAULT_TOL = 1e-12
 CRITICAL_TOL = 1e-9
@@ -144,7 +144,7 @@ def solve_mu1(pgf: Pgf, tol: float = DEFAULT_TOL) -> float:
     return root
 
 
-def solve_mu_star(pgf: Pgf, tol: float = DEFAULT_TOL) -> float:
+def solve_mu_star(pgf: Pgf) -> float:
     """Argmin of g(x) = H(x) - x on [0,1]: 1 if H'(1-) <= 1, else H'(x)=1."""
     d1 = pgf.deriv_or_inf(1.0)
     if d1 <= 1.0:
@@ -162,21 +162,23 @@ def solve_mu_star(pgf: Pgf, tol: float = DEFAULT_TOL) -> float:
     return _bisect(lambda x: pgf.deriv(x) - 1.0, 0.0, hi)
 
 
+def _endogeny_of(h1: float, tol: float = CRITICAL_TOL) -> tuple[Endogeny, bool]:
+    """(class, critical flag) from h1 = H'(mu1): endogenous iff h1 <= 1 + tol."""
+    cls = Endogeny.ENDOGENOUS if h1 <= 1.0 + tol else Endogeny.NON_ENDOGENOUS
+    return cls, abs(h1 - 1.0) <= tol
+
+
 def classify_endogeny(pgf: Pgf, tol: float = CRITICAL_TOL) -> tuple[Endogeny, bool]:
     """(class, critical flag): endogenous iff H'(mu1) <= 1 + tol."""
     require_analysis_assumptions(pgf.spec)
-    mu1 = solve_mu1(pgf)
-    h1 = pgf.deriv(mu1)
-    critical = abs(h1 - 1.0) <= tol
-    cls = Endogeny.ENDOGENOUS if h1 <= 1.0 + tol else Endogeny.NON_ENDOGENOUS
-    return cls, critical
+    return _endogeny_of(pgf.deriv(solve_mu1(pgf)), tol)
 
 
-def solve_mu2(pgf: Pgf, mu1: float, tol: float = DEFAULT_TOL) -> float:
+def solve_mu2(pgf: Pgf, mu1: float) -> float:
     """Second moment of the endogenous solution: the lesser root of
     g(x) = 1 - 2*mu1 on [0, mu_star]; equals mu1 when H'(mu1) <= 1."""
     require_analysis_assumptions(pgf.spec)
-    if pgf.deriv(mu1) <= 1.0 + CRITICAL_TOL:
+    if _endogeny_of(pgf.deriv(mu1))[0] is Endogeny.ENDOGENOUS:
         return mu1
     target = 1.0 - 2.0 * mu1
     mu_star = solve_mu_star(pgf)
@@ -264,7 +266,7 @@ def _ff_scan(pgf: Pgf, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, b
     return ts, lo, hi, neutral
 
 
-def find_two_cycles(pgf: Pgf, grid: int = SCAN_GRID, tol: float = DEFAULT_TOL) -> CycleScan:
+def find_two_cycles(pgf: Pgf, grid: int = SCAN_GRID) -> CycleScan:
     """All fixed points and two-cycles of the mean map f(t) = 1 - H(t).
 
     f∘f is increasing, so roots of d(t) = f(f(t)) - t are grid points whose
@@ -313,7 +315,7 @@ class IteratedSecondMoment:
     degenerate: bool
 
 
-def iterated_mu2_plus(pgf: Pgf, cycle: TwoCycle, tol: float = DEFAULT_TOL) -> IteratedSecondMoment:
+def iterated_mu2_plus(pgf: Pgf, cycle: TwoCycle) -> IteratedSecondMoment:
     """Second moment of the endogenous solution of the once-iterated
     recursion with mean mu_plus.
 
@@ -376,8 +378,6 @@ def perron_rho(pgf: Pgf, n: int) -> PerronReport:
     if n < 1:
         raise ValueError("truncation level must be >= 1")
     trunc = pgf.truncated(n)
-    from .pgf import ess_sup  # local import to keep module load cheap
-
     n_star = int(ess_sup(trunc.spec))
     mu1_n = solve_mu1(trunc)
     d_rho = trunc.deriv(mu1_n)
@@ -444,10 +444,10 @@ def build_fixed_point_report(pgf: Pgf, tol: float = DEFAULT_TOL) -> FixedPointRe
     """Bundle mu1, mu_star, H'(mu1), mu2 and the endogeny class."""
     require_analysis_assumptions(pgf.spec)
     mu1 = solve_mu1(pgf, tol)
-    mu_star = solve_mu_star(pgf, tol)
+    mu_star = solve_mu_star(pgf)
     h1 = pgf.deriv(mu1)
-    endo, critical = classify_endogeny(pgf)
-    mu2 = solve_mu2(pgf, mu1, tol)
+    endo, critical = _endogeny_of(h1)
+    mu2 = solve_mu2(pgf, mu1)
     return FixedPointReport(
         mu1=mu1,
         mu_star=mu_star,

@@ -176,7 +176,7 @@ def analyze(ctx):
             endo_json: dict | None = endogenous.to_json()
         except FeasibilityError as exc:
             endo_json = {"infeasible_at": exc.n}
-        scan = analysis.find_two_cycles(pgf, grid, tol)
+        scan = analysis.find_two_cycles(pgf, grid)
         mu1 = report.mu1
         payload = _envelope(config, "analyze")
         payload.update(
@@ -324,10 +324,12 @@ def transform(ctx):
         ]
         out = _out_dir(config)
         _write_csv(out / "transform.csv", ["z", "H", "H_prime", "residual"], rows)
+        h1_lo, h1_hi = pgf.eval_bounds(1.0)
         payload = _envelope(config, "transform")
         payload.update(
             spec=spec_to_json(spec),
             defect=pgf.defect(),
+            defect_bounds=[1.0 - h1_hi, 1.0 - h1_lo],
             max_residual=float(resid.max()),
         )
         _write_json(out / "transform.json", payload)
@@ -343,12 +345,11 @@ def cycles(ctx):
     def body(config):
         spec = spec_from_json(config["spec"])
         pgf = Pgf(spec)
-        tol = float(config.get("tol", analysis.DEFAULT_TOL))
         grid = int(config.get("grid", 1001))
-        scan = analysis.find_two_cycles(pgf, grid, tol)
+        scan = analysis.find_two_cycles(pgf, grid)
         cycles_json = []
         for cyc in scan.cycles:
-            m2p = analysis.iterated_mu2_plus(pgf, cyc, tol)
+            m2p = analysis.iterated_mu2_plus(pgf, cyc)
             entry = cyc.to_json()
             entry["mu2_plus"] = m2p.value
             entry["degenerate"] = m2p.degenerate

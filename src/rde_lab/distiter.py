@@ -236,9 +236,8 @@ def basin_test(
     pgf = Pgf(spec)
     mu1 = analysis.solve_mu1(pgf)
     mu2 = analysis.solve_mu2(pgf, mu1)
-    h1 = pgf.deriv(mu1)
     mean0 = nu0.mean()
-    if h1 > 1.0 + analysis.CRITICAL_TOL:
+    if analysis._endogeny_of(pgf.deriv(mu1))[0] is analysis.Endogeny.NON_ENDOGENOUS:
         if is_two_point_concentrated(nu0):
             verdict = "NotInBasin"
         elif abs(mean0 - mu1) < tol:

@@ -25,8 +25,7 @@ The thinned evaluation is vectorised Newton from h = 0 on the convex
 phi(h) = G(p*h + q*z) - h, which rises monotonically to the least root (the
 correct fixed point) without overshooting.  At a double root (binary base,
 p = 1/2, z = 1) floats resolve it only to about sqrt(eps); ``Pgf.eval_bounds``
-returns a bracket around H, which the two-cycle scans use.  Complex
-arguments (the FFT in ``pmf_prefix``) run the plain monotone iteration.
+returns a bracket around H, which the two-cycle scans use.
 """
 
 from __future__ import annotations
@@ -187,7 +186,7 @@ def spec_from_json(obj: dict) -> OffspringSpec:
 # Evaluation engines
 # ---------------------------------------------------------------------------
 
-def _eval_array(spec: OffspringSpec, s: np.ndarray, tol: float) -> np.ndarray:
+def _eval_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
     if isinstance(spec, Deterministic):
         return s ** spec.d
     if isinstance(spec, Geometric):
@@ -200,29 +199,20 @@ def _eval_array(spec: OffspringSpec, s: np.ndarray, tol: float) -> np.ndarray:
                 out = out + w * s ** k
         return out
     assert isinstance(spec, Thinned)
-    return _eval_thinned(spec, s, tol)
+    return _eval_thinned(spec, s)
 
 
-def _eval_thinned(spec: Thinned, z: np.ndarray, tol: float) -> np.ndarray:
+def _eval_thinned(spec: Thinned, z: np.ndarray) -> np.ndarray:
     """Least fixed point of h -> G(p*h + q*z), elementwise over z."""
     p, q = spec.p, 1.0 - spec.p
     base = spec.base
     h = np.zeros_like(z)
-    if np.iscomplexobj(z):
-        # monotone iteration; tolerance is met long before the cap in practice
-        for _ in range(100_000):
-            h_new = _eval_array(base, p * h + q * z, tol)
-            delta = float(np.max(np.abs(h_new - h))) if h.size else 0.0
-            h = h_new
-            if delta < tol:
-                break
-        return h
     # Newton from h = 0: phi(h) = G(p*h + q*z) - h is convex with phi(0) >= 0,
     # so the iterates rise monotonically to the least root and never overshoot
     for _ in range(200):
         w = p * h + q * z
-        excess = _eval_array(base, w, tol) - h
-        margin = 1.0 - p * _deriv_array(base, w, tol, allow_fd=False)
+        excess = _eval_array(base, w) - h
+        margin = 1.0 - p * _deriv_array(base, w)
         up = (excess > 0.0) & (margin > 0.0)
         h_new = np.where(up, h + excess / np.where(up, margin, 1.0), h)
         if not np.any(h_new > h):
@@ -231,7 +221,7 @@ def _eval_thinned(spec: Thinned, z: np.ndarray, tol: float) -> np.ndarray:
     return h
 
 
-def _deriv_array(spec: OffspringSpec, s: np.ndarray, tol: float, allow_fd: bool = True) -> np.ndarray:
+def _deriv_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
     if isinstance(spec, Deterministic):
         return spec.d * s ** (spec.d - 1)
     if isinstance(spec, Geometric):
@@ -245,40 +235,30 @@ def _deriv_array(spec: OffspringSpec, s: np.ndarray, tol: float, allow_fd: bool 
         return out
     assert isinstance(spec, Thinned)
     p, q = spec.p, 1.0 - spec.p
-    h = _eval_thinned(spec, s, tol)
-    w = p * h + q * s
-    gp = _deriv_array(spec.base, w, tol, allow_fd=allow_fd)
+    h = _eval_thinned(spec, s)
+    gp = _deriv_array(spec.base, p * h + q * s)
     denom = 1.0 - p * gp
-    out = np.where(denom > 1e-300, q * gp / np.where(denom > 1e-300, denom, 1.0), np.inf)
     # the implicit-function formula degenerates at the square-root branch
     # point where p*G'(w) = 1; the fixed point itself is only resolvable to
-    # ~sqrt(eps) there, so anything below 1e-6 is treated as singular noise
-    degenerate = denom < 1e-6
-    if np.any(degenerate):
-        if not allow_fd:
-            # inner call of the thinned Newton solve; an inf slope stops the step
-            return np.where(degenerate, np.inf, out)
-        flat = np.atleast_1d(out)
-        s_flat = np.atleast_1d(np.asarray(s, dtype=float))
-        for idx in np.nonzero(np.atleast_1d(degenerate))[0]:
-            flat[idx] = _fd_stencil(spec, float(s_flat[idx]), tol)
-        out = flat.reshape(np.shape(out)) if np.shape(out) else float(flat[0])
-    return out
-
-
-def _fd_stencil(spec: OffspringSpec, s: float, tol: float, step: float = 1e-5) -> float:
-    """5-point central difference, used where the implicit-function formula
-    for the thinned derivative degenerates (square-root-type singularity)."""
-    if s - 2 * step < 0.0 or s + 2 * step > 1.0:
-        raise DomainError(f"derivative at s={s} sits at a square-root-type singularity")
-    pts = np.array([s - 2 * step, s - step, s + step, s + 2 * step])
-    v = _eval_array(spec, pts, tol)
-    return float((v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * step))
+    # ~sqrt(eps) there, so anything below 1e-6 is an infinite slope
+    regular = denom >= 1e-6
+    return np.where(regular, q * gp / np.where(regular, denom, 1.0), np.inf)
 
 
 # ---------------------------------------------------------------------------
 # The PGF wrapper
 # ---------------------------------------------------------------------------
+
+def _unit_interval(s, what: str) -> np.ndarray:
+    """s as a float array clipped to [0,1]; DomainError for complex s or s outside it."""
+    arr = np.asarray(s)
+    if arr.dtype.kind == "c":
+        raise DomainError(f"pgf {what} requires real s")
+    arr = np.asarray(arr, dtype=float)
+    if np.any(arr < -1e-15) or np.any(arr > 1.0 + 1e-15):
+        raise DomainError(f"pgf {what} requires s in [0,1]")
+    return np.clip(arr, 0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class Pgf:
@@ -288,20 +268,14 @@ class Pgf:
     """
 
     spec: OffspringSpec
-    thinned_tol: float = 1e-14
 
     def __post_init__(self):
         validate_spec(self.spec)
 
     def eval(self, s):
         """H(s) for scalar or array s in [0,1] (mass at infinity contributes 0)."""
-        arr = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
-        if not np.iscomplexobj(arr):
-            if np.any(arr < -1e-15) or np.any(arr > 1.0 + 1e-15):
-                raise DomainError("pgf evaluation requires s in [0,1]")
-            arr = np.clip(arr, 0.0, 1.0)
-        out = _eval_array(self.spec, arr, self.thinned_tol)
-        return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
+        out = _eval_array(self.spec, _unit_interval(s, "evaluation"))
+        return float(out) if np.ndim(s) == 0 else out
 
     def eval_bounds(self, s):
         """(lo, hi) with lo <= H(s) <= hi up to roundoff, for real s in [0,1].
@@ -318,14 +292,14 @@ class Pgf:
         if not isinstance(spec, Thinned):
             return lo, lo
         p, q = spec.p, 1.0 - spec.p
-        z = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+        z = _unit_interval(s, "evaluation")
         lo_arr = np.asarray(lo, dtype=float)
         noise = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(lo_arr))
         cap = np.maximum(lo_arr, 1.0)  # lo can pass 1 by roundoff
         delta = noise
         while True:
             hi = np.minimum(lo_arr + delta, cap)
-            phi = _eval_array(spec.base, p * hi + q * z, self.thinned_tol) - hi
+            phi = _eval_array(spec.base, p * hi + q * z) - hi
             grow = (np.abs(phi) <= noise) & (hi < cap)
             if not np.any(grow):
                 break
@@ -334,12 +308,10 @@ class Pgf:
 
     def deriv(self, s):
         """H'(s); raises DomainError at a square-root-type singularity."""
-        arr = np.asarray(s, dtype=float)
-        if np.any(arr < -1e-15) or np.any(arr > 1.0 + 1e-15):
-            raise DomainError("pgf derivative requires s in [0,1]")
-        arr = np.clip(arr, 0.0, 1.0)
-        out = _deriv_array(self.spec, arr, self.thinned_tol)
-        return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
+        out = _deriv_array(self.spec, _unit_interval(s, "derivative"))
+        if np.any(np.isinf(out)):
+            raise DomainError(f"derivative at s={s} sits at a square-root-type singularity")
+        return float(out) if np.ndim(s) == 0 else out
 
     def deriv_or_inf(self, s) -> float:
         """H'(s) with singularities reported as +inf instead of an exception."""
@@ -356,8 +328,12 @@ class Pgf:
     def pmf_prefix(self, n: int) -> tuple[np.ndarray, float]:
         """(P(N=0..n-1), P(N >= n) including the infinite mass).
 
-        Parametric variants are exact; thinned coefficients are extracted
-        from H by a Cauchy/FFT integral on the circle |z| = 0.9.
+        Parametric variants are read off directly.  Thinned ones are exact
+        too: W = p*H + q*z solves W = q*z + p*G(W) with W_0 = 0, and [z^k] G(W)
+        involves W_k only through g_1*W_k, so each order solves in closed form
+        from non-negative lower-order terms.  G enters through its own
+        pmf_prefix(n); the table pw[j, k] = [z^k] W^j stops at J, the largest
+        k < n with g_k > 0, for O(n^2 * J) time.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -382,15 +358,16 @@ class Pgf:
                     tail += float(w)
             return p, tail
         assert isinstance(spec, Thinned)
-        m = 256
-        while m < 4 * n:
-            m *= 2
-        r = 0.9
-        z = r * np.exp(2j * np.pi * np.arange(m) / m)
-        vals = _eval_array(spec, z, min(self.thinned_tol, 1e-15))
-        coeffs = (np.fft.fft(vals) / m).real / r ** np.arange(m)
-        p[:] = np.clip(coeffs[:n], 0.0, 1.0)
-        p[0] = 0.0
+        g, _ = Pgf(spec.base).pmf_prefix(n)
+        big_j = int(np.flatnonzero(g).max(initial=1))  # >= 1 keeps W's own row
+        q = 1.0 - spec.p
+        pw = np.zeros((big_j + 1, n))
+        for k in range(1, n):
+            top = min(k, big_j)
+            pw[2:top + 1, k] = pw[1:top, k - 1:0:-1] @ pw[1, 1:k]
+            rest = g[2:top + 1] @ pw[2:top + 1, k]
+            pw[1, k] = (spec.p * rest + q * (k == 1)) / (1.0 - spec.p * g[1])
+            p[k] = g[1] * pw[1, k] + rest
         return p, max(0.0, 1.0 - float(p.sum()))
 
     def truncated(self, n: int) -> "Pgf":
@@ -405,7 +382,7 @@ class Pgf:
         weights[n] = weights.get(n, 0.0) + tail
         total = sum(weights.values())
         weights = {k: w / total for k, w in weights.items() if w > 0.0}
-        return Pgf(FinitePmf(weights=weights, infinity_mass=0.0), thinned_tol=self.thinned_tol)
+        return Pgf(FinitePmf(weights=weights, infinity_mass=0.0))
 
 
 # ---------------------------------------------------------------------------

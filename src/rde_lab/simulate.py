@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analysis
 from .errors import ResourceError
-from .pgf import INF_SENTINEL, INFINITY, OffspringSpec, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, INFINITY, OffspringSpec, Pgf, sample_family_sizes, validate_spec
 from .streams import derive
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -364,10 +365,7 @@ def mc_moments(
     if reps < 100:
         raise ValueError("reps must be >= 100")
     validate_spec(spec)
-    from .analysis import solve_mu1  # deferred: avoids import cycle at module load
-    from .pgf import Pgf
-
-    mu1 = solve_mu1(Pgf(spec))
+    mu1 = analysis.solve_mu1(Pgf(spec))
     return _conditional_moments(spec, depth, reps, seed, mu1, node_cap, budget)
 
 
@@ -389,10 +387,7 @@ def endogeny_diagnostic(
     if reps < 100:
         raise ValueError("reps must be >= 100")
     validate_spec(spec)
-    from .analysis import solve_mu1
-    from .pgf import Pgf
-
-    mu1 = solve_mu1(Pgf(spec))
+    mu1 = analysis.solve_mu1(Pgf(spec))
     c_roots = np.empty(reps)
     s_roots = np.empty(reps)
     s2_roots = np.empty(reps)

@@ -83,3 +83,20 @@ def thinned_binary_closed_form(p: float, z):
     disc = np.sqrt(1.0 - 4.0 * p * q * z)
     out = 2.0 * q * q * z * z / (1.0 - 2.0 * p * q * z + disc)
     return float(out) if out.ndim == 0 else out
+
+
+def thinned_deterministic_pmf(d: int, p: float, n: int) -> np.ndarray:
+    """P(N = 0..n-1) for the d-ary base thinned with survival probability p.
+
+    N = (d-1) T + 1 where T is the total progeny of a Bin(d, p) Galton-Watson
+    tree, and P(T = t) = C(dt, t-1) p^(t-1) q^(dt-t+1) / t (Dwass, "The total
+    progeny in a branching process", J. Appl. Probab. 1969).  Evaluated in
+    log space through lgamma so that no factorial overflows."""
+    q = 1.0 - p
+    out = np.zeros(n)
+    t = 1
+    while (d - 1) * t + 1 < n:
+        log_c = math.lgamma(d * t + 1) - math.lgamma(t) - math.lgamma(d * t - t + 2)
+        out[(d - 1) * t + 1] = math.exp(log_c + (t - 1) * math.log(p) + (d * t - t + 1) * math.log(q)) / t
+        t += 1
+    return out

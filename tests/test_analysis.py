@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import rde_lab.analysis as analysis
 from rde_lab.analysis import (
     CRITICAL_TOL,
     CycleScan,
@@ -69,6 +70,23 @@ def test_classify_endogeny_examples():
     assert cls is Endogeny.ENDOGENOUS and crit
     cls, crit = classify_endogeny(GEO)
     assert cls is Endogeny.ENDOGENOUS and crit
+
+
+def test_fixed_point_report_solves_mu1_once(monkeypatch):
+    calls = 0
+    real_solve = analysis.solve_mu1
+
+    def counting_solve(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_mu1", counting_solve)
+    for pgf in (DET2, TH05):
+        calls = 0
+        rep = build_fixed_point_report(pgf)
+        assert calls == 1
+        assert (rep.endogeny, rep.critical) == classify_endogeny(pgf)
 
 
 def test_fixed_point_report_fields_and_json():

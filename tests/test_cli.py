@@ -130,6 +130,17 @@ def test_transform_defect_table(tmp_path):
         assert len(lines) == 102
 
 
+def test_transform_defect_bounds(tmp_path):
+    # at p = 1/2 H(1) = 1 is a double root, resolved only to about sqrt(eps)
+    for p, defect, width in ((0.5, 0.0, 1e-7), (0.6, 5.0 / 9.0, 1e-13)):
+        cfg = {"spec": {"kind": "thinned", "p": p, "base": {"kind": "deterministic", "d": 2}}}
+        result, out = run_cli(tmp_path, cfg, "transform", name=f"b{int(p*10)}.json")
+        assert result.exit_code == 0
+        lo, hi = json.loads((out / "transform.json").read_text())["defect_bounds"]
+        assert lo <= defect <= hi
+        assert hi - lo <= width
+
+
 def test_transform_specific_value(tmp_path):
     cfg = {"spec": {"kind": "thinned", "p": 0.5, "base": {"kind": "deterministic", "d": 2}}}
     result, out = run_cli(tmp_path, cfg, "transform")

@@ -24,7 +24,7 @@ from rde_lab.pgf import (
 )
 from rde_lab.streams import derive
 
-from oracles import centered_fd, thinned_binary_closed_form
+from oracles import centered_fd, thinned_binary_closed_form, thinned_deterministic_pmf
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -171,6 +171,15 @@ def test_deriv_matches_centered_difference(spec):
 def test_deriv_singularity_raises_domain_error():
     with pytest.raises(DomainError):
         Pgf(TH05).deriv(1.0)
+    with pytest.raises(DomainError):
+        Pgf(TH05).deriv(1.0 - 1e-13)
+
+
+def test_eval_rejects_complex_argument():
+    with pytest.raises(DomainError):
+        Pgf(TH05).eval(np.array([0.5j]))
+    with pytest.raises(DomainError):
+        Pgf(DET2).eval(0.5 + 0.0j)
 
 
 def test_deriv_finite_at_one_when_not_singular():
@@ -218,6 +227,31 @@ def test_thinned_pmf_prefix_oracle():
     assert prefix[2] == pytest.approx(q * q, abs=1e-10)
     assert prefix[3] == pytest.approx(2 * p * q * q * q, abs=1e-10)
     assert tail == pytest.approx(1.0 - prefix.sum(), abs=1e-12)
+
+
+@pytest.mark.parametrize("d, p", [(2, 0.3), (2, 0.5), (2, 0.6), (3, 0.4)])
+def test_thinned_pmf_prefix_matches_total_progeny(d, p):
+    prefix, tail = Pgf(Thinned(Deterministic(d), p)).pmf_prefix(1000)
+    exact = thinned_deterministic_pmf(d, p, 1000)
+    assert np.max(np.abs(prefix - exact)) <= 1e-14
+    assert tail == pytest.approx(1.0 - exact.sum(), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Thinned(Geometric(0.3), 0.4), Thinned(TH06, 0.5), Thinned(FinitePmf({1: 0.2, 3: 0.5}, 0.3), 0.5)],
+)
+def test_thinned_pmf_prefix_series_matches_eval(spec):
+    pgf = Pgf(spec)
+    prefix, _ = pgf.pmf_prefix(1000)
+    zs = np.array([0.2, 0.5, 0.8])
+    series = np.array([np.sum(prefix * z ** np.arange(prefix.size)) for z in zs])
+    assert np.max(np.abs(series - pgf.eval(zs))) <= 1e-14
+
+
+def test_thinned_pmf_prefix_below_smallest_family():
+    prefix, tail = Pgf(Thinned(Deterministic(3), 0.4)).pmf_prefix(3)
+    assert not prefix.any() and tail == 1.0
 
 
 def test_ess_sup():
