@@ -35,7 +35,6 @@ from .analysis import (
     classify_endogeny,
     find_two_cycles,
     iterated_mu2_plus,
-    iterated_stability,
     moment_sequence,
     perron_rho,
     solve_mu1,

@@ -162,33 +162,27 @@ def solve_mu_star(pgf: Pgf) -> float:
     return _bisect(lambda x: pgf.deriv(x) - 1.0, 0.0, hi)
 
 
-def _endogeny_of(h1: float, tol: float = CRITICAL_TOL) -> tuple[Endogeny, bool]:
-    """(class, critical flag) from h1 = H'(mu1): endogenous iff h1 <= 1 + tol."""
-    cls = Endogeny.ENDOGENOUS if h1 <= 1.0 + tol else Endogeny.NON_ENDOGENOUS
-    return cls, abs(h1 - 1.0) <= tol
+def classify_endogeny(pgf: Pgf) -> tuple[Endogeny, bool]:
+    """(class, critical flag) of the fixed-point report."""
+    report = build_fixed_point_report(pgf)
+    return report.endogeny, report.critical
 
 
-def classify_endogeny(pgf: Pgf, tol: float = CRITICAL_TOL) -> tuple[Endogeny, bool]:
-    """(class, critical flag): endogenous iff H'(mu1) <= 1 + tol."""
-    require_analysis_assumptions(pgf.spec)
-    return _endogeny_of(pgf.deriv(solve_mu1(pgf)), tol)
-
-
-def solve_mu2(pgf: Pgf, mu1: float) -> float:
-    """Second moment of the endogenous solution: the lesser root of
-    g(x) = 1 - 2*mu1 on [0, mu_star]; equals mu1 when H'(mu1) <= 1."""
-    require_analysis_assumptions(pgf.spec)
-    if _endogeny_of(pgf.deriv(mu1))[0] is Endogeny.ENDOGENOUS:
+def solve_mu2(pgf: Pgf, mu1: float, mu_star: float, endogeny: Endogeny) -> float:
+    """Second moment of the endogenous solution: mu1 in the endogenous
+    class, else the lesser root of g(x) = 1 - 2*mu1 on [0, mu_star]."""
+    if endogeny is Endogeny.ENDOGENOUS:
         return mu1
     target = 1.0 - 2.0 * mu1
-    mu_star = solve_mu_star(pgf)
     g = lambda x: pgf.eval(x) - x - target
     # g decreases from g(0) = 2*mu1 - 1 > 0 to its minimum at mu_star < mu1
     return _bisect(g, 0.0, mu_star)
 
 
-def moment_sequence(pgf: Pgf, kind: MomentKind, K: int, tol: float = DEFAULT_TOL) -> MomentSequence:
-    """Moments m_0..m_K of an invariant law.
+def moment_sequence(
+    pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int, tol: float = DEFAULT_TOL
+) -> MomentSequence:
+    """Moments m_0..m_K of an invariant law, from the roots in ``fp``.
 
     Discrete: (1, mu1, mu1, ...).  Endogenous: solve, for each n >= 2,
     H(m_n) - (-1)^n m_n = sum_{k<n} C(n,k) (-1)^k m_k for the root left of
@@ -197,17 +191,14 @@ def moment_sequence(pgf: Pgf, kind: MomentKind, K: int, tol: float = DEFAULT_TOL
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    require_analysis_assumptions(pgf.spec)
-    mu1 = solve_mu1(pgf)
     if kind is MomentKind.DISCRETE:
-        return MomentSequence(kind, (1.0,) + (mu1,) * K)
-    mu_star = solve_mu_star(pgf)
-    values = [1.0, mu1]
+        return MomentSequence(kind, (1.0,) + (fp.mu1,) * K)
+    values = [1.0, fp.mu1]
     for n in range(2, K + 1):
         rhs = sum(comb(n, k) * (-1) ** k * values[k] for k in range(n))
         sign = -1.0 if n % 2 else 1.0  # H(m) - (-1)^n m
         phi = lambda x: pgf.eval(x) - sign * x - rhs
-        hi = min(mu_star, values[n - 1])
+        hi = min(fp.mu_star, values[n - 1])
         lo_val, hi_val = phi(0.0), phi(hi)
         if abs(hi_val) <= tol:
             root = hi
@@ -238,11 +229,6 @@ def _cycle_slope(pgf: Pgf, s: float) -> float:
 def stability_product(pgf: Pgf, mu_plus: float, mu_minus: float) -> float:
     """H'(mu_plus) * H'(mu_minus) with one-sided differences at 0 and 1."""
     return _cycle_slope(pgf, mu_plus) * _cycle_slope(pgf, mu_minus)
-
-
-def iterated_stability(pgf: Pgf, cycle: TwoCycle) -> bool:
-    """Stable iff H'(mu_plus) * H'(mu_minus) <= 1."""
-    return stability_product(pgf, cycle.mu_plus, cycle.mu_minus) <= 1.0
 
 
 def make_two_cycle(pgf: Pgf, mu_plus: float, mu_minus: float) -> TwoCycle:
@@ -327,7 +313,7 @@ def iterated_mu2_plus(pgf: Pgf, cycle: TwoCycle) -> IteratedSecondMoment:
     mu_plus = cycle.mu_plus
     if mu_plus <= 1e-12 or mu_plus >= 1.0 - 1e-12:
         return IteratedSecondMoment(value=float(round(mu_plus)), degenerate=True)
-    if iterated_stability(pgf, cycle):
+    if cycle.stable:
         return IteratedSecondMoment(value=mu_plus, degenerate=False)
     h_plus = pgf.eval(mu_plus)
     shift = 1.0 - 2.0 * h_plus
@@ -363,9 +349,6 @@ class PerronReport:
     n_star: int
     d_rho: float
 
-    def to_json(self) -> dict:
-        return {"rho": self.rho, "n_star": self.n_star, "d_rho": self.d_rho}
-
 
 def perron_rho(pgf: Pgf, n: int) -> PerronReport:
     """Endogeny quantity for the truncated recursion min(n, N).
@@ -392,18 +375,10 @@ class MeanBasinResult:
     iterations: int = 0
     final: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mu_plus": self.mu_plus,
-            "mu_minus": self.mu_minus,
-            "iterations": self.iterations,
-            "final": self.final,
-        }
 
-
-def basin_of_mean(pgf: Pgf, m0: float, max_iter: int = 400, tol: float = 1e-9) -> MeanBasinResult:
-    """Classify the orbit of m0 under the mean map f(t) = 1 - H(t).
+def basin_of_mean(pgf: Pgf, mu1: float, m0: float, max_iter: int = 400, tol: float = 1e-9) -> MeanBasinResult:
+    """Classify the orbit of m0 under the mean map f(t) = 1 - H(t), whose
+    fixed point is mu1.
 
     ToMu1 when the orbit lands within tol of mu1; ToCycle when the even and
     odd subsequences settle on distinct limits; Neutral when f∘f is the
@@ -413,11 +388,9 @@ def basin_of_mean(pgf: Pgf, m0: float, max_iter: int = 400, tol: float = 1e-9) -
     """
     if not (0.0 <= m0 <= 1.0):
         raise ValueError("m0 must lie in [0,1]")
-    require_analysis_assumptions(pgf.spec)
     f = lambda t: 1.0 - pgf.eval(t)
     if _ff_scan(pgf, SCAN_GRID)[3]:
         return MeanBasinResult(kind="Neutral", iterations=0, final=m0)
-    mu1 = solve_mu1(pgf)
     history: list[float] = [m0]
     t = m0
     for k in range(1, max_iter + 1):
@@ -441,13 +414,19 @@ def basin_of_mean(pgf: Pgf, m0: float, max_iter: int = 400, tol: float = 1e-9) -
 
 
 def build_fixed_point_report(pgf: Pgf, tol: float = DEFAULT_TOL) -> FixedPointReport:
-    """Bundle mu1, mu_star, H'(mu1), mu2 and the endogeny class."""
+    """Solve mu1, mu_star, H'(mu1), the endogeny class and mu2, each once.
+
+    The one place these roots are solved: consumers take the report (or a
+    root it holds) instead of solving again.  Endogenous iff
+    H'(mu1) <= 1 + CRITICAL_TOL; critical iff |H'(mu1) - 1| <= CRITICAL_TOL.
+    """
     require_analysis_assumptions(pgf.spec)
     mu1 = solve_mu1(pgf, tol)
     mu_star = solve_mu_star(pgf)
     h1 = pgf.deriv(mu1)
-    endo, critical = _endogeny_of(h1)
-    mu2 = solve_mu2(pgf, mu1)
+    endo = Endogeny.ENDOGENOUS if h1 <= 1.0 + CRITICAL_TOL else Endogeny.NON_ENDOGENOUS
+    critical = abs(h1 - 1.0) <= CRITICAL_TOL
+    mu2 = solve_mu2(pgf, mu1, mu_star, endo)
     return FixedPointReport(
         mu1=mu1,
         mu_star=mu_star,

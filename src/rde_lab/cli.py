@@ -141,16 +141,17 @@ def main(ctx, config_path, seed, out, tol):
     ctx.obj.update(config_path=config_path, seed=seed, out=out, tol=tol)
 
 
-def _setup(ctx) -> dict:
+def _run(ctx, command: str, filename: str, body) -> None:
+    """Load the config, parse the spec, and write out/filename: the envelope,
+    the spec echo and the fields that body(config, spec) returns."""
     o = ctx.obj
-    return _load_config(o["config_path"], o["seed"], o["out"], o["tol"])
-
-
-def _run(ctx, command: str, body) -> None:
     try:
-        config = _setup(ctx)
-        body(config)
-    except (ConfigError, SpecValidationError) as exc:
+        config = _load_config(o["config_path"], o["seed"], o["out"], o["tol"])
+        spec = spec_from_json(config["spec"])
+        payload = _envelope(config, command)
+        payload.update(body(config, spec), spec=spec_to_json(spec))
+        _write_json(_out_dir(config) / filename, payload)
+    except SpecValidationError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     except ResourceError as exc:
@@ -163,24 +164,21 @@ def _run(ctx, command: str, body) -> None:
 def analyze(ctx):
     """Fixed points, endogeny class, moment sequences and two-cycles."""
 
-    def body(config):
-        spec = spec_from_json(config["spec"])
+    def body(config, spec):
         pgf = Pgf(spec)
         tol = float(config.get("tol", analysis.DEFAULT_TOL))
         order = int(config.get("K", 8))
         grid = int(config.get("grid", 1001))
         report = analysis.build_fixed_point_report(pgf, tol)
-        discrete = analysis.moment_sequence(pgf, analysis.MomentKind.DISCRETE, order, tol)
+        discrete = analysis.moment_sequence(pgf, report, analysis.MomentKind.DISCRETE, order, tol)
         try:
-            endogenous = analysis.moment_sequence(pgf, analysis.MomentKind.ENDOGENOUS, order, tol)
+            endogenous = analysis.moment_sequence(pgf, report, analysis.MomentKind.ENDOGENOUS, order, tol)
             endo_json: dict | None = endogenous.to_json()
         except FeasibilityError as exc:
             endo_json = {"infeasible_at": exc.n}
         scan = analysis.find_two_cycles(pgf, grid)
         mu1 = report.mu1
-        payload = _envelope(config, "analyze")
-        payload.update(
-            spec=spec_to_json(spec),
+        return dict(
             fixed_point=report.to_json(),
             moment_sequences={"discrete": discrete.to_json(), "endogenous": endo_json},
             two_cycles=scan.to_json(),
@@ -193,9 +191,8 @@ def analyze(ctx):
                 ),
             },
         )
-        _write_json(_out_dir(config) / "analysis.json", payload)
 
-    _run(ctx, "analyze", body)
+    _run(ctx, "analyze", "analysis.json", body)
 
 
 @main.command(name="simulate")
@@ -203,17 +200,15 @@ def analyze(ctx):
 def simulate_cmd(ctx):
     """Monte Carlo moments of C plus the endogeny diagnostic."""
 
-    def body(config):
-        spec = spec_from_json(config["spec"])
+    def body(config, spec):
         seed = _require_seed(config)
         depth = int(config.get("depth", 12))
         reps = int(config.get("reps", 10_000))
         if reps < 100:
             raise ConfigError("reps must be >= 100 for simulation commands")
         node_cap = int(config.get("node_cap", simulate.DEFAULT_NODE_CAP))
-        pgf = Pgf(spec)
-        mu1 = analysis.solve_mu1(pgf)
-        mu2 = analysis.solve_mu2(pgf, mu1)
+        report = analysis.build_fixed_point_report(Pgf(spec))
+        mu1, mu2 = report.mu1, report.mu2
         mc = simulate.mc_moments(spec, depth, reps, seed, node_cap=node_cap)
         want_traces = bool(config.get("traces", False))
         diag_out = simulate.endogeny_diagnostic(
@@ -226,9 +221,7 @@ def simulate_cmd(ctx):
         else:
             diag = diag_out
         gap = mu1 - mu2
-        payload = _envelope(config, "simulate")
-        payload.update(
-            spec=spec_to_json(spec),
+        return dict(
             analytic={"mu1": mu1, "mu2": mu2, "mu1_minus_mu2": gap},
             mc_moments=mc.to_json(),
             endogeny_diagnostic=diag.to_json(),
@@ -238,9 +231,8 @@ def simulate_cmd(ctx):
                 "diagnostic_within_3se": bool(abs(diag.e_c_one_minus_c - gap) <= 3.0 * diag.se_e + 1e-9),
             },
         )
-        _write_json(_out_dir(config) / "simulate.json", payload)
 
-    _run(ctx, "simulate", body)
+    _run(ctx, "simulate", "simulate.json", body)
 
 
 def _initial_dist(config: dict) -> distiter.EmpiricalDist:
@@ -276,31 +268,26 @@ def _initial_dist(config: dict) -> distiter.EmpiricalDist:
 def iterate(ctx):
     """Basin verdict and trajectory of the distributional map."""
 
-    def body(config):
-        spec = spec_from_json(config["spec"])
+    def body(config, spec):
         seed = _require_seed(config)
         steps = int(config.get("steps", 30))
         tol = float(config.get("tol", 1e-6))
         nu0 = _initial_dist(config)
         report = distiter.basin_test(nu0, spec, steps, tol=tol, seed=seed)
-        out = _out_dir(config)
         rows = [
             [rec.k, rec.m1, rec.m2, rec.r, rec.E, rec.kolmogorov_to_target]
             for rec in report.records
         ]
-        _write_csv(out / "trajectory.csv", ["k", "m1", "m2", "r", "E", "kolmogorov"], rows)
-        payload = _envelope(config, "iterate")
-        payload.update(
-            spec=spec_to_json(spec),
+        _write_csv(_out_dir(config) / "trajectory.csv", ["k", "m1", "m2", "r", "E", "kolmogorov"], rows)
+        return dict(
             verdict={"analytic": report.analytic, "empirical": report.empirical},
             mu1=report.mu1,
             mu2=report.mu2,
             initial={"mean": nu0.mean(), "m2": nu0.second_moment(), "size": nu0.size},
             final={"m1": report.records[-1].m1, "m2": report.records[-1].m2},
         )
-        _write_json(out / "verdict.json", payload)
 
-    _run(ctx, "iterate", body)
+    _run(ctx, "iterate", "verdict.json", body)
 
 
 @main.command()
@@ -308,8 +295,7 @@ def iterate(ctx):
 def transform(ctx):
     """Tabulate the thinned PGF H, its derivative and the defining residual."""
 
-    def body(config):
-        spec = spec_from_json(config["spec"])
+    def body(config, spec):
         if not isinstance(spec, Thinned):
             raise ConfigError("transform requires a thinned spec (base + p)")
         pgf = Pgf(spec)
@@ -322,19 +308,15 @@ def transform(ctx):
             [float(z), float(h[i]), pgf.deriv_or_inf(float(z)), float(resid[i])]
             for i, z in enumerate(zs)
         ]
-        out = _out_dir(config)
-        _write_csv(out / "transform.csv", ["z", "H", "H_prime", "residual"], rows)
+        _write_csv(_out_dir(config) / "transform.csv", ["z", "H", "H_prime", "residual"], rows)
         h1_lo, h1_hi = pgf.eval_bounds(1.0)
-        payload = _envelope(config, "transform")
-        payload.update(
-            spec=spec_to_json(spec),
+        return dict(
             defect=pgf.defect(),
             defect_bounds=[1.0 - h1_hi, 1.0 - h1_lo],
             max_residual=float(resid.max()),
         )
-        _write_json(out / "transform.json", payload)
 
-    _run(ctx, "transform", body)
+    _run(ctx, "transform", "transform.json", body)
 
 
 @main.command()
@@ -342,8 +324,7 @@ def transform(ctx):
 def cycles(ctx):
     """Two-cycle scan with stability and iterated second moments."""
 
-    def body(config):
-        spec = spec_from_json(config["spec"])
+    def body(config, spec):
         pgf = Pgf(spec)
         grid = int(config.get("grid", 1001))
         scan = analysis.find_two_cycles(pgf, grid)
@@ -354,17 +335,14 @@ def cycles(ctx):
             entry["mu2_plus"] = m2p.value
             entry["degenerate"] = m2p.degenerate
             cycles_json.append(entry)
-        payload = _envelope(config, "cycles")
-        payload.update(
-            spec=spec_to_json(spec),
+        return dict(
             neutral_continuum=scan.neutral_continuum,
             resolution=scan.resolution,
             fixed_points=list(scan.fixed_points),
             cycles=cycles_json,
         )
-        _write_json(_out_dir(config) / "cycles.json", payload)
 
-    _run(ctx, "cycles", body)
+    _run(ctx, "cycles", "cycles.json", body)
 
 
 if __name__ == "__main__":

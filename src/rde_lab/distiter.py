@@ -101,16 +101,6 @@ class TrajectoryRecord:
     E: float | None = None
     kolmogorov_to_target: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "m1": self.m1,
-            "m2": self.m2,
-            "r": self.r,
-            "E": self.E,
-            "kolmogorov_to_target": self.kolmogorov_to_target,
-        }
-
 
 def kolmogorov_distance(a: np.ndarray, b: np.ndarray, grid: int = KOLMOGOROV_GRID) -> float:
     """Sup distance of the two empirical CDFs over a fixed [0,1] grid."""
@@ -177,7 +167,7 @@ def moment_recursions(
     r_0: float,
     mu1: float,
     steps: int,
-    mu2: float | None = None,
+    mu2: float,
 ) -> list[TrajectoryRecord]:
     """Exact deterministic trajectory of (m1, m2, r) with E = m2 - 2r + mu2."""
     for name, v in (("m1_0", m1_0), ("m2_0", m2_0), ("r_0", r_0)):
@@ -185,8 +175,6 @@ def moment_recursions(
             raise ValueError(f"{name} must lie in [0,1]")
     if m2_0 > m1_0 + 1e-12:
         raise ValueError("m2_0 must not exceed m1_0")
-    if mu2 is None:
-        mu2 = analysis.solve_mu2(pgf, mu1)
     h_mu1 = pgf.eval(mu1)
     m1, m2, r = m1_0, m2_0, r_0
     records = [TrajectoryRecord(k=0, m1=m1, m2=m2, r=r, E=m2 - 2.0 * r + mu2)]
@@ -205,15 +193,6 @@ class BasinTestReport:
     records: tuple[TrajectoryRecord, ...]
     mu1: float
     mu2: float
-
-    def to_json(self) -> dict:
-        return {
-            "analytic": self.analytic,
-            "empirical": self.empirical,
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "records": [rec.to_json() for rec in self.records],
-        }
 
 
 def basin_test(
@@ -234,10 +213,10 @@ def basin_test(
     analytic one.
     """
     pgf = Pgf(spec)
-    mu1 = analysis.solve_mu1(pgf)
-    mu2 = analysis.solve_mu2(pgf, mu1)
+    fp = analysis.build_fixed_point_report(pgf)
+    mu1, mu2 = fp.mu1, fp.mu2
     mean0 = nu0.mean()
-    if analysis._endogeny_of(pgf.deriv(mu1))[0] is analysis.Endogeny.NON_ENDOGENOUS:
+    if fp.endogeny is analysis.Endogeny.NON_ENDOGENOUS:
         if is_two_point_concentrated(nu0):
             verdict = "NotInBasin"
         elif abs(mean0 - mu1) < tol:
@@ -247,7 +226,7 @@ def basin_test(
         else:
             verdict = "NotInBasin"
     else:
-        mean_basin = analysis.basin_of_mean(pgf, mean0, max_iter=max(400, 4 * steps), tol=1e-9)
+        mean_basin = analysis.basin_of_mean(pgf, mu1, mean0, max_iter=max(400, 4 * steps), tol=1e-9)
         if mean_basin.kind == "ToMu1":
             verdict = "InBasin"
         elif mean_basin.kind == "Neutral":

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ResourceError
-from .pgf import INF_SENTINEL, INFINITY, OffspringSpec, Pgf, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, OffspringSpec, Pgf, sample_family_sizes, validate_spec
 from .streams import derive
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -167,10 +167,6 @@ class SampledTree:
     """A depth-bounded family tree.
 
     Addresses are tuples of 1-based child indices, the root being ().
-    ``nodes`` materialises the address -> family-size map (INFINITY for
-    infinite families, and the unexpanded boundary nodes at depth ``depth``
-    are present with no recorded family); it is intended for small trees,
-    oracles and serialisation, not for the Monte Carlo paths.
     """
 
     depth: int
@@ -190,17 +186,6 @@ class SampledTree:
                     nxt.extend(addr + (i,) for i in range(1, int(fam) + 1))
             levels.append(nxt)
         return levels
-
-    @property
-    def nodes(self) -> dict[tuple[int, ...], float]:
-        levels = self.addresses()
-        out: dict[tuple[int, ...], float] = {}
-        for d in range(self.depth):
-            for addr, fam in zip(levels[d], self.level_fams[d]):
-                out[addr] = INFINITY if fam == INF_SENTINEL else float(fam)
-        for addr in levels[self.depth]:
-            out.setdefault(addr, float("nan"))  # boundary: family never sampled
-        return out
 
 
 @dataclass
@@ -249,10 +234,6 @@ def discrete_solution(tree: SampledTree, mu1: float, rng: np.random.Generator) -
     boundary = (rng.random(tree.level_counts[tree.depth]) < mu1).astype(float)
     levels = _pull_up(tree.level_fams, boundary, keep_levels=True)
     return _layer_from_levels(tree, levels, SOLUTION_DISCRETE, tree.depth)
-
-
-def root_value(layer: SolutionLayer) -> float:
-    return layer.values[()]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ import pytest
 
 from rde_lab.analysis import (
     MomentKind,
+    build_fixed_point_report,
     classify_endogeny,
     Endogeny,
     moment_sequence,
     solve_mu1,
-    solve_mu2,
 )
 from rde_lab.distiter import (
     apply_T,
@@ -56,9 +56,10 @@ def test_criterion_1_golden_ratio_case():
         pgf = Pgf(DET2)
         mu1 = solve_mu1(pgf)
         assert abs(mu1 - (math.sqrt(5.0) - 1.0) / 2.0) < 1e-10
-        mu2 = solve_mu2(pgf, mu1)
+        fp = build_fixed_point_report(pgf)
+        mu2 = fp.mu2
         assert abs(mu2 - (3.0 - math.sqrt(5.0)) / 2.0) < 1e-10
-        seq = moment_sequence(pgf, MomentKind.ENDOGENOUS, 8)
+        seq = moment_sequence(pgf, fp, MomentKind.ENDOGENOUS, 8)
         for n, value in enumerate(seq.values):
             assert abs(value - mu1 ** n) < 1e-8
 
@@ -136,7 +137,7 @@ def test_criterion_6_monte_carlo_concordance():
     with _Timer(6, 60.0, "MC moments and endogeny diagnostics at depth 12"):
         pgf = Pgf(DET2)
         mu1 = solve_mu1(pgf)
-        mu2 = solve_mu2(pgf, mu1)
+        mu2 = build_fixed_point_report(pgf).mu2
         mc = mc_moments(DET2, 12, 100_000, seed=11)
         assert abs(mc.mean_c - mu1) <= 3.0 * mc.se_mean + 1e-9
         assert abs(mc.m2_c - mu2) <= 3.0 * mc.se_m2 + 1e-9
@@ -171,7 +172,7 @@ def test_criterion_8_basin_dichotomy():
     with _Timer(8, 120.0, "basin dichotomy: right-mean spread start, wrong mean, stable case"):
         pgf = Pgf(DET2)
         mu1 = solve_mu1(pgf)
-        mu2 = solve_mu2(pgf, mu1)
+        mu2 = build_fixed_point_report(pgf).mu2
 
         # (a) mean-mu1 non-discrete start: the moment recursion converges to
         # mu2 within 30 steps; the M = 1e5 empirical run follows the
@@ -205,7 +206,7 @@ def test_criterion_8_basin_dichotomy():
         # step 60 within 1e-3; the MC trajectory agrees within 4 SE
         pgf_s = Pgf(STABLE)
         mu1_s = solve_mu1(pgf_s)
-        analytic_s = moment_recursions(pgf_s, 0.2, 0.04, mu1_s * 0.2, mu1_s, 60)
+        analytic_s = moment_recursions(pgf_s, 0.2, 0.04, mu1_s * 0.2, mu1_s, 60, mu2=build_fixed_point_report(pgf_s).mu2)
         assert abs(analytic_s[-1].m1 - mu1_s) < 1e-3
         emp = iterate_T(point_mass(0.2, 100_000), STABLE, 60, derive(8, 0))
         se = emp[-1].m1 * (1 - emp[-1].m1)

@@ -15,7 +15,6 @@ from rde_lab.analysis import (
     classify_endogeny,
     find_two_cycles,
     iterated_mu2_plus,
-    iterated_stability,
     make_two_cycle,
     moment_sequence,
     perron_rho,
@@ -55,9 +54,13 @@ def test_solve_mu_star_examples():
 
 
 def test_solve_mu2_examples():
-    assert solve_mu2(DET2, solve_mu1(DET2)) == pytest.approx(GOLDEN * GOLDEN, abs=1e-10)
-    assert solve_mu2(FIN, solve_mu1(FIN)) == pytest.approx(solve_mu1(FIN), abs=1e-12)
-    assert solve_mu2(GEO, solve_mu1(GEO)) == pytest.approx(solve_mu1(GEO), abs=1e-12)
+    def mu2(pgf):
+        fp = build_fixed_point_report(pgf)
+        return solve_mu2(pgf, fp.mu1, fp.mu_star, fp.endogeny)
+
+    assert mu2(DET2) == pytest.approx(GOLDEN * GOLDEN, abs=1e-10)
+    assert mu2(FIN) == pytest.approx(solve_mu1(FIN), abs=1e-12)
+    assert mu2(GEO) == pytest.approx(solve_mu1(GEO), abs=1e-12)
 
 
 def test_classify_endogeny_examples():
@@ -99,7 +102,7 @@ def test_fixed_point_report_fields_and_json():
 
 
 def test_serialized_field_names_match_type_definitions():
-    seq = moment_sequence(DET2, MomentKind.DISCRETE, 2)
+    seq = moment_sequence(DET2, build_fixed_point_report(DET2), MomentKind.DISCRETE, 2)
     assert set(seq.to_json()) == {"kind", "values"}
     cyc = make_two_cycle(DET2, 1.0, 0.0)
     assert set(cyc.to_json()) == {"mu_plus", "mu_minus", "stability_product", "stable"}
@@ -108,17 +111,18 @@ def test_serialized_field_names_match_type_definitions():
 # ---------------------------------------------------------- moment sequences
 
 def test_moment_sequences_golden_ratio():
-    disc = moment_sequence(DET2, MomentKind.DISCRETE, 4)
+    fp = build_fixed_point_report(DET2)
+    disc = moment_sequence(DET2, fp, MomentKind.DISCRETE, 4)
     assert disc.values[0] == 1.0
     assert all(v == pytest.approx(GOLDEN, abs=1e-10) for v in disc.values[1:])
-    endo = moment_sequence(DET2, MomentKind.ENDOGENOUS, 8)
+    endo = moment_sequence(DET2, fp, MomentKind.ENDOGENOUS, 8)
     for n, v in enumerate(endo.values):
         assert v == pytest.approx(GOLDEN ** n, abs=1e-8)
 
 
 def test_moment_sequence_residuals_and_inequalities():
     for pgf in (DET2, FIN, Pgf(FinitePmf({1: 0.2, 3: 0.6}, infinity_mass=0.2))):
-        seq = moment_sequence(pgf, MomentKind.ENDOGENOUS, 8)
+        seq = moment_sequence(pgf, build_fixed_point_report(pgf), MomentKind.ENDOGENOUS, 8)
         m = seq.values
         assert m[0] == 1.0
         for n in range(2, 9):
@@ -136,14 +140,17 @@ def test_moment_sequence_feasibility_error_names_order():
     # heavy unit mass with far atoms drives the bracket shut at high order
     spec = FinitePmf({1: 0.7020269881904789, 14: 0.015066173556674499,
                       15: 0.04785503551743686, 23: 0.2350518027354099})
+    pgf = Pgf(spec)
+    fp = build_fixed_point_report(pgf)
     with pytest.raises(FeasibilityError) as err:
-        moment_sequence(Pgf(spec), MomentKind.ENDOGENOUS, 20)
+        moment_sequence(pgf, fp, MomentKind.ENDOGENOUS, 20)
     assert err.value.n >= 2
 
 
 def test_moment_sequence_requires_convexity():
     with pytest.raises(SpecValidationError):
-        moment_sequence(Pgf(FinitePmf({1: 1.0})), MomentKind.DISCRETE, 4)
+        pgf = Pgf(FinitePmf({1: 1.0}))
+        moment_sequence(pgf, build_fixed_point_report(pgf), MomentKind.DISCRETE, 4)
 
 
 # ----------------------------------------------------------------- 2-cycles
@@ -220,7 +227,7 @@ def test_iterated_map_monotone_audit():
 
 def test_iterated_stability_examples():
     cyc01 = make_two_cycle(DET2, 1.0, 0.0)
-    assert iterated_stability(DET2, cyc01)
+    assert cyc01.stable
     assert cyc01.stability_product < 1e-5
     # geometric pairs are exactly neutral
     prod = stability_product(GEO, 0.2, 16.0 / 17.0)
@@ -236,7 +243,7 @@ def test_iterated_mu2_plus_cases():
     mu1 = solve_mu1(DET2)
     deg = make_two_cycle(DET2, mu1, mu1)
     got = iterated_mu2_plus(DET2, deg)
-    assert got.value == pytest.approx(solve_mu2(DET2, mu1), abs=1e-9)
+    assert got.value == pytest.approx(build_fixed_point_report(DET2).mu2, abs=1e-9)
     assert not got.degenerate
     cyc01 = make_two_cycle(DET2, 1.0, 0.0)
     got01 = iterated_mu2_plus(DET2, cyc01)
@@ -285,14 +292,14 @@ def test_truncation_mu1_monotone_to_limit():
 
 def test_basin_of_mean_examples():
     mu1 = solve_mu1(DET2)
-    assert basin_of_mean(DET2, mu1).kind == "ToMu1"
-    res = basin_of_mean(DET2, 0.5)
+    assert basin_of_mean(DET2, mu1, mu1).kind == "ToMu1"
+    res = basin_of_mean(DET2, mu1, 0.5)
     assert res.kind == "ToCycle"
     assert (res.mu_plus, res.mu_minus) == (pytest.approx(1.0, abs=1e-6), pytest.approx(0.0, abs=1e-6))
-    assert basin_of_mean(FIN, 0.2).kind == "ToMu1"
-    assert basin_of_mean(GEO, 0.3).kind == "Neutral"
+    assert basin_of_mean(FIN, solve_mu1(FIN), 0.2).kind == "ToMu1"
+    assert basin_of_mean(GEO, solve_mu1(GEO), 0.3).kind == "Neutral"
     # f∘f = id exactly, and the neutral test respects H's sqrt(eps) bracket
-    assert basin_of_mean(TH05, 0.3).kind == "Neutral"
+    assert basin_of_mean(TH05, solve_mu1(TH05), 0.3).kind == "Neutral"
 
 
 # ------------------------------------------------------------ property tests
@@ -324,9 +331,9 @@ def test_random_specs_mu2_ordering_and_classification(spec):
     pgf = Pgf(spec)
     mu1 = solve_mu1(pgf)
     mu_star = solve_mu_star(pgf)
-    mu2 = solve_mu2(pgf, mu1)
-    assert mu2 <= mu_star + 1e-12 <= 1.0 + 1e-12
     cls, _ = classify_endogeny(pgf)
+    mu2 = solve_mu2(pgf, mu1, mu_star, cls)
+    assert mu2 <= mu_star + 1e-12 <= 1.0 + 1e-12
     h1 = pgf.deriv(mu1)
     if cls is Endogeny.ENDOGENOUS:
         assert abs(mu2 - mu1) <= 1e-6

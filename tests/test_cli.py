@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import rde_lab.analysis as analysis
 from rde_lab.cli import main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,6 +63,48 @@ def test_analyze_thinned_critical(tmp_path):
     resolution = scan.pop("resolution")
     assert scan == {"neutral_continuum": True, "fixed_points": [], "cycles": []}
     assert 1e-9 < resolution < 1e-6
+
+
+SOLVERS = ("build_fixed_point_report", "solve_mu1", "solve_mu_star", "solve_mu2")
+
+
+@pytest.mark.parametrize(
+    "command, cfg, expected",
+    [
+        ("analyze",
+         {"spec": {"kind": "thinned", "p": 0.3, "base": {"kind": "deterministic", "d": 2}}, "K": 6},
+         {"build_fixed_point_report": 1, "solve_mu1": 1, "solve_mu_star": 1, "solve_mu2": 1}),
+        ("iterate",
+         {"spec": {"kind": "finite", "pmf": {"2": 0.5}, "infinity_mass": 0.5}, "seed": 3, "steps": 4,
+          "initial": {"kind": "point_mass", "value": 0.2, "size": 1000}},
+         {"build_fixed_point_report": 1, "solve_mu1": 1, "solve_mu_star": 1, "solve_mu2": 1}),
+        ("simulate", DET2_CFG, {"build_fixed_point_report": 1, "solve_mu_star": 1, "solve_mu2": 1}),
+    ],
+)
+def test_roots_solved_once_per_command(tmp_path, monkeypatch, command, cfg, expected):
+    # each call is recorded with the solvers it runs inside; mu_star and mu2
+    # may only be solved by the fixed-point report
+    calls = []
+    active = []
+    for name in SOLVERS:
+        real = getattr(analysis, name)
+
+        def traced(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, tuple(active)))
+            active.append(_name)
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(analysis, name, traced)
+    result, _ = run_cli(tmp_path, cfg, command)
+    assert result.exit_code == 0
+    counts = Counter(name for name, _ in calls)
+    assert {name: counts[name] for name in expected} == expected
+    for name, outer in calls:
+        if name in ("solve_mu_star", "solve_mu2"):
+            assert outer == ("build_fixed_point_report",)
 
 
 def test_cycles_thinned_critical(tmp_path):

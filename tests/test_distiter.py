@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rde_lab.analysis import solve_mu1, solve_mu2
+from rde_lab.analysis import build_fixed_point_report, solve_mu1
 from rde_lab.distiter import (
     EmpiricalDist,
     apply_T,
@@ -117,7 +117,7 @@ def test_initial_constructors():
 def test_moment_recursion_fixed_point_is_constant():
     pgf = Pgf(DET2)
     mu1 = solve_mu1(pgf)
-    mu2 = solve_mu2(pgf, mu1)
+    mu2 = build_fixed_point_report(pgf).mu2
     recs = moment_recursions(pgf, mu1, mu2, mu2, mu1, 25, mu2=mu2)
     for rec in recs:
         assert rec.m1 == pytest.approx(mu1, abs=1e-12)
@@ -129,7 +129,7 @@ def test_moment_recursion_fixed_point_is_constant():
 def test_moment_recursion_m2_fixed_points_are_mu1_and_mu2():
     pgf = Pgf(DET2)
     mu1 = solve_mu1(pgf)
-    mu2 = solve_mu2(pgf, mu1)
+    mu2 = build_fixed_point_report(pgf).mu2
     step = lambda x: 1.0 - 2.0 * pgf.eval(mu1) + pgf.eval(x)
     assert step(mu1) == pytest.approx(mu1, abs=1e-12)
     assert step(mu2) == pytest.approx(mu2, abs=1e-12)
@@ -138,7 +138,7 @@ def test_moment_recursion_m2_fixed_points_are_mu1_and_mu2():
 def test_moment_recursion_converges_to_endogenous_second_moment():
     pgf = Pgf(DET2)
     mu1 = solve_mu1(pgf)
-    mu2 = solve_mu2(pgf, mu1)
+    mu2 = build_fixed_point_report(pgf).mu2
     recs = moment_recursions(pgf, mu1, 0.45, 0.45, mu1, 100, mu2=mu2)
     assert recs[-1].m2 == pytest.approx(mu2, abs=1e-9)
     assert recs[-1].E == pytest.approx(0.0, abs=1e-8)
@@ -147,7 +147,7 @@ def test_moment_recursion_converges_to_endogenous_second_moment():
 def test_moment_recursion_oscillates_from_wrong_mean():
     pgf = Pgf(DET2)
     mu1 = solve_mu1(pgf)
-    recs = moment_recursions(pgf, 0.5, 0.25, 0.25, mu1, 40)
+    recs = moment_recursions(pgf, 0.5, 0.25, 0.25, mu1, 40, mu2=build_fixed_point_report(pgf).mu2)
     tail = [rec.m1 for rec in recs[-6:]]
     assert all(min(v, 1.0 - v) < 0.01 for v in tail)
     assert any(v < 0.5 for v in tail) and any(v > 0.5 for v in tail)
@@ -157,7 +157,7 @@ def test_moment_recursion_discrepancy_stays_nonnegative():
     # E_k is a mean square whenever the seed triple is realizable
     pgf = Pgf(DET2)
     mu1 = solve_mu1(pgf)
-    mu2 = solve_mu2(pgf, mu1)
+    mu2 = build_fixed_point_report(pgf).mu2
     for m1 in np.linspace(0.05, 0.95, 7):
         for m2 in np.linspace(m1 * m1, m1, 5):
             for r0 in (mu1 * m1, math.sqrt(m2 * mu2)):
@@ -168,7 +168,7 @@ def test_moment_recursion_discrepancy_stays_nonnegative():
 def test_moment_recursion_validates_seeds():
     pgf = Pgf(DET2)
     with pytest.raises(ValueError):
-        moment_recursions(pgf, 0.4, 0.6, 0.2, GOLDEN, 5)
+        moment_recursions(pgf, 0.4, 0.6, 0.2, GOLDEN, 5, mu2=GOLDEN * GOLDEN)
 
 
 # -------------------------------------------------------------- iteration MC
@@ -194,7 +194,7 @@ def test_iterate_matches_analytic_recursion_stable_spec():
     mu1 = solve_mu1(pgf)
     nu0 = point_mass(0.2, 20_000)
     recs = iterate_T(nu0, FIN, 12, derive(6, 0))
-    analytic = moment_recursions(pgf, 0.2, 0.04, mu1 * 0.2, mu1, 12)
+    analytic = moment_recursions(pgf, 0.2, 0.04, mu1 * 0.2, mu1, 12, mu2=build_fixed_point_report(pgf).mu2)
     for emp, exact in zip(recs, analytic):
         se1 = max(emp.m1 * (1.0 - emp.m1), 1e-4) ** 0.5 / math.sqrt(20_000)
         assert abs(emp.m1 - exact.m1) < 4.0 * se1 + 1e-6
@@ -206,7 +206,7 @@ def test_iterate_matches_analytic_recursion_neutral_spec():
     mu1 = solve_mu1(pgf)
     nu0 = point_mass(0.3, 50_000)
     recs = iterate_T(nu0, GEO, 6, derive(7, 0))
-    analytic = moment_recursions(pgf, 0.3, 0.09, mu1 * 0.3, mu1, 6)
+    analytic = moment_recursions(pgf, 0.3, 0.09, mu1 * 0.3, mu1, 6, mu2=build_fixed_point_report(pgf).mu2)
     for emp, exact in zip(recs, analytic):
         assert abs(emp.m1 - exact.m1) < 0.02
     # neutral family: the exact mean trajectory is 2-periodic
