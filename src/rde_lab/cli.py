@@ -209,17 +209,13 @@ def simulate_cmd(ctx):
         node_cap = int(config.get("node_cap", simulate.DEFAULT_NODE_CAP))
         report = analysis.build_fixed_point_report(Pgf(spec))
         mu1, mu2 = report.mu1, report.mu2
-        mc = simulate.mc_moments(spec, depth, reps, seed, node_cap=node_cap)
-        want_traces = bool(config.get("traces", False))
-        diag_out = simulate.endogeny_diagnostic(
-            spec, depth, reps, seed + 1, node_cap=node_cap, keep_values=want_traces
+        mc, diag, c_roots, s_roots = simulate.endogeny_diagnostic(
+            spec, mu1, depth, reps, seed + 1, node_cap=node_cap
         )
-        if want_traces:
-            diag, c_roots, s_roots = diag_out
-            rows = [[r, float(c_roots[r]), float(s_roots[r]), depth] for r in range(reps)]
-            _write_csv(_out_dir(config) / "traces.csv", ["rep", "root_C", "root_S", "depth"], rows)
-        else:
-            diag = diag_out
+        if config.get("traces", False):
+            pairs = enumerate(zip(c_roots.tolist(), s_roots.tolist()))
+            rows = [f"{r},{c!r},{s!r},{depth}" for r, (c, s) in pairs]
+            (_out_dir(config) / "traces.csv").write_text("\n".join(["rep,root_C,root_S,depth", *rows]) + "\n")
         gap = mu1 - mu2
         return dict(
             analytic={"mu1": mu1, "mu2": mu2, "mu1_minus_mu2": gap},

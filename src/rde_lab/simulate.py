@@ -11,23 +11,27 @@ sampled trees of a fixed depth n:
 
 Nodes with an infinite family are pinned to value 1 (an infinite product
 of iid values with mean < 1 vanishes a.s.) and have no materialised
-children.  Monte Carlo estimators batch replicates into forests so the
-per-level product recursion runs as a handful of vectorised passes; each
-batch owns an RNG stream derived from (seed, batch index), which keeps
-reruns bit-identical and batches embarrassingly parallel.
+children.  The Monte Carlo estimators never build the depth-n boundary:
+a depth-(n-1) node with finite family k has C = 1 - mu1^k, and its S is
+Bernoulli(1 - mu1^k), as 1 - prod B_i over k iid Bernoulli(mu1) values
+is 0 only when all are 1.  One pass over a forest yields C, S and an
+independent resampling S' at every root.  Replicates are batched into
+forests so the per-level product recursion runs as a handful of
+vectorised passes; each batch owns an RNG stream derived from (seed,
+batch index), which keeps reruns bit-identical and batches
+embarrassingly parallel.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import analysis
 from .errors import ResourceError
-from .pgf import INF_SENTINEL, OffspringSpec, Pgf, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, OffspringSpec, sample_family_sizes, validate_spec
 from .streams import derive
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -60,12 +64,8 @@ class _Forest:
     """
 
     depth: int
-    reps: int
     fams: list[np.ndarray]
     rep_counts: list[np.ndarray]  # len depth+1, each shape (reps,)
-
-    def boundary_count(self) -> int:
-        return int(self.rep_counts[self.depth].sum())
 
 
 def _segment_sums(values: np.ndarray, seg_counts: np.ndarray) -> np.ndarray:
@@ -106,7 +106,7 @@ def _sample_forest(
                 f"tree exceeded node cap {node_cap} at depth {d + 1}; "
                 "reduce depth or the spec is supercritical"
             )
-    return _Forest(depth=depth, reps=reps, fams=fams, rep_counts=rep_counts)
+    return _Forest(depth=depth, fams=fams, rep_counts=rep_counts)
 
 
 def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -270,14 +270,7 @@ class EndogenyDiagnostic:
     reps: int
 
     def to_json(self) -> dict:
-        return {
-            "e_c_one_minus_c": self.e_c_one_minus_c,
-            "p_disagree": self.p_disagree,
-            "se_e": self.se_e,
-            "se_p": self.se_p,
-            "depth": self.depth,
-            "reps": self.reps,
-        }
+        return asdict(self)
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -286,106 +279,95 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(x.mean()), se
 
 
-def _run_batches(worker, reps: int, out_arrays: list[np.ndarray]) -> None:
-    """Fill slices of out_arrays batch by batch, optionally with threads.
-
-    Batch results land in preassigned slots, so the outcome is independent
-    of scheduling order and of RDE_LAB_THREADS.
-    """
-    jobs = list(enumerate(range(0, reps, DEFAULT_BATCH)))
+def _run_batches(worker, reps: int) -> list[np.ndarray]:
+    """Each output of worker(batch index, batch size), concatenated over the
+    batches in batch order, so it is independent of RDE_LAB_THREADS."""
+    sizes = [min(DEFAULT_BATCH, reps - start) for start in range(0, reps, DEFAULT_BATCH)]
     threads = _thread_count()
-
-    def run(job):
-        index, start = job
-        size = min(DEFAULT_BATCH, reps - start)
-        results = worker(index, size)
-        for arr, res in zip(out_arrays, results):
-            arr[start:start + size] = res
-
-    if threads > 1 and len(jobs) > 1:
+    if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, jobs))
+            results = list(pool.map(worker, range(len(sizes)), sizes))
     else:
-        for job in jobs:
-            run(job)
+        results = list(map(worker, range(len(sizes)), sizes))
+    return [np.concatenate(outputs) for outputs in zip(*results)]
 
 
-def _conditional_moments(
+def _forest_pass(
     spec: OffspringSpec,
+    b: float,
     depth: int,
     reps: int,
     seed: int,
-    boundary_value: float,
     node_cap: int,
     budget: int,
-) -> McMoments:
-    """Moments of the root value of C with the given constant boundary."""
-    roots = np.empty(reps)
+) -> list[np.ndarray]:
+    """Root values of C, S and S' on one forest with boundary constant b.
+
+    Family sizes are drawn first, then one uniform per depth-(n-1) node
+    (per root at depth 0) for S and another for S'.
+    """
+    validate_spec(spec)
 
     def worker(index: int, size: int):
         rng = derive(seed, index)
         forest = _sample_forest(spec, depth, size, rng, node_cap=node_cap, budget=budget)
-        boundary = np.full(forest.boundary_count(), boundary_value)
-        return (_pull_up(forest.fams, boundary),)
+        if depth:
+            # C at depth n-1 by family size k: 1 - b^k, the powers multiplied
+            # out as a pull-up does, and an appended 1 that INF_SENTINEL (-1) indexes
+            kmax = int(forest.fams[-1].max(initial=0))
+            c = np.append(1.0 - np.cumprod(np.r_[1.0, np.full(kmax, b)]), 1.0)[forest.fams[-1]]
+        else:
+            c = np.full(size, b)
+        above = forest.fams[:-1]
+        s = _pull_up(above, rng.random(c.size) < c).astype(float)
+        s2 = _pull_up(above, rng.random(c.size) < c).astype(float)
+        return _pull_up(above, c), s, s2
 
-    _run_batches(worker, reps, [roots])
-    mean_c, se_mean = _mean_se(roots)
-    m2_c, se_m2 = _mean_se(roots ** 2)
-    return McMoments(mean_c=mean_c, m2_c=m2_c, se_mean=se_mean, se_m2=se_m2, depth=depth, reps=reps)
+    return _run_batches(worker, reps)
+
+
+def _moments(c_roots: np.ndarray, depth: int) -> McMoments:
+    mean_c, se_mean = _mean_se(c_roots)
+    m2_c, se_m2 = _mean_se(c_roots ** 2)
+    return McMoments(mean_c=mean_c, m2_c=m2_c, se_mean=se_mean, se_m2=se_m2, depth=depth, reps=c_roots.size)
 
 
 def mc_moments(
     spec: OffspringSpec,
+    mu1: float,
     depth: int,
     reps: int,
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
     budget: int = DEFAULT_BUDGET,
 ) -> McMoments:
-    """Sample mean and second moment of the conditional-solution root value."""
-    if reps < 100:
-        raise ValueError("reps must be >= 100")
-    validate_spec(spec)
-    mu1 = analysis.solve_mu1(Pgf(spec))
-    return _conditional_moments(spec, depth, reps, seed, mu1, node_cap, budget)
+    """Sample mean and second moment of the conditional-solution root value,
+    as ``endogeny_diagnostic`` returns them for the same arguments."""
+    return endogeny_diagnostic(spec, mu1, depth, reps, seed, node_cap, budget)[0]
 
 
 def endogeny_diagnostic(
     spec: OffspringSpec,
+    mu1: float,
     depth: int,
     reps: int,
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
     budget: int = DEFAULT_BUDGET,
-    keep_values: bool = False,
-):
-    """Estimate E[C(1-C)] and P(S != S') from per-replicate trees.
+) -> tuple[McMoments, EndogenyDiagnostic, np.ndarray, np.ndarray]:
+    """Moments of C, E[C(1-C)] and P(S != S') from one forest.
 
     S and S' are two independent boundary resamplings on the same tree, so
     P(S != S' | tree) = 2 C (1 - C); both statistics vanish exactly when
-    the discrete solution is endogenous.
+    the discrete solution is endogenous.  Returns the moments, the
+    diagnostic, and the root values of C and S per replicate.
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    validate_spec(spec)
-    mu1 = analysis.solve_mu1(Pgf(spec))
-    c_roots = np.empty(reps)
-    s_roots = np.empty(reps)
-    s2_roots = np.empty(reps)
-
-    def worker(index: int, size: int):
-        rng = derive(seed, index)
-        forest = _sample_forest(spec, depth, size, rng, node_cap=node_cap, budget=budget)
-        nb = forest.boundary_count()
-        c = _pull_up(forest.fams, np.full(nb, mu1))
-        s = _pull_up(forest.fams, rng.random(nb) < mu1).astype(float)
-        s2 = _pull_up(forest.fams, rng.random(nb) < mu1).astype(float)
-        return c, s, s2
-
-    _run_batches(worker, reps, [c_roots, s_roots, s2_roots])
+    c_roots, s_roots, s2_roots = _forest_pass(spec, mu1, depth, reps, seed, node_cap, budget)
     e_c_one_minus_c, se_e = _mean_se(c_roots * (1.0 - c_roots))
     p_disagree, se_p = _mean_se((s_roots != s2_roots).astype(float))
-    report = EndogenyDiagnostic(
+    diag = EndogenyDiagnostic(
         e_c_one_minus_c=e_c_one_minus_c,
         p_disagree=p_disagree,
         se_e=se_e,
@@ -393,9 +375,7 @@ def endogeny_diagnostic(
         depth=depth,
         reps=reps,
     )
-    if keep_values:
-        return report, c_roots, s_roots
-    return report
+    return _moments(c_roots, depth), diag, c_roots, s_roots
 
 
 def iterated_conditional(
@@ -414,8 +394,8 @@ def iterated_conditional(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    validate_spec(spec)
-    return _conditional_moments(spec, 2 * half_depth, reps, seed, float(cycle.mu_plus), node_cap, budget)
+    c_roots, _, _ = _forest_pass(spec, float(cycle.mu_plus), 2 * half_depth, reps, seed, node_cap, budget)
+    return _moments(c_roots, 2 * half_depth)
 
 
 def extract_tree(forest: _Forest, rep: int) -> SampledTree:

@@ -138,15 +138,15 @@ def test_criterion_6_monte_carlo_concordance():
         pgf = Pgf(DET2)
         mu1 = solve_mu1(pgf)
         mu2 = build_fixed_point_report(pgf).mu2
-        mc = mc_moments(DET2, 12, 100_000, seed=11)
+        mc = mc_moments(DET2, mu1, 12, 100_000, seed=11)
         assert abs(mc.mean_c - mu1) <= 3.0 * mc.se_mean + 1e-9
         assert abs(mc.m2_c - mu2) <= 3.0 * mc.se_m2 + 1e-9
-        diag = endogeny_diagnostic(DET2, 12, 100_000, seed=12)
+        diag = endogeny_diagnostic(DET2, mu1, 12, 100_000, seed=12)[1]
         gap = mu1 - mu2
         assert abs(gap - 0.236068) < 1e-6
         assert abs(diag.e_c_one_minus_c - gap) <= 3.0 * diag.se_e + 1e-9
         assert abs(diag.p_disagree - 2.0 * gap) <= 3.0 * diag.se_p
-        stable_diag = endogeny_diagnostic(STABLE, 12, 150, seed=13)
+        stable_diag = endogeny_diagnostic(STABLE, solve_mu1(Pgf(STABLE)), 12, 150, seed=13)[1]
         assert abs(stable_diag.e_c_one_minus_c) <= 3.0 * stable_diag.se_e
 
 
@@ -162,8 +162,8 @@ def test_criterion_7_truncation_convergence():
             assert a <= b + 1e-12
         assert abs(solve_mu1(pgf.truncated(40)) - 2.0 / 3.0) < 1e-6
         trunc16 = pgf.truncated(16).spec
-        mc_t = mc_moments(trunc16, 6, 2000, seed=71, node_cap=20_000_000)
-        mc_u = mc_moments(GEO, 6, 2000, seed=72, node_cap=20_000_000)
+        mc_t = mc_moments(trunc16, solve_mu1(Pgf(trunc16)), 6, 2000, seed=71, node_cap=20_000_000)
+        mc_u = mc_moments(GEO, solve_mu1(pgf), 6, 2000, seed=72, node_cap=20_000_000)
         combined = math.sqrt(mc_t.se_m2 ** 2 + mc_u.se_m2 ** 2)
         assert abs(mc_t.m2_c - mc_u.m2_c) <= 3.0 * combined
 

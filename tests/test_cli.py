@@ -78,7 +78,8 @@ SOLVERS = ("build_fixed_point_report", "solve_mu1", "solve_mu_star", "solve_mu2"
          {"spec": {"kind": "finite", "pmf": {"2": 0.5}, "infinity_mass": 0.5}, "seed": 3, "steps": 4,
           "initial": {"kind": "point_mass", "value": 0.2, "size": 1000}},
          {"build_fixed_point_report": 1, "solve_mu1": 1, "solve_mu_star": 1, "solve_mu2": 1}),
-        ("simulate", DET2_CFG, {"build_fixed_point_report": 1, "solve_mu_star": 1, "solve_mu2": 1}),
+        ("simulate", DET2_CFG,
+         {"build_fixed_point_report": 1, "solve_mu1": 1, "solve_mu_star": 1, "solve_mu2": 1}),
     ],
 )
 def test_roots_solved_once_per_command(tmp_path, monkeypatch, command, cfg, expected):
@@ -126,6 +127,10 @@ def test_simulate_report_embeds_analytic_values(tmp_path):
     traces = (out / "traces.csv").read_text().splitlines()
     assert traces[0] == "rep,root_C,root_S,depth"
     assert len(traces) == cfg["reps"] + 1
+    for r, line in enumerate(traces[1:]):
+        c, s = float(line.split(",")[1]), float(line.split(",")[2])
+        assert s in (0.0, 1.0)
+        assert line == f"{r},{c!r},{s!r},{cfg['depth']}"
 
 
 def test_iterate_oscillating_start(tmp_path):

@@ -134,7 +134,7 @@ def test_discrete_mean_invariance_binary_depth8():
     mu1 = solve_mu1(Pgf(DET2))
     rng = derive(12, 0)
     forest = _sample_forest(DET2, 8, 100_000, rng)
-    roots = _pull_up(forest.fams, rng.random(forest.boundary_count()) < mu1)
+    roots = _pull_up(forest.fams, rng.random(int(forest.rep_counts[-1].sum())) < mu1)
     emp = float(roots.mean())
     se = math.sqrt(mu1 * (1.0 - mu1) / roots.size)
     assert abs(emp - mu1) < 3.0 * se
@@ -143,7 +143,7 @@ def test_discrete_mean_invariance_binary_depth8():
 def test_bool_and_float_pull_up_agree():
     rng = derive(13, 0)
     forest = _sample_forest(MIXED, 4, 500, rng)
-    boundary = rng.random(forest.boundary_count()) < 0.6
+    boundary = rng.random(int(forest.rep_counts[-1].sum())) < 0.6
     a = _pull_up(forest.fams, boundary)
     b = _pull_up(forest.fams, boundary.astype(float))
     assert a.dtype == bool
@@ -185,7 +185,7 @@ def test_one_minus_prod_matches_loop(sizes, dtype):
 def test_forest_matches_single_tree_recursion():
     mu1 = solve_mu1(Pgf(MIXED))
     forest = _sample_forest(MIXED, 4, 64, derive(14, 0))
-    roots = _pull_up(forest.fams, np.full(forest.boundary_count(), mu1))
+    roots = _pull_up(forest.fams, np.full(int(forest.rep_counts[-1].sum()), mu1))
     for r in range(64):
         tree = extract_tree(forest, r)
         assert conditional_solution(tree, mu1).values[()] == roots[r]
@@ -217,14 +217,14 @@ def test_conditional_boundary_depth_restriction():
 
 def test_mc_moments_depth_zero_exact():
     mu1 = solve_mu1(Pgf(DET2))
-    mc = mc_moments(DET2, 0, 200, seed=17)
+    mc = mc_moments(DET2, mu1, 0, 200, seed=17)
     assert mc.mean_c == pytest.approx(mu1, abs=1e-15)
     assert mc.se_mean == 0.0
 
 
 def test_mc_moments_binary_is_deterministic():
     mu1 = solve_mu1(Pgf(DET2))
-    mc = mc_moments(DET2, 8, 300, seed=18)
+    mc = mc_moments(DET2, mu1, 8, 300, seed=18)
     assert mc.mean_c == pytest.approx(mu1, abs=1e-11)
     assert mc.m2_c == pytest.approx(mu1 ** 2, abs=1e-11)
     assert mc.se_mean < 1e-14
@@ -232,31 +232,32 @@ def test_mc_moments_binary_is_deterministic():
 
 def test_mc_moments_rejects_tiny_reps():
     with pytest.raises(ValueError):
-        mc_moments(DET2, 2, 50, seed=1)
+        mc_moments(DET2, solve_mu1(Pgf(DET2)), 2, 50, seed=1)
 
 
 def test_mc_moments_deterministic_reruns():
-    a = mc_moments(FIN, 8, 500, seed=19)
-    b = mc_moments(FIN, 8, 500, seed=19)
+    mu1 = solve_mu1(Pgf(FIN))
+    a = mc_moments(FIN, mu1, 8, 500, seed=19)
+    b = mc_moments(FIN, mu1, 8, 500, seed=19)
     assert a == b
 
 
 def test_mc_mean_unbiased_for_stable_spec():
     mu1 = solve_mu1(Pgf(FIN))
-    mc = mc_moments(FIN, 10, 4000, seed=20)
+    mc = mc_moments(FIN, mu1, 10, 4000, seed=20)
     assert abs(mc.mean_c - mu1) < 3.0 * mc.se_mean
 
 
 def test_endogeny_diagnostic_identity_between_statistics():
     # P(S != S' | tree) = 2 C (1 - C), so the two estimates must agree
     for spec, seed in ((DET2, 21), (FIN, 22)):
-        diag = endogeny_diagnostic(spec, 8, 4000, seed=seed)
+        diag = endogeny_diagnostic(spec, solve_mu1(Pgf(spec)), 8, 4000, seed=seed)[1]
         se = math.sqrt(diag.se_p ** 2 + 4.0 * diag.se_e ** 2)
         assert abs(diag.p_disagree - 2.0 * diag.e_c_one_minus_c) < 3.0 * se + 1e-12
 
 
 def test_endogeny_diagnostic_binary_matches_golden_gap():
-    diag = endogeny_diagnostic(DET2, 8, 2000, seed=23)
+    diag = endogeny_diagnostic(DET2, solve_mu1(Pgf(DET2)), 8, 2000, seed=23)[1]
     gap = GOLDEN - GOLDEN ** 2
     assert diag.e_c_one_minus_c == pytest.approx(gap, abs=1e-11)
     assert abs(diag.p_disagree - 2.0 * gap) < 3.0 * diag.se_p
@@ -265,7 +266,7 @@ def test_endogeny_diagnostic_binary_matches_golden_gap():
 def test_iterated_conditional_reduces_to_mc_moments():
     mu1 = solve_mu1(Pgf(DET2))
     cyc = make_two_cycle(Pgf(DET2), mu1, mu1)
-    mc = mc_moments(DET2, 8, 400, seed=24)
+    mc = mc_moments(DET2, mu1, 8, 400, seed=24)
     it = iterated_conditional(DET2, cyc, 4, 400, seed=24)
     assert it.mean_c == mc.mean_c
     assert it.m2_c == mc.m2_c
@@ -287,8 +288,22 @@ def test_iterated_conditional_neutral_pair_preserved():
 def test_thinned_spec_trees_sample_and_solve():
     spec = Thinned(DET2, 0.6)
     mu1 = solve_mu1(Pgf(spec))
-    mc = mc_moments(spec, 4, 500, seed=27, budget=20_000)
+    mc = mc_moments(spec, mu1, 4, 500, seed=27, budget=20_000)
     assert abs(mc.mean_c - mu1) < 4.0 * mc.se_mean + 1e-3
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_forest_pass_matches_single_tree_recursion(depth):
+    # one batch: its forest is rebuilt from stream (seed, 0), whose family
+    # sizes are drawn before any uniform
+    mu1 = solve_mu1(Pgf(MIXED))
+    reps, seed = 300, 29
+    _, _, c_roots, s_roots = endogeny_diagnostic(MIXED, mu1, depth, reps, seed)
+    forest = _sample_forest(MIXED, depth, reps, derive(seed, 0))
+    for r in range(reps):
+        want = conditional_solution(extract_tree(forest, r), mu1).values[()]
+        assert abs(c_roots[r] - want) <= 1e-15
+    assert set(s_roots.tolist()) <= {0.0, 1.0}
 
 
 def test_diagnostic_matches_exact_finite_depth_recursion():
@@ -301,6 +316,6 @@ def test_diagnostic_matches_exact_finite_depth_recursion():
     for _ in range(depth):
         m2 = 1.0 - 2.0 * pgf.eval(mu1) + pgf.eval(m2)
     exact_gap = mu1 - m2
-    diag = endogeny_diagnostic(FIN, depth, 20_000, seed=28)
+    diag = endogeny_diagnostic(FIN, mu1, depth, 20_000, seed=28)[1]
     assert abs(diag.e_c_one_minus_c - exact_gap) < 3.0 * diag.se_e
     assert abs(diag.p_disagree - 2.0 * exact_gap) < 3.0 * diag.se_p
