@@ -57,24 +57,11 @@ class FixedPointReport:
     endogeny: Endogeny
     critical: bool
 
-    def to_json(self) -> dict:
-        return {
-            "mu1": self.mu1,
-            "mu_star": self.mu_star,
-            "h_prime_mu1": self.h_prime_mu1,
-            "mu2": self.mu2,
-            "endogeny": self.endogeny.value,
-            "critical": self.critical,
-        }
-
 
 @dataclass(frozen=True)
 class MomentSequence:
     kind: MomentKind
     values: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "values": list(self.values)}
 
 
 @dataclass(frozen=True)
@@ -83,14 +70,6 @@ class TwoCycle:
     mu_minus: float
     stability_product: float
     stable: bool
-
-    def to_json(self) -> dict:
-        return {
-            "mu_plus": self.mu_plus,
-            "mu_minus": self.mu_minus,
-            "stability_product": self.stability_product,
-            "stable": self.stable,
-        }
 
 
 @dataclass(frozen=True)
@@ -102,14 +81,6 @@ class CycleScan:
     neutral_continuum: bool
     # largest width of the f∘f(t) - t interval over the grid (0 for exact H)
     resolution: float
-
-    def to_json(self) -> dict:
-        return {
-            "fixed_points": list(self.fixed_points),
-            "cycles": [c.to_json() for c in self.cycles],
-            "neutral_continuum": self.neutral_continuum,
-            "resolution": self.resolution,
-        }
 
 
 def _bisect(fn, lo: float, hi: float, *, max_iter: int = 200) -> float:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -29,18 +31,19 @@ from .pgf import Pgf, Thinned, spec_from_json, spec_to_json
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 
-CAPS = {
-    "depth": 64,
-    "reps": 10_000_000,
-    "steps": 100_000,
-    "K": 64,
-    "grid": 1_000_000,
-    "M": 10_000_000,
-    "node_cap": 100_000_000,
+# name: (least, most, default) of every integer config field.  The lower
+# limits of K, grid and steps are the library's (below them it raises
+# ValueError); M also bounds initial.size; a seed has no default.
+INT_FIELDS = {
+    "depth": (0, 64, 12),
+    "reps": (100, 10_000_000, 10_000),
+    "steps": (1, 100_000, 30),
+    "K": (1, 64, 8),
+    "grid": (100, 1_000_000, analysis.SCAN_GRID),
+    "M": (1, 10_000_000, distiter.DEFAULT_SAMPLE_SIZE),
+    "node_cap": (0, 100_000_000, simulate.DEFAULT_NODE_CAP),
+    "seed": (0, math.inf, None),
 }
-# the library's lower limits (moment order, scan grid, map steps); below them
-# it raises ValueError, so a config there is rejected as invalid instead
-MINIMUMS = {"K": 1, "grid": 100, "steps": 1}
 
 
 class ConfigError(SpecValidationError):
@@ -57,6 +60,23 @@ def _config_hash(config: dict) -> str:
 def _is_int(v) -> bool:
     # JSON true/false load as bool, a subclass of int
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int(obj: dict, key: str, row: str | None = None, prefix: str = "") -> int:
+    """obj[key], or the default of its INT_FIELDS row (``row``, else ``key``),
+    checked against that row's range."""
+    least, most, default = INT_FIELDS[row or key]
+    v = obj.get(key, default)
+    if not _is_int(v) or not least <= v <= most:
+        raise ConfigError(f"config field '{prefix}{key}' must be an integer in [{least}, {most}], got {v!r}")
+    return v
+
+
+def _real(obj: dict, key: str, prefix: str = "") -> float:
+    v = obj.get(key)
+    if not (_is_int(v) or isinstance(v, float)):
+        raise ConfigError(f"config field '{prefix}{key}' must be a number, got {v!r}")
+    return float(v)
 
 
 def _load_config(path: str | None, seed: int | None, out: str | None, tol: float | None) -> dict:
@@ -78,23 +98,22 @@ def _load_config(path: str | None, seed: int | None, out: str | None, tol: float
         config["tol"] = tol
     if "spec" not in config:
         raise ConfigError("config must contain a 'spec' object")
-    for key, cap in CAPS.items():
+    for key in INT_FIELDS:
         if key in config:
-            v = config[key]
-            least = MINIMUMS.get(key, 0)
-            if not _is_int(v) or v < least or v > cap:
-                raise ConfigError(f"config field '{key}' must be an integer in [{least}, {cap}], got {v!r}")
-    if "tol" in config and not ((_is_int(config["tol"]) or isinstance(config["tol"], float)) and config["tol"] > 0):
-        raise ConfigError("tol must be a positive number")
-    if "seed" in config and not _is_int(config["seed"]):
-        raise ConfigError("seed must be an integer")
+            _int(config, key)
+    if "tol" in config and not _real(config, "tol") > 0:
+        raise ConfigError("config field 'tol' must be a positive number")
+    if not isinstance(config.get("out", ""), str):
+        raise ConfigError("config field 'out' must be a string")
+    if not isinstance(config.get("traces", False), bool):
+        raise ConfigError("config field 'traces' must be true or false")
     return config
 
 
 def _require_seed(config: dict) -> int:
     if "seed" not in config:
         raise ConfigError("a seed is required for stochastic commands (config 'seed' or --seed)")
-    return int(config["seed"])
+    return _int(config, "seed")
 
 
 def _out_dir(config: dict) -> Path:
@@ -167,21 +186,20 @@ def analyze(ctx):
     def body(config, spec):
         pgf = Pgf(spec)
         tol = float(config.get("tol", analysis.DEFAULT_TOL))
-        order = int(config.get("K", 8))
-        grid = int(config.get("grid", 1001))
+        order = _int(config, "K")
         report = analysis.build_fixed_point_report(pgf, tol)
         discrete = analysis.moment_sequence(pgf, report, analysis.MomentKind.DISCRETE, order, tol)
         try:
             endogenous = analysis.moment_sequence(pgf, report, analysis.MomentKind.ENDOGENOUS, order, tol)
-            endo_json: dict | None = endogenous.to_json()
+            endo_json = asdict(endogenous)
         except FeasibilityError as exc:
             endo_json = {"infeasible_at": exc.n}
-        scan = analysis.find_two_cycles(pgf, grid)
+        scan = analysis.find_two_cycles(pgf, _int(config, "grid"))
         mu1 = report.mu1
         return dict(
-            fixed_point=report.to_json(),
-            moment_sequences={"discrete": discrete.to_json(), "endogenous": endo_json},
-            two_cycles=scan.to_json(),
+            fixed_point=asdict(report),
+            moment_sequences={"discrete": asdict(discrete), "endogenous": endo_json},
+            two_cycles=asdict(scan),
             residuals={
                 "mean_equation": abs(pgf.eval(mu1) + mu1 - 1.0),
                 "mu2_equation": abs((pgf.eval(report.mu2) - report.mu2) - (1.0 - 2.0 * mu1)),
@@ -202,15 +220,11 @@ def simulate_cmd(ctx):
 
     def body(config, spec):
         seed = _require_seed(config)
-        depth = int(config.get("depth", 12))
-        reps = int(config.get("reps", 10_000))
-        if reps < 100:
-            raise ConfigError("reps must be >= 100 for simulation commands")
-        node_cap = int(config.get("node_cap", simulate.DEFAULT_NODE_CAP))
+        depth = _int(config, "depth")
         report = analysis.build_fixed_point_report(Pgf(spec))
         mu1, mu2 = report.mu1, report.mu2
         mc, diag, c_roots, s_roots = simulate.endogeny_diagnostic(
-            spec, mu1, depth, reps, seed + 1, node_cap=node_cap
+            spec, mu1, depth, _int(config, "reps"), seed + 1, node_cap=_int(config, "node_cap")
         )
         if config.get("traces", False):
             pairs = enumerate(zip(c_roots.tolist(), s_roots.tolist()))
@@ -220,7 +234,7 @@ def simulate_cmd(ctx):
         return dict(
             analytic={"mu1": mu1, "mu2": mu2, "mu1_minus_mu2": gap},
             mc_moments=mc.to_json(),
-            endogeny_diagnostic=diag.to_json(),
+            endogeny_diagnostic=asdict(diag),
             flags={
                 "mean_within_3se": bool(abs(mc.mean_c - mu1) <= 3.0 * mc.se_mean + 1e-9),
                 "m2_within_3se": bool(abs(mc.m2_c - mu2) <= 3.0 * mc.se_m2 + 1e-9),
@@ -235,28 +249,31 @@ def _initial_dist(config: dict) -> distiter.EmpiricalDist:
     init = config.get("initial")
     if not isinstance(init, dict) or "kind" not in init:
         raise ConfigError("iterate requires an 'initial' object with a 'kind'")
-    size = int(init.get("size", config.get("M", distiter.DEFAULT_SAMPLE_SIZE)))
+    size = _int(init, "size", "M", "initial.") if "size" in init else _int(config, "M")
     kind = init["kind"]
     if kind == "points_csv":
-        path = init.get("path")
-        if path is None:
-            raise ConfigError("initial.kind=points_csv requires 'path'")
+        if not isinstance(init.get("path"), str):
+            raise ConfigError("config field 'initial.path' must be a string")
         try:
-            text = Path(path).read_text()
+            text = Path(init["path"]).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read points file: {exc}") from exc
         try:
             pts = np.array([float(line) for line in text.split() if line.strip()])
         except ValueError as exc:
             raise ConfigError(f"points file must hold one real per line: {exc}") from exc
-        return distiter.EmpiricalDist(pts)
-    if kind == "point_mass":
-        return distiter.point_mass(float(init["value"]), size)
-    if kind == "mean_matched_uniform":
-        return distiter.mean_matched_uniform(float(init["mean"]), size)
-    if kind == "bernoulli":
-        return distiter.bernoulli_two_point(float(init["mean"]), size)
-    raise ConfigError(f"unknown initial distribution kind {kind!r}")
+        key, make, args = "path", distiter.EmpiricalDist, (pts,)
+    elif kind in ("point_mass", "mean_matched_uniform", "bernoulli"):
+        key = "value" if kind == "point_mass" else "mean"
+        make = {"point_mass": distiter.point_mass, "mean_matched_uniform": distiter.mean_matched_uniform,
+                "bernoulli": distiter.bernoulli_two_point}[kind]
+        args = (_real(init, key, "initial."), size)
+    else:
+        raise ConfigError(f"unknown initial distribution kind {kind!r}")
+    try:
+        return make(*args)
+    except SpecValidationError as exc:  # the sample or its mean lies outside [0, 1]
+        raise ConfigError(f"config field 'initial.{key}': {exc}") from exc
 
 
 @main.command()
@@ -266,10 +283,9 @@ def iterate(ctx):
 
     def body(config, spec):
         seed = _require_seed(config)
-        steps = int(config.get("steps", 30))
-        tol = float(config.get("tol", 1e-6))
+        tol = float(config.get("tol", distiter.BASIN_TOL))
         nu0 = _initial_dist(config)
-        report = distiter.basin_test(nu0, spec, steps, tol=tol, seed=seed)
+        report = distiter.basin_test(nu0, spec, _int(config, "steps"), tol=tol, seed=seed)
         rows = [
             [rec.k, rec.m1, rec.m2, rec.r, rec.E, rec.kolmogorov_to_target]
             for rec in report.records
@@ -322,12 +338,11 @@ def cycles(ctx):
 
     def body(config, spec):
         pgf = Pgf(spec)
-        grid = int(config.get("grid", 1001))
-        scan = analysis.find_two_cycles(pgf, grid)
+        scan = analysis.find_two_cycles(pgf, _int(config, "grid"))
         cycles_json = []
         for cyc in scan.cycles:
             m2p = analysis.iterated_mu2_plus(pgf, cyc)
-            entry = cyc.to_json()
+            entry = asdict(cyc)
             entry["mu2_plus"] = m2p.value
             entry["degenerate"] = m2p.degenerate
             cycles_json.append(entry)

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
-from .pgf import INF_SENTINEL, OffspringSpec, Pgf, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, SAMPLE_BUDGET, OffspringSpec, Pgf, sample_family_sizes, validate_spec
 from . import analysis
 from .simulate import one_minus_prod
 from .streams import derive
 
 DEFAULT_SAMPLE_SIZE = 100_000
 KOLMOGOROV_GRID = 1001
+BASIN_TOL = 1e-6  # a start whose mean lies this close to mu1 counts as having mean mu1
 
 # a sample counts as the two-point law only if essentially no interior mass
 DELTA_INTERIOR_EPS = 1e-9
@@ -47,7 +48,8 @@ class EmpiricalDist:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise SpecValidationError("empirical distribution needs a 1-d sample with M >= 1")
-        if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
+        # phrased so that NaN fails the test
+        if not np.all((pts >= -1e-12) & (pts <= 1.0 + 1e-12)):
             raise SpecValidationError("sample points must lie in [0,1]")
         object.__setattr__(self, "points", np.clip(pts, 0.0, 1.0))
 
@@ -77,6 +79,8 @@ def mean_matched_uniform(mean: float, size: int = DEFAULT_SAMPLE_SIZE) -> Empiri
 
 def bernoulli_two_point(mean: float, size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalDist:
     """Deterministic {0,1} sample whose mean matches ``mean`` to 1/(2M)."""
+    if not 0.0 <= mean <= 1.0:
+        raise SpecValidationError("mean must lie in [0,1]")
     ones = int(round(mean * size))
     pts = np.zeros(size)
     pts[:ones] = 1.0
@@ -117,7 +121,7 @@ def apply_T(
     spec: OffspringSpec,
     rng: np.random.Generator,
     out_size: int | None = None,
-    budget: int = 1_000_000,
+    budget: int = SAMPLE_BUDGET,
 ) -> EmpiricalDist:
     """Push the sample through one application of the map.
 
@@ -199,7 +203,7 @@ def basin_test(
     nu0: EmpiricalDist,
     spec: OffspringSpec,
     steps: int,
-    tol: float = 1e-6,
+    tol: float = BASIN_TOL,
     seed: int = 0,
 ) -> BasinTestReport:
     """Analytic basin membership for the endogenous law, plus the observed

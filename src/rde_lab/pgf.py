@@ -45,6 +45,9 @@ INF_SENTINEL = -1
 
 _MASS_TOL = 1e-12
 
+# explored-node count after which a thinned family-size draw counts as infinite
+SAMPLE_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class Deterministic:
@@ -78,7 +81,7 @@ def validate_spec(spec: OffspringSpec) -> None:
     """
     if isinstance(spec, Deterministic):
         if not isinstance(spec.d, int) or isinstance(spec.d, bool) or spec.d < 2:
-            raise SpecValidationError(f"deterministic family size must be an integer >= 2, got {spec.d!r}")
+            raise SpecValidationError(f"deterministic family size 'd' must be an integer >= 2, got {spec.d!r}")
     elif isinstance(spec, Geometric):
         if not (0.0 < spec.alpha < 1.0):
             raise SpecValidationError(f"geometric alpha must lie in (0,1), got {spec.alpha!r}")
@@ -166,19 +169,20 @@ def spec_from_json(obj: dict) -> OffspringSpec:
     kind = obj["kind"]
     try:
         if kind == "deterministic":
-            spec: OffspringSpec = Deterministic(d=int(obj["d"]))
+            spec: OffspringSpec = Deterministic(d=obj["d"])
         elif kind == "geometric":
-            spec = Geometric(alpha=float(obj["alpha"]))
+            spec = Geometric(alpha=obj["alpha"])
         elif kind == "finite":
-            weights = {int(k): float(w) for k, w in obj["pmf"].items()}
-            spec = FinitePmf(weights=weights, infinity_mass=float(obj.get("infinity_mass", 0.0)))
+            # JSON object keys are strings, so the support is parsed; the weights are not
+            weights = {int(k): w for k, w in obj["pmf"].items()}
+            spec = FinitePmf(weights=weights, infinity_mass=obj.get("infinity_mass", 0.0))
         elif kind == "thinned":
-            spec = Thinned(base=spec_from_json(obj["base"]), p=float(obj["p"]))
+            spec = Thinned(base=spec_from_json(obj["base"]), p=obj["p"])
         else:
             raise SpecValidationError(f"unknown offspring spec kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecValidationError(f"malformed offspring spec JSON: {exc}") from exc
-    validate_spec(spec)
+        validate_spec(spec)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SpecValidationError(f"malformed offspring spec JSON {obj}: {exc}") from exc
     return spec
 
 
@@ -393,7 +397,7 @@ def sample_family_sizes(
     spec: OffspringSpec,
     n: int,
     rng: np.random.Generator,
-    budget: int = 1_000_000,
+    budget: int = SAMPLE_BUDGET,
 ) -> np.ndarray:
     """n iid draws of N as an int64 array, with INF_SENTINEL marking infinity.
 
@@ -477,7 +481,7 @@ def _sample_thinned(spec: Thinned, n: int, rng: np.random.Generator, budget: int
     return out
 
 
-def sample_family_size(spec: OffspringSpec, rng: np.random.Generator, budget: int = 1_000_000):
+def sample_family_size(spec: OffspringSpec, rng: np.random.Generator, budget: int = SAMPLE_BUDGET):
     """One draw of N; returns an int >= 1 or INFINITY."""
     v = int(sample_family_sizes(spec, 1, rng, budget)[0])
     return INFINITY if v == INF_SENTINEL else v

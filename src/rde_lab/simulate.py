@@ -26,17 +26,16 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceError
-from .pgf import INF_SENTINEL, OffspringSpec, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, SAMPLE_BUDGET, OffspringSpec, sample_family_sizes, validate_spec
 from .streams import derive
 
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_BATCH = 2048  # frozen: results depend on it, so it is not a tuning knob
-DEFAULT_BUDGET = 1_000_000
 
 SOLUTION_DISCRETE = "DiscreteS"
 SOLUTION_CONDITIONAL = "ConditionalC"
@@ -84,7 +83,7 @@ def _sample_forest(
     reps: int,
     rng: np.random.Generator,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = SAMPLE_BUDGET,
 ) -> _Forest:
     fams: list[np.ndarray] = []
     rep_counts: list[np.ndarray] = [np.ones(reps, dtype=np.int64)]
@@ -199,7 +198,7 @@ def sample_tree(
     depth: int,
     rng: np.random.Generator,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = SAMPLE_BUDGET,
 ) -> SampledTree:
     """Breadth-first sample to the given depth; infinite nodes are leaves."""
     if depth < 0:
@@ -269,9 +268,6 @@ class EndogenyDiagnostic:
     depth: int
     reps: int
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error (0.0 for a single replicate)."""
@@ -339,7 +335,7 @@ def mc_moments(
     reps: int,
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = SAMPLE_BUDGET,
 ) -> McMoments:
     """Sample mean and second moment of the conditional-solution root value,
     as ``endogeny_diagnostic`` returns them for the same arguments."""
@@ -353,7 +349,7 @@ def endogeny_diagnostic(
     reps: int,
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = SAMPLE_BUDGET,
 ) -> tuple[McMoments, EndogenyDiagnostic, np.ndarray, np.ndarray]:
     """Moments of C, E[C(1-C)] and P(S != S') from one forest.
 
@@ -385,7 +381,7 @@ def iterated_conditional(
     reps: int,
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = SAMPLE_BUDGET,
 ) -> McMoments:
     """Moments of the iterated-recursion endogenous solution C+.
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_fixed_point_report_solves_mu1_once(monkeypatch):
 
 def test_fixed_point_report_fields_and_json():
     rep = build_fixed_point_report(DET2)
-    blob = rep.to_json()
+    blob = asdict(rep)
     assert set(blob) == {"mu1", "mu_star", "h_prime_mu1", "mu2", "endogeny", "critical"}
     assert blob["endogeny"] == "NonEndogenous"
     assert 0.5 < rep.mu1 < 1.0
@@ -103,9 +104,9 @@ def test_fixed_point_report_fields_and_json():
 
 def test_serialized_field_names_match_type_definitions():
     seq = moment_sequence(DET2, build_fixed_point_report(DET2), MomentKind.DISCRETE, 2)
-    assert set(seq.to_json()) == {"kind", "values"}
+    assert set(asdict(seq)) == {"kind", "values"}
     cyc = make_two_cycle(DET2, 1.0, 0.0)
-    assert set(cyc.to_json()) == {"mu_plus", "mu_minus", "stability_product", "stable"}
+    assert set(asdict(cyc)) == {"mu_plus", "mu_minus", "stability_product", "stable"}
 
 
 # ---------------------------------------------------------- moment sequences

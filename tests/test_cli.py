@@ -263,6 +263,43 @@ def test_exit_code_below_library_minimum(tmp_path, command, field, value):
     assert field in result.output
 
 
+def _iterate_cfg(initial, **extra):
+    return {"spec": {"kind": "deterministic", "d": 2}, "seed": 1, "steps": 2, "initial": initial, **extra}
+
+
+POINT_MASS = {"kind": "point_mass", "value": 0.5, "size": 1000}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("iterate", _iterate_cfg({"kind": "mean_matched_uniform", "mean": "abc", "size": 1000}), "initial.mean"),
+        ("iterate", _iterate_cfg({"kind": "point_mass", "size": 1000}), "initial.value"),
+        ("iterate", _iterate_cfg(dict(POINT_MASS, size="x")), "initial.size"),
+        ("iterate", _iterate_cfg(dict(POINT_MASS, value=[0.5])), "initial.value"),
+        ("iterate", _iterate_cfg(dict(POINT_MASS, size=1000.7)), "initial.size"),
+        ("iterate", _iterate_cfg(dict(POINT_MASS, size=True)), "initial.size"),
+        ("iterate", _iterate_cfg({"kind": "bernoulli", "mean": 1.5, "size": 1000}), "initial.mean"),
+        ("iterate", _iterate_cfg({"kind": "points_csv", "path": "points.txt"}), "initial.path"),
+        ("iterate", _iterate_cfg(POINT_MASS, seed=-5), "seed"),
+        ("analyze", {"spec": {"kind": "finite", "pmf": [1, 2]}}, "pmf"),
+        ("analyze", {"spec": {"kind": "deterministic", "d": 2.7}}, "d"),
+        ("analyze", {"spec": {"kind": "deterministic", "d": 2}, "out": 5}, "out"),
+        ("simulate", dict(DET2_CFG, traces="no"), "traces"),
+    ],
+)
+def test_malformed_config_exits_2_naming_field(tmp_path, monkeypatch, command, cfg, field):
+    # each of these once ended in a traceback or ran with a value silently changed
+    monkeypatch.chdir(tmp_path)
+    Path("points.txt").write_text("0.5\nnan\n")
+    Path("cfg.json").write_text(json.dumps(cfg))
+    argv = ["--config", "cfg.json", command] if "out" in cfg else ["--config", "cfg.json", "--out", "out", command]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 2
+    assert f"'{field}'" in result.output
+    assert not Path("out").exists()
+
+
 def test_exit_code_on_resource_limit(tmp_path):
     cfg = {"spec": {"kind": "geometric", "alpha": 0.25}, "reps": 200, "depth": 12,
            "seed": 3, "node_cap": 10_000}

@@ -100,6 +100,8 @@ def test_empirical_dist_validation():
         EmpiricalDist(np.array([0.2, 1.4]))
     with pytest.raises(SpecValidationError):
         EmpiricalDist(np.array([]))
+    with pytest.raises(SpecValidationError):
+        EmpiricalDist(np.array([0.5, math.nan]))
 
 
 def test_initial_constructors():
@@ -110,6 +112,9 @@ def test_initial_constructors():
     tp = bernoulli_two_point(mu1, 10_000)
     assert is_two_point_concentrated(tp)
     assert abs(tp.mean() - mu1) <= 0.5 / 10_000 + 1e-12
+    for mean in (1.5, -0.5, math.nan):
+        with pytest.raises(SpecValidationError):
+            bernoulli_two_point(mean, 100)
 
 
 # ---------------------------------------------------------- moment recursion
