@@ -32,7 +32,6 @@ from .analysis import (
     TwoCycle,
     basin_of_mean,
     build_fixed_point_report,
-    classify_endogeny,
     find_two_cycles,
     iterated_mu2_plus,
     moment_sequence,

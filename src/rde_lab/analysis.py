@@ -34,6 +34,7 @@ from .pgf import Pgf, ess_sup, require_analysis_assumptions
 DEFAULT_TOL = 1e-12
 CRITICAL_TOL = 1e-9
 NEUTRAL_SUP_TOL = 1e-9
+MEAN_BASIN_TOL = 1e-9  # an orbit this close to mu1, or to a two-cycle, has reached it
 SCAN_GRID = 1001
 _ENDPOINT_FD_STEP = 1e-6
 
@@ -104,14 +105,14 @@ def _bisect(fn, lo: float, hi: float, *, max_iter: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_mu1(pgf: Pgf, tol: float = DEFAULT_TOL) -> float:
+def solve_mu1(pgf: Pgf) -> float:
     """Unique root of K(x) = H(x) + x - 1 in (0, 1]."""
     k = lambda x: pgf.eval(x) + x - 1.0
     if k(1.0) <= 0.0:
         return 1.0
     root = _bisect(k, 0.0, 1.0)
-    if abs(k(root)) > max(tol, 1e-13):
-        raise ArithmeticError(f"mean-equation residual {k(root)!r} exceeds tol at x={root!r}")
+    if abs(k(root)) > DEFAULT_TOL:
+        raise ArithmeticError(f"mean-equation residual {k(root)!r} exceeds {DEFAULT_TOL} at x={root!r}")
     return root
 
 
@@ -133,12 +134,6 @@ def solve_mu_star(pgf: Pgf) -> float:
     return _bisect(lambda x: pgf.deriv(x) - 1.0, 0.0, hi)
 
 
-def classify_endogeny(pgf: Pgf) -> tuple[Endogeny, bool]:
-    """(class, critical flag) of the fixed-point report."""
-    report = build_fixed_point_report(pgf)
-    return report.endogeny, report.critical
-
-
 def solve_mu2(pgf: Pgf, mu1: float, mu_star: float, endogeny: Endogeny) -> float:
     """Second moment of the endogenous solution: mu1 in the endogenous
     class, else the lesser root of g(x) = 1 - 2*mu1 on [0, mu_star]."""
@@ -150,9 +145,7 @@ def solve_mu2(pgf: Pgf, mu1: float, mu_star: float, endogeny: Endogeny) -> float
     return _bisect(g, 0.0, mu_star)
 
 
-def moment_sequence(
-    pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int, tol: float = DEFAULT_TOL
-) -> MomentSequence:
+def moment_sequence(pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int) -> MomentSequence:
     """Moments m_0..m_K of an invariant law, from the roots in ``fp``.
 
     Discrete: (1, mu1, mu1, ...).  Endogenous: solve, for each n >= 2,
@@ -171,9 +164,9 @@ def moment_sequence(
         phi = lambda x: pgf.eval(x) - sign * x - rhs
         hi = min(fp.mu_star, values[n - 1])
         lo_val, hi_val = phi(0.0), phi(hi)
-        if abs(hi_val) <= tol:
+        if abs(hi_val) <= DEFAULT_TOL:
             root = hi
-        elif abs(lo_val) <= tol:
+        elif abs(lo_val) <= DEFAULT_TOL:
             root = 0.0
         elif lo_val * hi_val > 0.0:
             raise FeasibilityError(n)
@@ -347,15 +340,15 @@ class MeanBasinResult:
     final: float | None = None
 
 
-def basin_of_mean(pgf: Pgf, mu1: float, m0: float, max_iter: int = 400, tol: float = 1e-9) -> MeanBasinResult:
+def basin_of_mean(pgf: Pgf, mu1: float, m0: float, max_iter: int = 400) -> MeanBasinResult:
     """Classify the orbit of m0 under the mean map f(t) = 1 - H(t), whose
     fixed point is mu1.
 
-    ToMu1 when the orbit lands within tol of mu1; ToCycle when the even and
-    odd subsequences settle on distinct limits; Neutral when f∘f is the
-    identity on the scan grid of find_two_cycles (the geometric-family
-    involution, the thinned binary tree at p = 1/2); Inconclusive when
-    max_iter passes without a verdict.
+    ToMu1 when the orbit lands within MEAN_BASIN_TOL of mu1; ToCycle when
+    the even and odd subsequences settle on distinct limits; Neutral when
+    f∘f is the identity on the scan grid of find_two_cycles (the
+    geometric-family involution, the thinned binary tree at p = 1/2);
+    Inconclusive when max_iter passes without a verdict.
     """
     if not (0.0 <= m0 <= 1.0):
         raise ValueError("m0 must lie in [0,1]")
@@ -367,12 +360,13 @@ def basin_of_mean(pgf: Pgf, mu1: float, m0: float, max_iter: int = 400, tol: flo
     for k in range(1, max_iter + 1):
         t = f(t)
         history.append(t)
-        if abs(t - mu1) < tol:
+        if abs(t - mu1) < MEAN_BASIN_TOL:
             return MeanBasinResult(kind="ToMu1", iterations=k, final=t)
         if k >= 4:
             even_gap = abs(history[-1] - history[-3])
             odd_gap = abs(history[-2] - history[-4])
-            if even_gap < tol and odd_gap < tol and abs(history[-1] - history[-2]) > 10.0 * tol:
+            settled = even_gap < MEAN_BASIN_TOL and odd_gap < MEAN_BASIN_TOL
+            if settled and abs(history[-1] - history[-2]) > 10.0 * MEAN_BASIN_TOL:
                 a, b = history[-1], history[-2]
                 return MeanBasinResult(
                     kind="ToCycle",
@@ -384,7 +378,7 @@ def basin_of_mean(pgf: Pgf, mu1: float, m0: float, max_iter: int = 400, tol: flo
     return MeanBasinResult(kind="Inconclusive", iterations=max_iter, final=t)
 
 
-def build_fixed_point_report(pgf: Pgf, tol: float = DEFAULT_TOL) -> FixedPointReport:
+def build_fixed_point_report(pgf: Pgf) -> FixedPointReport:
     """Solve mu1, mu_star, H'(mu1), the endogeny class and mu2, each once.
 
     The one place these roots are solved: consumers take the report (or a
@@ -392,7 +386,7 @@ def build_fixed_point_report(pgf: Pgf, tol: float = DEFAULT_TOL) -> FixedPointRe
     H'(mu1) <= 1 + CRITICAL_TOL; critical iff |H'(mu1) - 1| <= CRITICAL_TOL.
     """
     require_analysis_assumptions(pgf.spec)
-    mu1 = solve_mu1(pgf, tol)
+    mu1 = solve_mu1(pgf)
     mu_star = solve_mu_star(pgf)
     h1 = pgf.deriv(mu1)
     endo = Endogeny.ENDOGENOUS if h1 <= 1.0 + CRITICAL_TOL else Endogeny.NON_ENDOGENOUS

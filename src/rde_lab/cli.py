@@ -101,8 +101,8 @@ def _load_config(path: str | None, seed: int | None, out: str | None, tol: float
     for key in INT_FIELDS:
         if key in config:
             _int(config, key)
-    if "tol" in config and not _real(config, "tol") > 0:
-        raise ConfigError("config field 'tol' must be a positive number")
+    if "tol" in config and not 0 < _real(config, "tol") <= distiter.EMPIRICAL_BAND_FLOOR:
+        raise ConfigError(f"config field 'tol' must lie in (0, {distiter.EMPIRICAL_BAND_FLOOR}], got {config['tol']!r}")
     if not isinstance(config.get("out", ""), str):
         raise ConfigError("config field 'out' must be a string")
     if not isinstance(config.get("traces", False), bool):
@@ -152,7 +152,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON run configuration.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.option("--tol", type=float, default=None, help="Override the config tolerance.")
+@click.option("--tol", type=float, default=None, help="Override the config 'tol', iterate's basin band around mu1.")
 @click.pass_context
 def main(ctx, config_path, seed, out, tol):
     """Analyze and simulate the recursion X = 1 - prod(X_i) on random trees."""
@@ -185,12 +185,11 @@ def analyze(ctx):
 
     def body(config, spec):
         pgf = Pgf(spec)
-        tol = float(config.get("tol", analysis.DEFAULT_TOL))
         order = _int(config, "K")
-        report = analysis.build_fixed_point_report(pgf, tol)
-        discrete = analysis.moment_sequence(pgf, report, analysis.MomentKind.DISCRETE, order, tol)
+        report = analysis.build_fixed_point_report(pgf)
+        discrete = analysis.moment_sequence(pgf, report, analysis.MomentKind.DISCRETE, order)
         try:
-            endogenous = analysis.moment_sequence(pgf, report, analysis.MomentKind.ENDOGENOUS, order, tol)
+            endogenous = analysis.moment_sequence(pgf, report, analysis.MomentKind.ENDOGENOUS, order)
             endo_json = asdict(endogenous)
         except FeasibilityError as exc:
             endo_json = {"infeasible_at": exc.n}

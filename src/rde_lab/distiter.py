@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
-from .pgf import INF_SENTINEL, SAMPLE_BUDGET, OffspringSpec, Pgf, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, OffspringSpec, Pgf, sample_family_sizes, validate_spec
 from . import analysis
 from .simulate import one_minus_prod
 from .streams import derive
@@ -32,6 +32,7 @@ from .streams import derive
 DEFAULT_SAMPLE_SIZE = 100_000
 KOLMOGOROV_GRID = 1001
 BASIN_TOL = 1e-6  # a start whose mean lies this close to mu1 counts as having mean mu1
+EMPIRICAL_BAND_FLOOR = 1e-3  # least half-width of the band that a converged trajectory ends in
 
 # a sample counts as the two-point law only if essentially no interior mass
 DELTA_INTERIOR_EPS = 1e-9
@@ -106,9 +107,9 @@ class TrajectoryRecord:
     kolmogorov_to_target: float | None = None
 
 
-def kolmogorov_distance(a: np.ndarray, b: np.ndarray, grid: int = KOLMOGOROV_GRID) -> float:
+def kolmogorov_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Sup distance of the two empirical CDFs over a fixed [0,1] grid."""
-    xs = np.linspace(0.0, 1.0, grid)
+    xs = np.linspace(0.0, 1.0, KOLMOGOROV_GRID)
     a_sorted = np.sort(a)
     b_sorted = np.sort(b)
     fa = np.searchsorted(a_sorted, xs, side="right") / a_sorted.size
@@ -116,23 +117,14 @@ def kolmogorov_distance(a: np.ndarray, b: np.ndarray, grid: int = KOLMOGOROV_GRI
     return float(np.max(np.abs(fa - fb)))
 
 
-def apply_T(
-    nu: EmpiricalDist,
-    spec: OffspringSpec,
-    rng: np.random.Generator,
-    out_size: int | None = None,
-    budget: int = SAMPLE_BUDGET,
-) -> EmpiricalDist:
+def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) -> EmpiricalDist:
     """Push the sample through one application of the map.
 
-    Each output point is 1 - prod of N resampled input points; an infinite
-    family yields the point 1 exactly.
+    Each of the nu.size output points is 1 - prod of N resampled input
+    points; an infinite family yields the point 1 exactly.
     """
     validate_spec(spec)
-    m = nu.size if out_size is None else int(out_size)
-    if m < 1:
-        raise SpecValidationError("out_size must be >= 1")
-    sizes = sample_family_sizes(spec, m, rng, budget)
+    sizes = sample_family_sizes(spec, nu.size, rng)
     # INF_SENTINEL is -1: adding back one per infinite family counts the finite children
     total = int(sizes.sum() + (sizes == INF_SENTINEL).sum())
     draws = nu.points[rng.integers(0, nu.size, total)]
@@ -145,7 +137,6 @@ def iterate_T(
     steps: int,
     rng: np.random.Generator,
     target: EmpiricalDist | None = None,
-    out_size: int | None = None,
 ) -> list[TrajectoryRecord]:
     """Repeated application of the map, recording per-step moments.
 
@@ -160,7 +151,7 @@ def iterate_T(
         ks = kolmogorov_distance(nu.points, target.points) if target is not None else None
         records.append(TrajectoryRecord(k=k, m1=nu.mean(), m2=nu.second_moment(), kolmogorov_to_target=ks))
         if k < steps:
-            nu = apply_T(nu, spec, rng, out_size=out_size)
+            nu = apply_T(nu, spec, rng)
     return records
 
 
@@ -230,7 +221,7 @@ def basin_test(
         else:
             verdict = "NotInBasin"
     else:
-        mean_basin = analysis.basin_of_mean(pgf, mu1, mean0, max_iter=max(400, 4 * steps), tol=1e-9)
+        mean_basin = analysis.basin_of_mean(pgf, mu1, mean0, max_iter=max(400, 4 * steps))
         if mean_basin.kind == "ToMu1":
             verdict = "InBasin"
         elif mean_basin.kind == "Neutral":
@@ -241,7 +232,7 @@ def basin_test(
 
     records = iterate_T(nu0, spec, steps, derive(seed, 0))
     m = nu0.size
-    band = max(5.0 / np.sqrt(m), 1e-3)
+    band = max(5.0 / np.sqrt(m), EMPIRICAL_BAND_FLOOR)
     last = records[-1]
     prev = records[-2]
     if abs(last.m1 - mu1) < band and abs(last.m2 - mu2) < band:

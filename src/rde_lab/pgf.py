@@ -31,6 +31,7 @@ returns a bracket around H, which the two-cycle scans use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -74,6 +75,12 @@ class Thinned:
 OffspringSpec = Union[Deterministic, Geometric, FinitePmf, Thinned]
 
 
+def _require_finite_real(field: str, v) -> None:
+    # JSON true/false load as bool, a subclass of int; NaN compares false, so `w < 0` lets it pass
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise SpecValidationError(f"{field} must be a finite real number, got {v!r}")
+
+
 def validate_spec(spec: OffspringSpec) -> None:
     """Structural validation: no mass at 0, total mass 1, sane parameters.
 
@@ -83,9 +90,11 @@ def validate_spec(spec: OffspringSpec) -> None:
         if not isinstance(spec.d, int) or isinstance(spec.d, bool) or spec.d < 2:
             raise SpecValidationError(f"deterministic family size 'd' must be an integer >= 2, got {spec.d!r}")
     elif isinstance(spec, Geometric):
+        _require_finite_real("geometric 'alpha'", spec.alpha)
         if not (0.0 < spec.alpha < 1.0):
             raise SpecValidationError(f"geometric alpha must lie in (0,1), got {spec.alpha!r}")
     elif isinstance(spec, FinitePmf):
+        _require_finite_real("'infinity_mass'", spec.infinity_mass)
         total = float(spec.infinity_mass)
         if spec.infinity_mass < 0.0:
             raise SpecValidationError("infinity_mass must be >= 0")
@@ -94,12 +103,14 @@ def validate_spec(spec: OffspringSpec) -> None:
         for k, w in spec.weights.items():
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise SpecValidationError(f"finite pmf support must be integers >= 1 (mass at 0 is excluded), got key {k!r}")
+            _require_finite_real(f"'pmf' weight at k={k}", w)
             if w < 0.0:
                 raise SpecValidationError(f"negative weight {w!r} at k={k}")
             total += float(w)
         if abs(total - 1.0) > _MASS_TOL:
             raise SpecValidationError(f"total mass must be 1 within {_MASS_TOL}, got {total!r}")
     elif isinstance(spec, Thinned):
+        _require_finite_real("thinning 'p'", spec.p)
         if not (0.0 < spec.p < 1.0):
             raise SpecValidationError(f"thinning survival probability p must lie in (0,1), got {spec.p!r}")
         validate_spec(spec.base)

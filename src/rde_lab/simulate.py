@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError
-from .pgf import INF_SENTINEL, SAMPLE_BUDGET, OffspringSpec, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, OffspringSpec, sample_family_sizes, validate_spec
 from .streams import derive
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -83,14 +83,13 @@ def _sample_forest(
     reps: int,
     rng: np.random.Generator,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = SAMPLE_BUDGET,
 ) -> _Forest:
     fams: list[np.ndarray] = []
     rep_counts: list[np.ndarray] = [np.ones(reps, dtype=np.int64)]
     totals = np.ones(reps, dtype=np.int64)
     for d in range(depth):
         count = int(rep_counts[d].sum())
-        level = sample_family_sizes(spec, count, rng, budget)
+        level = sample_family_sizes(spec, count, rng)
         fams.append(level)
         if count and level.min() == level.max() and level[0] != INF_SENTINEL:
             # homogeneous level (e.g. a deterministic spec): no pass needed
@@ -124,11 +123,10 @@ def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     n = sizes.shape[0]
     if n > 0 and sizes.min() == sizes.max() and sizes[0] != INF_SENTINEL:
         w = int(sizes[0])
-        if w == 1:
-            return complement(values)
-        if w == 2:
-            return complement(reduce(values[0::2], values[1::2]))
-        return complement(reduce.reduce(values.reshape(n, w), axis=1))
+        acc = values[0::w]
+        for j in range(1, w):
+            acc = reduce(acc, values[j::w])
+        return complement(acc)
     finite = sizes != INF_SENTINEL
     out = np.ones(n, dtype=values.dtype)
     if finite.any():
@@ -139,21 +137,12 @@ def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pull_up(fams: list[np.ndarray], boundary: np.ndarray, keep_levels: bool = False):
-    """Apply value(u) = 1 - prod(children) upward from boundary values.
-
-    Bool boundaries give bool values throughout.  Returns root values, or
-    the whole list of per-level value arrays when keep_levels is set.
-    """
-    levels = [boundary] if keep_levels else None
+def _pull_up(fams: list[np.ndarray], boundary: np.ndarray) -> np.ndarray:
+    """Root values of value(u) = 1 - prod(children), applied upward from
+    boundary values.  Bool boundaries give bool values throughout."""
     v = boundary
     for sizes in reversed(fams):
         v = one_minus_prod(v, sizes)
-        if keep_levels:
-            levels.append(v)
-    if keep_levels:
-        levels.reverse()  # index by depth
-        return levels
     return v
 
 
@@ -198,18 +187,23 @@ def sample_tree(
     depth: int,
     rng: np.random.Generator,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = SAMPLE_BUDGET,
 ) -> SampledTree:
     """Breadth-first sample to the given depth; infinite nodes are leaves."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     validate_spec(spec)
-    forest = _sample_forest(spec, depth, 1, rng, node_cap=node_cap, budget=budget)
+    forest = _sample_forest(spec, depth, 1, rng, node_cap=node_cap)
     counts = [int(c[0]) for c in forest.rep_counts]
     return SampledTree(depth=depth, level_fams=forest.fams, level_counts=counts)
 
 
-def _layer_from_levels(tree: SampledTree, value_levels: list[np.ndarray], kind: str, boundary_depth: int) -> SolutionLayer:
+def _solution_layer(tree: SampledTree, boundary: np.ndarray, kind: str, boundary_depth: int) -> SolutionLayer:
+    """The values of every node down to boundary_depth, pulled up from the
+    boundary values held by the nodes at that depth."""
+    value_levels = [boundary]
+    for sizes in reversed(tree.level_fams[:boundary_depth]):
+        value_levels.append(one_minus_prod(value_levels[-1], sizes))
+    value_levels.reverse()  # index by depth
     addr_levels = tree.addresses()
     values: dict[tuple[int, ...], float] = {}
     for d in range(boundary_depth + 1):
@@ -224,15 +218,13 @@ def conditional_solution(tree: SampledTree, mu1: float, boundary_depth: int | No
     if not 0 <= n <= tree.depth:
         raise ValueError("boundary_depth out of range")
     boundary = np.full(tree.level_counts[n], float(mu1))
-    levels = _pull_up(tree.level_fams[:n], boundary, keep_levels=True)
-    return _layer_from_levels(tree, levels, SOLUTION_CONDITIONAL, n)
+    return _solution_layer(tree, boundary, SOLUTION_CONDITIONAL, n)
 
 
 def discrete_solution(tree: SampledTree, mu1: float, rng: np.random.Generator) -> SolutionLayer:
     """S on the tree: iid Bernoulli(mu1) boundary, {0,1} values throughout."""
     boundary = (rng.random(tree.level_counts[tree.depth]) < mu1).astype(float)
-    levels = _pull_up(tree.level_fams, boundary, keep_levels=True)
-    return _layer_from_levels(tree, levels, SOLUTION_DISCRETE, tree.depth)
+    return _solution_layer(tree, boundary, SOLUTION_DISCRETE, tree.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +287,6 @@ def _forest_pass(
     reps: int,
     seed: int,
     node_cap: int,
-    budget: int,
 ) -> list[np.ndarray]:
     """Root values of C, S and S' on one forest with boundary constant b.
 
@@ -306,7 +297,7 @@ def _forest_pass(
 
     def worker(index: int, size: int):
         rng = derive(seed, index)
-        forest = _sample_forest(spec, depth, size, rng, node_cap=node_cap, budget=budget)
+        forest = _sample_forest(spec, depth, size, rng, node_cap=node_cap)
         if depth:
             # C at depth n-1 by family size k: 1 - b^k, the powers multiplied
             # out as a pull-up does, and an appended 1 that INF_SENTINEL (-1) indexes
@@ -335,11 +326,10 @@ def mc_moments(
     reps: int,
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = SAMPLE_BUDGET,
 ) -> McMoments:
     """Sample mean and second moment of the conditional-solution root value,
     as ``endogeny_diagnostic`` returns them for the same arguments."""
-    return endogeny_diagnostic(spec, mu1, depth, reps, seed, node_cap, budget)[0]
+    return endogeny_diagnostic(spec, mu1, depth, reps, seed, node_cap)[0]
 
 
 def endogeny_diagnostic(
@@ -349,7 +339,6 @@ def endogeny_diagnostic(
     reps: int,
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = SAMPLE_BUDGET,
 ) -> tuple[McMoments, EndogenyDiagnostic, np.ndarray, np.ndarray]:
     """Moments of C, E[C(1-C)] and P(S != S') from one forest.
 
@@ -360,7 +349,7 @@ def endogeny_diagnostic(
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")
-    c_roots, s_roots, s2_roots = _forest_pass(spec, mu1, depth, reps, seed, node_cap, budget)
+    c_roots, s_roots, s2_roots = _forest_pass(spec, mu1, depth, reps, seed, node_cap)
     e_c_one_minus_c, se_e = _mean_se(c_roots * (1.0 - c_roots))
     p_disagree, se_p = _mean_se((s_roots != s2_roots).astype(float))
     diag = EndogenyDiagnostic(
@@ -381,7 +370,6 @@ def iterated_conditional(
     reps: int,
     seed: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    budget: int = SAMPLE_BUDGET,
 ) -> McMoments:
     """Moments of the iterated-recursion endogenous solution C+.
 
@@ -390,7 +378,7 @@ def iterated_conditional(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    c_roots, _, _ = _forest_pass(spec, float(cycle.mu_plus), 2 * half_depth, reps, seed, node_cap, budget)
+    c_roots, _, _ = _forest_pass(spec, float(cycle.mu_plus), 2 * half_depth, reps, seed, node_cap)
     return _moments(c_roots, 2 * half_depth)
 
 

@@ -10,7 +10,6 @@ import pytest
 from rde_lab.analysis import (
     MomentKind,
     build_fixed_point_report,
-    classify_endogeny,
     Endogeny,
     moment_sequence,
     solve_mu1,
@@ -79,10 +78,10 @@ def test_criterion_2_geometric_involution():
 def test_criterion_3_noisy_binary_threshold():
     with _Timer(3, 1.0, "thinned binary tree: endogeny switches at p = 1/2"):
         for p in (0.30, 0.40, 0.49):
-            cls, _ = classify_endogeny(Pgf(Thinned(DET2, p)))
+            cls = build_fixed_point_report(Pgf(Thinned(DET2, p))).endogeny
             assert cls is Endogeny.NON_ENDOGENOUS, f"p={p}"
         for p in (0.50, 0.55, 0.60):
-            cls, _ = classify_endogeny(Pgf(Thinned(DET2, p)))
+            cls = build_fixed_point_report(Pgf(Thinned(DET2, p))).endogeny
             assert cls is Endogeny.ENDOGENOUS, f"p={p}"
         pgf_half = Pgf(Thinned(DET2, 0.5))
         mu1 = solve_mu1(pgf_half)

@@ -13,7 +13,6 @@ from rde_lab.analysis import (
     MomentKind,
     basin_of_mean,
     build_fixed_point_report,
-    classify_endogeny,
     find_two_cycles,
     iterated_mu2_plus,
     make_two_cycle,
@@ -65,15 +64,15 @@ def test_solve_mu2_examples():
 
 
 def test_classify_endogeny_examples():
-    cls, crit = classify_endogeny(DET2)
-    assert cls is Endogeny.NON_ENDOGENOUS and not crit
+    rep = build_fixed_point_report(DET2)
+    assert rep.endogeny is Endogeny.NON_ENDOGENOUS and not rep.critical
     assert DET2.deriv(solve_mu1(DET2)) == pytest.approx(1.236068, abs=1e-6)
-    cls, crit = classify_endogeny(FIN)
-    assert cls is Endogeny.ENDOGENOUS and not crit
-    cls, crit = classify_endogeny(TH05)
-    assert cls is Endogeny.ENDOGENOUS and crit
-    cls, crit = classify_endogeny(GEO)
-    assert cls is Endogeny.ENDOGENOUS and crit
+    rep = build_fixed_point_report(FIN)
+    assert rep.endogeny is Endogeny.ENDOGENOUS and not rep.critical
+    rep = build_fixed_point_report(TH05)
+    assert rep.endogeny is Endogeny.ENDOGENOUS and rep.critical
+    rep = build_fixed_point_report(GEO)
+    assert rep.endogeny is Endogeny.ENDOGENOUS and rep.critical
 
 
 def test_fixed_point_report_solves_mu1_once(monkeypatch):
@@ -86,11 +85,11 @@ def test_fixed_point_report_solves_mu1_once(monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "solve_mu1", counting_solve)
-    for pgf in (DET2, TH05):
+    for pgf, expected in ((DET2, (Endogeny.NON_ENDOGENOUS, False)), (TH05, (Endogeny.ENDOGENOUS, True))):
         calls = 0
         rep = build_fixed_point_report(pgf)
         assert calls == 1
-        assert (rep.endogeny, rep.critical) == classify_endogeny(pgf)
+        assert (rep.endogeny, rep.critical) == expected
 
 
 def test_fixed_point_report_fields_and_json():
@@ -332,7 +331,7 @@ def test_random_specs_mu2_ordering_and_classification(spec):
     pgf = Pgf(spec)
     mu1 = solve_mu1(pgf)
     mu_star = solve_mu_star(pgf)
-    cls, _ = classify_endogeny(pgf)
+    cls = build_fixed_point_report(pgf).endogeny
     mu2 = solve_mu2(pgf, mu1, mu_star, cls)
     assert mu2 <= mu_star + 1e-12 <= 1.0 + 1e-12
     h1 = pgf.deriv(mu1)

@@ -286,6 +286,11 @@ POINT_MASS = {"kind": "point_mass", "value": 0.5, "size": 1000}
         ("analyze", {"spec": {"kind": "deterministic", "d": 2.7}}, "d"),
         ("analyze", {"spec": {"kind": "deterministic", "d": 2}, "out": 5}, "out"),
         ("simulate", dict(DET2_CFG, traces="no"), "traces"),
+        ("analyze", {"spec": {"kind": "finite", "pmf": {"2": True}}}, "pmf"),
+        ("analyze", {"spec": {"kind": "finite", "pmf": {"2": 0.5, "3": math.nan}, "infinity_mass": 0.5}}, "pmf"),
+        ("analyze", {"spec": {"kind": "finite", "pmf": {"2": 1.0}, "infinity_mass": math.nan}}, "infinity_mass"),
+        ("iterate", _iterate_cfg(POINT_MASS, tol=math.inf), "tol"),
+        ("iterate", _iterate_cfg(POINT_MASS, tol=1.0), "tol"),
     ],
 )
 def test_malformed_config_exits_2_naming_field(tmp_path, monkeypatch, command, cfg, field):

@@ -63,8 +63,8 @@ def test_mean_transport_law():
 @pytest.mark.parametrize("spec", [Deterministic(3), FIN], ids=["det3", "finite-inf"])
 def test_apply_matches_per_point_loop(spec):
     # replay apply_T's draws (family sizes, then child indices) from the same stream
-    nu = EmpiricalDist(derive(5, 0).random(300))
-    out = apply_T(nu, spec, derive(5, 1), out_size=400)
+    nu = EmpiricalDist(derive(5, 0).random(400))
+    out = apply_T(nu, spec, derive(5, 1))
     rng = derive(5, 1)
     sizes = sample_family_sizes(spec, 400, rng)
     idx = iter(rng.integers(0, nu.size, int(sizes[sizes > 0].sum())))
@@ -76,12 +76,6 @@ def test_apply_matches_per_point_loop(spec):
         want.append(1.0 if n == -1 else 1.0 - prod)
     assert next(idx, None) is None
     assert out.points.tolist() == want
-
-
-def test_apply_respects_out_size():
-    nu = point_mass(0.4, 1_000)
-    out = apply_T(nu, GEO, derive(3, 9), out_size=2_500)
-    assert out.size == 2_500
 
 
 def test_apply_preserves_two_point_laws():
