@@ -148,17 +148,17 @@ def solve_mu2(pgf: Pgf, mu1: float, mu_star: float, endogeny: Endogeny) -> float
 def moment_sequence(pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int) -> MomentSequence:
     """Moments m_0..m_K of an invariant law, from the roots in ``fp``.
 
-    Discrete: (1, mu1, mu1, ...).  Endogenous: solve, for each n >= 2,
-    H(m_n) - (-1)^n m_n = sum_{k<n} C(n,k) (-1)^k m_k for the root left of
-    mu_star, bracketing in [0, min(mu_star, m_{n-1})].  Raises
+    Discrete: (1, mu1, mu1, ...).  Endogenous: (1, mu1, mu2, ...), then for
+    each n >= 3 solve H(m_n) - (-1)^n m_n = sum_{k<n} C(n,k) (-1)^k m_k for
+    the root left of mu_star, bracketing in [0, min(mu_star, m_{n-1})].  Raises
     FeasibilityError naming the order at which no root exists.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if kind is MomentKind.DISCRETE:
         return MomentSequence(kind, (1.0,) + (fp.mu1,) * K)
-    values = [1.0, fp.mu1]
-    for n in range(2, K + 1):
+    values = [1.0, fp.mu1, fp.mu2][:K + 1]
+    for n in range(3, K + 1):
         rhs = sum(comb(n, k) * (-1) ** k * values[k] for k in range(n))
         sign = -1.0 if n % 2 else 1.0  # H(m) - (-1)^n m
         phi = lambda x: pgf.eval(x) - sign * x - rhs
@@ -336,8 +336,6 @@ class MeanBasinResult:
     kind: str  # ToMu1 | ToCycle | Neutral | Inconclusive
     mu_plus: float | None = None
     mu_minus: float | None = None
-    iterations: int = 0
-    final: float | None = None
 
 
 def basin_of_mean(pgf: Pgf, mu1: float, m0: float, max_iter: int = 400) -> MeanBasinResult:
@@ -354,28 +352,22 @@ def basin_of_mean(pgf: Pgf, mu1: float, m0: float, max_iter: int = 400) -> MeanB
         raise ValueError("m0 must lie in [0,1]")
     f = lambda t: 1.0 - pgf.eval(t)
     if _ff_scan(pgf, SCAN_GRID)[3]:
-        return MeanBasinResult(kind="Neutral", iterations=0, final=m0)
+        return MeanBasinResult(kind="Neutral")
     history: list[float] = [m0]
     t = m0
     for k in range(1, max_iter + 1):
         t = f(t)
         history.append(t)
         if abs(t - mu1) < MEAN_BASIN_TOL:
-            return MeanBasinResult(kind="ToMu1", iterations=k, final=t)
+            return MeanBasinResult(kind="ToMu1")
         if k >= 4:
             even_gap = abs(history[-1] - history[-3])
             odd_gap = abs(history[-2] - history[-4])
             settled = even_gap < MEAN_BASIN_TOL and odd_gap < MEAN_BASIN_TOL
             if settled and abs(history[-1] - history[-2]) > 10.0 * MEAN_BASIN_TOL:
                 a, b = history[-1], history[-2]
-                return MeanBasinResult(
-                    kind="ToCycle",
-                    mu_plus=max(a, b),
-                    mu_minus=min(a, b),
-                    iterations=k,
-                    final=t,
-                )
-    return MeanBasinResult(kind="Inconclusive", iterations=max_iter, final=t)
+                return MeanBasinResult(kind="ToCycle", mu_plus=max(a, b), mu_minus=min(a, b))
+    return MeanBasinResult(kind="Inconclusive")
 
 
 def build_fixed_point_report(pgf: Pgf) -> FixedPointReport:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
-from .pgf import INF_SENTINEL, OffspringSpec, Pgf, sample_family_sizes, validate_spec
+from .pgf import OffspringSpec, Pgf, sample_family_sizes, validate_spec
 from . import analysis
 from .simulate import one_minus_prod
 from .streams import derive
@@ -125,9 +125,7 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     """
     validate_spec(spec)
     sizes = sample_family_sizes(spec, nu.size, rng)
-    # INF_SENTINEL is -1: adding back one per infinite family counts the finite children
-    total = int(sizes.sum() + (sizes == INF_SENTINEL).sum())
-    draws = nu.points[rng.integers(0, nu.size, total)]
+    draws = nu.points[rng.integers(0, nu.size, int(sizes.sum()))]
     return EmpiricalDist(one_minus_prod(draws, sizes))
 
 

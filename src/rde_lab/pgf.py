@@ -41,8 +41,8 @@ from .errors import DomainError, SpecValidationError
 
 INFINITY = math.inf
 
-# sentinel for an infinite family inside integer sample arrays
-INF_SENTINEL = -1
+# an infinite family in integer sample arrays: it stores no children, and every finite N is >= 1
+INF_SENTINEL = 0
 
 _MASS_TOL = 1e-12
 
@@ -126,18 +126,14 @@ def require_analysis_assumptions(spec: OffspringSpec) -> None:
     rely on convexity.
     """
     validate_spec(spec)
-    if isinstance(spec, (Deterministic, Geometric)):
-        return
-    if isinstance(spec, FinitePmf):
-        if not any(k >= 2 and w > 0.0 for k, w in spec.weights.items()):
-            raise SpecValidationError("P(2 <= N < infinity) > 0 is required: finite pmf has no finite mass at k >= 2")
-        return
-    # Thinned: H is linear iff all finite mass sits on {1}.  Test the chord:
-    # strict convexity on [0,1] is equivalent to H(1)/2 - H(0.5) > 0.
-    pgf = Pgf(spec)
-    gap = 0.5 * float(pgf.eval(1.0)) - float(pgf.eval(0.5))
-    if gap <= 1e-9:
-        raise SpecValidationError("P(2 <= N < infinity) > 0 is required: thinned spec is (numerically) linear")
+    # a thinned N takes a finite k >= 2 iff its base does (the root's k base
+    # children can all be cut), and a base on {1, inf} gives N in {1, inf}
+    base = spec
+    while isinstance(base, Thinned):
+        base = base.base
+    if isinstance(base, FinitePmf) and not any(k >= 2 and w > 0.0 for k, w in base.weights.items()):
+        what = "finite pmf" if base is spec else "base pmf of the thinned spec"
+        raise SpecValidationError(f"P(2 <= N < infinity) > 0 is required: {what} has no finite mass at k >= 2")
 
 
 def ess_sup(spec: OffspringSpec) -> float:
@@ -410,7 +406,8 @@ def sample_family_sizes(
     rng: np.random.Generator,
     budget: int = SAMPLE_BUDGET,
 ) -> np.ndarray:
-    """n iid draws of N as an int64 array, with INF_SENTINEL marking infinity.
+    """n iid draws of N as an int64 array of the children each family
+    stores: an infinite family stores none and reads INF_SENTINEL (0).
 
     Parametric variants use exact inverse-CDF sampling.  Thinned draws run
     the pruning process on the base tree: every child line survives with
@@ -460,14 +457,11 @@ def _sum_family_draws(
     owners = np.repeat(np.arange(counts.size), counts)
     fams = sample_family_sizes(base, int(owners.size), rng, budget)
     inf_mask = np.bincount(owners[fams == INF_SENTINEL], minlength=counts.size) > 0
-    fams = np.where(fams == INF_SENTINEL, 0, fams)
     sums = np.bincount(owners, weights=fams.astype(float), minlength=counts.size).astype(np.int64)
     return sums, inf_mask
 
 
 def _sample_thinned(spec: Thinned, n: int, rng: np.random.Generator, budget: int) -> np.ndarray:
-    p, q = spec.p, 1.0 - spec.p
-    out = np.zeros(n, dtype=np.int64)
     deaths = np.zeros(n, dtype=np.int64)
     visited = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=np.int64)  # live (surviving) nodes awaiting expansion
@@ -477,19 +471,14 @@ def _sample_thinned(spec: Thinned, n: int, rng: np.random.Generator, budget: int
         children, blown = _sum_family_draws(spec.base, active, rng, budget)
         # an infinite base family sheds infinitely many cut lines a.s.
         visited[idx] += children
-        survivors = rng.binomial(children, p)
+        survivors = rng.binomial(children, spec.p)
         deaths[idx] += children - survivors
-        active = survivors
         blown = blown | (visited[idx] > budget)
-        done = (active == 0) | blown
-        if np.any(done):
-            finished = idx[done]
-            was_blown = blown[done]
-            out[finished[was_blown]] = INF_SENTINEL
-            out[finished[~was_blown]] = deaths[finished[~was_blown]]
-            idx = idx[~done]
-            active = active[~done]
-    return out
+        deaths[idx[blown]] = INF_SENTINEL
+        going = (survivors > 0) & ~blown
+        idx = idx[going]
+        active = survivors[going]
+    return deaths
 
 
 def sample_family_size(spec: OffspringSpec, rng: np.random.Generator, budget: int = SAMPLE_BUDGET):

@@ -37,9 +37,6 @@ from .streams import derive
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_BATCH = 2048  # frozen: results depend on it, so it is not a tuning knob
 
-SOLUTION_DISCRETE = "DiscreteS"
-SOLUTION_CONDITIONAL = "ConditionalC"
-
 
 def _thread_count() -> int:
     raw = os.environ.get("RDE_LAB_THREADS", "1")
@@ -50,16 +47,17 @@ def _thread_count() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Forest representation (level arrays, BFS order, -1 marks infinite families)
+# Forest representation (level arrays, BFS order, stored-child counts)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _Forest:
     """reps independent trees stored level-by-level in one array per level.
 
-    ``fams[d]`` holds the family sizes of all depth-d nodes across the
-    batch in BFS order; ``rep_counts[d]`` says how many depth-d nodes each
-    replicate owns, which keeps per-replicate slices recoverable.
+    ``fams[d]`` holds the children each depth-d node stores (0 for an
+    infinite family) across the batch in BFS order; ``rep_counts[d]`` says
+    how many depth-d nodes each replicate owns, which keeps per-replicate
+    slices recoverable.
     """
 
     depth: int
@@ -91,12 +89,11 @@ def _sample_forest(
         count = int(rep_counts[d].sum())
         level = sample_family_sizes(spec, count, rng)
         fams.append(level)
-        if count and level.min() == level.max() and level[0] != INF_SENTINEL:
+        if count and level.min() == level.max():
             # homogeneous level (e.g. a deterministic spec): no pass needed
             children = rep_counts[d] * int(level[0])
         else:
-            finite_sizes = np.where(level == INF_SENTINEL, 0, level)
-            children = _segment_sums(finite_sizes, rep_counts[d])
+            children = _segment_sums(level, rep_counts[d])
         rep_counts.append(children)
         totals += children
         if int(totals.max()) > node_cap:
@@ -110,9 +107,9 @@ def _sample_forest(
 def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """For each parent, 1 - the product of its consecutive children.
 
-    ``sizes[i]`` is the family size of parent i; the children of the
-    parents are laid out back to back in ``values``.  An infinite family
-    (INF_SENTINEL) consumes no values and gives 1.  Float values use
+    ``sizes[i]`` is the number of children parent i stores; the children
+    of the parents are laid out back to back in ``values``.  An infinite
+    family (INF_SENTINEL, 0) stores none and gives 1.  Float values use
     (multiply, 1 - x); bool values use (logical_and, not), which is the
     same map on {0,1}.
     """
@@ -121,7 +118,7 @@ def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     else:
         reduce, complement = np.multiply, lambda x: 1.0 - x
     n = sizes.shape[0]
-    if n > 0 and sizes.min() == sizes.max() and sizes[0] != INF_SENTINEL:
+    if n > 0 and sizes.min() == sizes.max() and sizes[0] != INF_SENTINEL:  # values[0::0] raises
         w = int(sizes[0])
         acc = values[0::w]
         for j in range(1, w):
@@ -130,9 +127,8 @@ def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     finite = sizes != INF_SENTINEL
     out = np.ones(n, dtype=values.dtype)
     if finite.any():
-        counts = np.where(finite, sizes, 0)
         starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
+        np.cumsum(sizes[:-1], out=starts[1:])
         out[finite] = complement(reduce.reduceat(values, starts[finite]))
     return out
 
@@ -170,15 +166,13 @@ class SampledTree:
         for d in range(self.depth):
             nxt: list[tuple[int, ...]] = []
             for addr, fam in zip(levels[d], self.level_fams[d]):
-                if fam != INF_SENTINEL:
-                    nxt.extend(addr + (i,) for i in range(1, int(fam) + 1))
+                nxt.extend(addr + (i,) for i in range(1, int(fam) + 1))
             levels.append(nxt)
         return levels
 
 
 @dataclass
 class SolutionLayer:
-    kind: str  # SOLUTION_DISCRETE | SOLUTION_CONDITIONAL
     values: dict[tuple[int, ...], float]
 
 
@@ -197,7 +191,7 @@ def sample_tree(
     return SampledTree(depth=depth, level_fams=forest.fams, level_counts=counts)
 
 
-def _solution_layer(tree: SampledTree, boundary: np.ndarray, kind: str, boundary_depth: int) -> SolutionLayer:
+def _solution_layer(tree: SampledTree, boundary: np.ndarray, boundary_depth: int) -> SolutionLayer:
     """The values of every node down to boundary_depth, pulled up from the
     boundary values held by the nodes at that depth."""
     value_levels = [boundary]
@@ -209,7 +203,7 @@ def _solution_layer(tree: SampledTree, boundary: np.ndarray, kind: str, boundary
     for d in range(boundary_depth + 1):
         for addr, val in zip(addr_levels[d], value_levels[d]):
             values[addr] = float(val)
-    return SolutionLayer(kind=kind, values=values)
+    return SolutionLayer(values=values)
 
 
 def conditional_solution(tree: SampledTree, mu1: float, boundary_depth: int | None = None) -> SolutionLayer:
@@ -218,13 +212,13 @@ def conditional_solution(tree: SampledTree, mu1: float, boundary_depth: int | No
     if not 0 <= n <= tree.depth:
         raise ValueError("boundary_depth out of range")
     boundary = np.full(tree.level_counts[n], float(mu1))
-    return _solution_layer(tree, boundary, SOLUTION_CONDITIONAL, n)
+    return _solution_layer(tree, boundary, n)
 
 
 def discrete_solution(tree: SampledTree, mu1: float, rng: np.random.Generator) -> SolutionLayer:
     """S on the tree: iid Bernoulli(mu1) boundary, {0,1} values throughout."""
     boundary = (rng.random(tree.level_counts[tree.depth]) < mu1).astype(float)
-    return _solution_layer(tree, boundary, SOLUTION_DISCRETE, tree.depth)
+    return _solution_layer(tree, boundary, tree.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +294,10 @@ def _forest_pass(
         forest = _sample_forest(spec, depth, size, rng, node_cap=node_cap)
         if depth:
             # C at depth n-1 by family size k: 1 - b^k, the powers multiplied
-            # out as a pull-up does, and an appended 1 that INF_SENTINEL (-1) indexes
-            kmax = int(forest.fams[-1].max(initial=0))
-            c = np.append(1.0 - np.cumprod(np.r_[1.0, np.full(kmax, b)]), 1.0)[forest.fams[-1]]
+            # out as a pull-up does; an infinite family (INF_SENTINEL) gives 1
+            table = 1.0 - np.cumprod(np.r_[1.0, np.full(int(forest.fams[-1].max(initial=0)), b)])
+            table[INF_SENTINEL] = 1.0
+            c = table[forest.fams[-1]]
         else:
             c = np.full(size, b)
         above = forest.fams[:-1]

@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -118,6 +118,13 @@ def test_moment_sequences_golden_ratio():
     endo = moment_sequence(DET2, fp, MomentKind.ENDOGENOUS, 8)
     for n, v in enumerate(endo.values):
         assert v == pytest.approx(GOLDEN ** n, abs=1e-8)
+
+
+def test_moment_sequence_reads_mu2_from_the_report():
+    # m_2 is the report's mu2, not a second solve of the same equation
+    fp = build_fixed_point_report(DET2)
+    fp = replace(fp, mu2=fp.mu2 + 1e-6)
+    assert moment_sequence(DET2, fp, MomentKind.ENDOGENOUS, 2).values[2] == fp.mu2
 
 
 def test_moment_sequence_residuals_and_inequalities():

@@ -17,7 +17,7 @@ from rde_lab.distiter import (
     point_mass,
 )
 from rde_lab.errors import SpecValidationError
-from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, sample_family_sizes
+from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, sample_family_sizes
 from rde_lab.streams import derive
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -71,9 +71,9 @@ def test_apply_matches_per_point_loop(spec):
     want = []
     for n in sizes:
         prod = 1.0
-        for _ in range(n):  # empty for an infinite family (-1)
+        for _ in range(n):  # empty for an infinite family (INF_SENTINEL, 0)
             prod *= nu.points[next(idx)]
-        want.append(1.0 if n == -1 else 1.0 - prod)
+        want.append(1.0 if n == INF_SENTINEL else 1.0 - prod)
     assert next(idx, None) is None
     assert out.points.tolist() == want
 

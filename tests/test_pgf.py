@@ -65,6 +65,31 @@ def test_analysis_assumptions_reject_degenerate_support():
     require_analysis_assumptions(TH05)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Thinned(FinitePmf({1: 1.0}), 0.5),
+        Thinned(FinitePmf({1: 0.5}, infinity_mass=0.5), 0.3),
+        Thinned(Thinned(FinitePmf({1: 1.0}), 0.5), 0.4),
+    ],
+    ids=["unit", "unit-or-infinite", "doubly-thinned-unit"],
+)
+def test_analysis_assumptions_reject_thinned_base_without_finite_k2(spec):
+    # a base on {1, infinity} thins to N in {1, infinity}
+    with pytest.raises(SpecValidationError, match=r"^P\(2 <= N < infinity\) > 0 is required"):
+        require_analysis_assumptions(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Thinned(FinitePmf({1: 1.0 - 1e-13, 2: 1e-13}), 0.5), Thinned(Thinned(DET2, 0.5), 0.5)],
+    ids=["near-linear", "doubly-thinned-binary"],
+)
+def test_analysis_assumptions_accept_thinned_base_with_finite_k2(spec):
+    # the root's k base children can all be cut, so P(N = k) > 0
+    require_analysis_assumptions(spec)
+
+
 # ---------------------------------------------------------------- evaluation
 
 def test_eval_deterministic_square():

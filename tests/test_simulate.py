@@ -5,10 +5,8 @@ import pytest
 
 from rde_lab.analysis import make_two_cycle, solve_mu1
 from rde_lab.errors import ResourceError
-from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, Thinned
+from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned
 from rde_lab.simulate import (
-    SOLUTION_CONDITIONAL,
-    SOLUTION_DISCRETE,
     _pull_up,
     _sample_forest,
     conditional_solution,
@@ -51,9 +49,16 @@ def test_geometric_expected_node_count():
 def test_half_infinite_root_split():
     forest = _sample_forest(FIN, 1, 20_000, derive(2, 0))
     fams = forest.fams[0]
-    frac_inf = float((fams == -1).mean())
+    frac_inf = float((fams == INF_SENTINEL).mean())
     assert abs(frac_inf - 0.5) < 3.0 * math.sqrt(0.25 / fams.size)
-    assert set(np.unique(fams)) <= {-1, 2}
+    assert set(np.unique(fams)) <= {INF_SENTINEL, 2}
+
+
+def test_family_sizes_count_the_stored_children():
+    # each level's family sizes add up to the node count of the next level
+    forest = _sample_forest(FIN, 6, 2000, derive(2, 1))
+    for d in range(forest.depth):
+        assert forest.fams[d].sum() == forest.rep_counts[d + 1].sum()
 
 
 def test_node_cap_raises_resource_error():
@@ -67,7 +72,6 @@ def test_conditional_fixed_point_consistency():
     mu1 = solve_mu1(Pgf(DET2))
     tree = sample_tree(DET2, 1, derive(4, 0))
     layer = conditional_solution(tree, mu1)
-    assert layer.kind == SOLUTION_CONDITIONAL
     assert layer.values[()] == pytest.approx(1.0 - mu1 ** 2, abs=1e-15)
     assert layer.values[()] == pytest.approx(mu1, abs=1e-12)
 
@@ -80,7 +84,7 @@ def test_conditional_depth_zero_is_boundary_constant():
 
 def test_conditional_infinite_root_is_one():
     tree = sample_tree(FinitePmf({2: 1e-9}, infinity_mass=1.0 - 1e-9), 2, derive(5, 0))
-    assert tree.level_fams[0][0] == -1
+    assert tree.level_fams[0][0] == INF_SENTINEL
     assert conditional_solution(tree, 0.7).values[()] == 1.0
 
 
@@ -88,7 +92,6 @@ def test_discrete_all_ones_boundary_gives_zero_root():
     # mu1 = 1.0 forces every boundary draw to 1, so the root vetoes exactly
     tree = sample_tree(DET2, 1, derive(6, 0))
     layer = discrete_solution(tree, 1.0, derive(6, 1))
-    assert layer.kind == SOLUTION_DISCRETE
     assert layer.values == {(): 0.0, (1,): 1.0, (2,): 1.0}
 
 
@@ -154,7 +157,7 @@ def test_bool_and_float_pull_up_agree():
 def _one_minus_prod_loop(values, sizes):
     out, pos = [], 0
     for n in sizes:
-        if n == -1:
+        if n == INF_SENTINEL:
             out.append(1.0)
             continue
         prod = 1.0
@@ -168,7 +171,16 @@ def _one_minus_prod_loop(values, sizes):
 
 @pytest.mark.parametrize(
     "sizes",
-    [[1] * 16, [2] * 16, [3] * 16, [5] * 16, [2, -1, 3, 1, -1], [-1, 3, -1], [-1, -1], []],
+    [
+        [1] * 16,
+        [2] * 16,
+        [3] * 16,
+        [5] * 16,
+        [2, INF_SENTINEL, 3, 1, INF_SENTINEL],
+        [INF_SENTINEL, 3, INF_SENTINEL],
+        [INF_SENTINEL, INF_SENTINEL],
+        [],
+    ],
     ids=["w1", "w2", "w3", "w5", "ragged", "ragged-inf-ends", "all-inf", "empty"],
 )
 @pytest.mark.parametrize("dtype", [float, bool])

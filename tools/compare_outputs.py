@@ -1,0 +1,75 @@
+"""Check that two source trees give byte-identical CLI outputs on the benchmark's runs.
+
+    python3 tools/compare_outputs.py PARENT CHANGE [--seeds 1,2,3]
+
+PARENT and CHANGE are roots of source checkouts.  For each seed, every run
+that ``perfbench/workloads.py`` makes for every workload goes through
+``python -m rde_lab.cli`` once per tree, with that tree's ``src/`` on
+PYTHONPATH and RDE_LAB_THREADS=1, in a temporary directory.  The script
+prints each exit code or output file that differs (a file missing on one
+side counts) and exits 1 if any does, else 0.  The runs come from the
+``perfbench/`` of the checkout that holds this script, which is only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS, Run, make_runs  # noqa: E402
+
+
+def run_cli(tree: Path, run: Run, out: Path) -> int:
+    """Exit code of one run against ``tree``; its outputs land in ``out``."""
+    out.mkdir(parents=True)
+    (out / "config.json").write_text(json.dumps(run.config))
+    env = dict(os.environ, RDE_LAB_THREADS="1", PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, "-m", "rde_lab.cli", "--config", str(out / "config.json"), "--out", str(out), run.command]
+    return subprocess.run(argv, cwd=out, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """Names of the files under a and b that differ or exist on one side only."""
+    names_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    names_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    found = [f"{name} only in one tree" for name in sorted(names_a ^ names_b)]
+    found += [str(name) for name in sorted(names_a & names_b) if (a / name).read_bytes() != (b / name).read_bytes()]
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--seeds", default="1,2,3", help="comma-separated workload seeds")
+    args = ap.parse_args(argv)
+    trees = [args.parent.resolve(), args.change.resolve()]
+    for tree in trees:
+        if not (tree / "src" / "rde_lab" / "cli.py").is_file():
+            ap.error(f"{tree} has no src/rde_lab/cli.py")
+    runs = [(w, s, i, run) for s in map(int, args.seeds.split(",")) for w in WORKLOADS
+            for i, run in enumerate(make_runs(w, s))]
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        for workload, seed, i, run in runs:
+            outs = [Path(tmp, side, workload, str(seed), str(i)) for side in ("parent", "change")]
+            codes = [run_cli(tree, run, out) for tree, out in zip(trees, outs)]
+            found = [f"exit code {codes[0]} != {codes[1]}"] if codes[0] != codes[1] else []
+            found += differences(*outs)
+            where = f"{workload} seed {seed} {run.label} ({run.command})"
+            for item in found:
+                print(f"{where}: {item}")
+            differing += bool(found)
+    print(f"{len(runs)} runs, {differing} with differences")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
