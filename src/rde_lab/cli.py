@@ -74,19 +74,28 @@ def _int(obj: dict, key: str, row: str | None = None, prefix: str = "") -> int:
 
 def _real(obj: dict, key: str, prefix: str = "") -> float:
     v = obj.get(key)
-    if not (_is_int(v) or isinstance(v, float)):
-        raise ConfigError(f"config field '{prefix}{key}' must be a number, got {v!r}")
+    # NaN compares false; an int past the float range compares exactly, where float(v) raises
+    if not (_is_int(v) or isinstance(v, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"config field '{prefix}{key}' must be a finite number, got {v!r}")
     return float(v)
+
+
+def _json_int(digits: str) -> int | float:
+    # past Python's digit limit int() raises; the literal then reads as +-inf, as 1e400 does
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
 
 
 def _load_config(path: str | None, seed: int | None, out: str | None, tol: float | None) -> dict:
     if path is None:
         raise ConfigError("--config PATH is required")
     try:
-        config = json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text(), parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError from read_text
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")

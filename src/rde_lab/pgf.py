@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -45,6 +46,9 @@ INFINITY = math.inf
 INF_SENTINEL = 0
 
 _MASS_TOL = 1e-12
+
+# largest finite family size: H's float64 powers s**k and the int64 level sums hold it exactly
+MAX_FAMILY_SIZE = 2**53
 
 # explored-node count after which a thinned family-size draw counts as infinite
 SAMPLE_BUDGET = 1_000_000
@@ -76,8 +80,9 @@ OffspringSpec = Union[Deterministic, Geometric, FinitePmf, Thinned]
 
 
 def _require_finite_real(field: str, v) -> None:
-    # JSON true/false load as bool, a subclass of int; NaN compares false, so `w < 0` lets it pass
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+    # JSON true/false load as bool, a subclass of int; NaN compares false, so `w < 0` lets it pass;
+    # an int past the float range compares exactly, where isfinite(v) raises OverflowError
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= sys.float_info.max:
         raise SpecValidationError(f"{field} must be a finite real number, got {v!r}")
 
 
@@ -87,8 +92,8 @@ def validate_spec(spec: OffspringSpec) -> None:
     Raises SpecValidationError with a message naming the violated assumption.
     """
     if isinstance(spec, Deterministic):
-        if not isinstance(spec.d, int) or isinstance(spec.d, bool) or spec.d < 2:
-            raise SpecValidationError(f"deterministic family size 'd' must be an integer >= 2, got {spec.d!r}")
+        if not isinstance(spec.d, int) or isinstance(spec.d, bool) or not 2 <= spec.d <= MAX_FAMILY_SIZE:
+            raise SpecValidationError(f"deterministic family size 'd' must be an integer in [2, 2**53], got {spec.d!r}")
     elif isinstance(spec, Geometric):
         _require_finite_real("geometric 'alpha'", spec.alpha)
         if not (0.0 < spec.alpha < 1.0):
@@ -101,8 +106,8 @@ def validate_spec(spec: OffspringSpec) -> None:
         if not spec.weights and spec.infinity_mass == 0.0:
             raise SpecValidationError("finite pmf has no mass")
         for k, w in spec.weights.items():
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise SpecValidationError(f"finite pmf support must be integers >= 1 (mass at 0 is excluded), got key {k!r}")
+            if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_FAMILY_SIZE:
+                raise SpecValidationError(f"'pmf' keys must be integers in [1, 2**53] (mass at 0 is excluded), got key {k!r}")
             _require_finite_real(f"'pmf' weight at k={k}", w)
             if w < 0.0:
                 raise SpecValidationError(f"negative weight {w!r} at k={k}")

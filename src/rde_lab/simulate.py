@@ -17,15 +17,13 @@ Bernoulli(1 - mu1^k), as 1 - prod B_i over k iid Bernoulli(mu1) values
 is 0 only when all are 1.  One pass over a forest yields C, S and an
 independent resampling S' at every root.  Replicates are batched into
 forests so the per-level product recursion runs as a handful of
-vectorised passes; each batch owns an RNG stream derived from (seed,
-batch index), which keeps reruns bit-identical and batches
-embarrassingly parallel.
+vectorised passes; the batches run one after another, so a run holds one
+batch's forest at a time, and each owns an RNG stream derived from (seed,
+batch index), which keeps reruns bit-identical.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +34,6 @@ from .streams import derive
 
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_BATCH = 2048  # frozen: results depend on it, so it is not a tuning knob
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RDE_LAB_THREADS", "1")
-    try:
-        return max(1, min(64, int(raw)))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +251,24 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(x.mean()), se
 
 
-def _run_batches(worker, reps: int) -> list[np.ndarray]:
-    """Each output of worker(batch index, batch size), concatenated over the
-    batches in batch order, so it is independent of RDE_LAB_THREADS."""
-    sizes = [min(DEFAULT_BATCH, reps - start) for start in range(0, reps, DEFAULT_BATCH)]
-    threads = _thread_count()
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(len(sizes)), sizes))
+def _batch_roots(
+    spec: OffspringSpec, b: float, depth: int, size: int, rng: np.random.Generator, node_cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Root values of C, S and S' on one batch's forest; the forest is
+    freed on return, before the next batch is sampled."""
+    forest = _sample_forest(spec, depth, size, rng, node_cap=node_cap)
+    if depth:
+        # C at depth n-1 by family size k: 1 - b^k, the powers multiplied
+        # out as a pull-up does; an infinite family (INF_SENTINEL) gives 1
+        table = 1.0 - np.cumprod(np.r_[1.0, np.full(int(forest.fams[-1].max(initial=0)), b)])
+        table[INF_SENTINEL] = 1.0
+        c = table[forest.fams[-1]]
     else:
-        results = list(map(worker, range(len(sizes)), sizes))
-    return [np.concatenate(outputs) for outputs in zip(*results)]
+        c = np.full(size, b)
+    above = forest.fams[:-1]
+    s = _pull_up(above, rng.random(c.size) < c).astype(float)
+    s2 = _pull_up(above, rng.random(c.size) < c).astype(float)
+    return _pull_up(above, c), s, s2
 
 
 def _forest_pass(
@@ -284,28 +281,16 @@ def _forest_pass(
 ) -> list[np.ndarray]:
     """Root values of C, S and S' on one forest with boundary constant b.
 
-    Family sizes are drawn first, then one uniform per depth-(n-1) node
-    (per root at depth 0) for S and another for S'.
+    The batches run in order, batch i on stream derive(seed, i).  Family
+    sizes are drawn first, then one uniform per depth-(n-1) node (per root
+    at depth 0) for S and another for S'.
     """
     validate_spec(spec)
-
-    def worker(index: int, size: int):
-        rng = derive(seed, index)
-        forest = _sample_forest(spec, depth, size, rng, node_cap=node_cap)
-        if depth:
-            # C at depth n-1 by family size k: 1 - b^k, the powers multiplied
-            # out as a pull-up does; an infinite family (INF_SENTINEL) gives 1
-            table = 1.0 - np.cumprod(np.r_[1.0, np.full(int(forest.fams[-1].max(initial=0)), b)])
-            table[INF_SENTINEL] = 1.0
-            c = table[forest.fams[-1]]
-        else:
-            c = np.full(size, b)
-        above = forest.fams[:-1]
-        s = _pull_up(above, rng.random(c.size) < c).astype(float)
-        s2 = _pull_up(above, rng.random(c.size) < c).astype(float)
-        return _pull_up(above, c), s, s2
-
-    return _run_batches(worker, reps)
+    batches = [
+        _batch_roots(spec, b, depth, min(DEFAULT_BATCH, reps - start), derive(seed, index), node_cap)
+        for index, start in enumerate(range(0, reps, DEFAULT_BATCH))
+    ]
+    return [np.concatenate(roots) for roots in zip(*batches)]
 
 
 def _moments(c_roots: np.ndarray, depth: int) -> McMoments:

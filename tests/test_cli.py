@@ -268,6 +268,8 @@ def _iterate_cfg(initial, **extra):
 
 
 POINT_MASS = {"kind": "point_mass", "value": 0.5, "size": 1000}
+# stands for an integer literal past int()'s 4300-digit limit, which json.dumps cannot write
+PAST_DIGIT_LIMIT = "integer of 4400 digits"
 
 
 @pytest.mark.parametrize(
@@ -291,18 +293,44 @@ POINT_MASS = {"kind": "point_mass", "value": 0.5, "size": 1000}
         ("analyze", {"spec": {"kind": "finite", "pmf": {"2": 1.0}, "infinity_mass": math.nan}}, "infinity_mass"),
         ("iterate", _iterate_cfg(POINT_MASS, tol=math.inf), "tol"),
         ("iterate", _iterate_cfg(POINT_MASS, tol=1.0), "tol"),
+        # numbers too large for a float, and family sizes past 2**53
+        ("iterate", _iterate_cfg(POINT_MASS, tol=10**400), "tol"),
+        ("iterate", _iterate_cfg(dict(POINT_MASS, value=10**400)), "initial.value"),
+        ("analyze", {"spec": {"kind": "geometric", "alpha": 10**400}}, "alpha"),
+        ("analyze", {"spec": {"kind": "finite", "pmf": {"2": 1.0}, "infinity_mass": 10**400}}, "infinity_mass"),
+        ("analyze", {"spec": {"kind": "deterministic", "d": 10**400}}, "d"),
+        ("simulate", dict(DET2_CFG, spec={"kind": "deterministic", "d": 10**400}), "d"),
+        ("analyze", {"spec": {"kind": "deterministic", "d": 10**18}}, "d"),
+        ("simulate", dict(DET2_CFG, spec={"kind": "deterministic", "d": 2**63}), "d"),
+        ("simulate", dict(DET2_CFG, spec={"kind": "finite", "pmf": {"2": 0.5, str(2**63): 0.5}}), "pmf"),
+        ("iterate", _iterate_cfg(POINT_MASS, spec={"kind": "finite", "pmf": {"2": 0.5, str(2**63): 0.5}}), "pmf"),
+        ("simulate", dict(DET2_CFG, spec={"kind": "finite", "pmf": {"2": 0.5, str(2**63 - 1): 0.5}}), "pmf"),
+        ("simulate", dict(DET2_CFG, depth=PAST_DIGIT_LIMIT), "depth"),
+        ("simulate", dict(DET2_CFG, seed=PAST_DIGIT_LIMIT), "seed"),
+        ("iterate", _iterate_cfg(POINT_MASS, tol=PAST_DIGIT_LIMIT), "tol"),
+        ("analyze", {"spec": {"kind": "deterministic", "d": PAST_DIGIT_LIMIT}}, "d"),
+        ("analyze", {"spec": {"kind": "geometric", "alpha": PAST_DIGIT_LIMIT}}, "alpha"),
+        ("analyze", {"spec": {"kind": "finite", "pmf": {"2": PAST_DIGIT_LIMIT}}}, "pmf"),
     ],
 )
 def test_malformed_config_exits_2_naming_field(tmp_path, monkeypatch, command, cfg, field):
     # each of these once ended in a traceback or ran with a value silently changed
     monkeypatch.chdir(tmp_path)
     Path("points.txt").write_text("0.5\nnan\n")
-    Path("cfg.json").write_text(json.dumps(cfg))
+    Path("cfg.json").write_text(json.dumps(cfg).replace(json.dumps(PAST_DIGIT_LIMIT), "1" + "0" * 4400))
     argv = ["--config", "cfg.json", command] if "out" in cfg else ["--config", "cfg.json", "--out", "out", command]
     result = CliRunner().invoke(main, argv)
     assert result.exit_code == 2
     assert f"'{field}'" in result.output
     assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("spec", [{"kind": "deterministic", "d": 2**53},
+                                  {"kind": "finite", "pmf": {"2": 0.5, str(2**53): 0.5}}])
+@pytest.mark.parametrize("command, code", [("analyze", 0), ("cycles", 0), ("simulate", 3)])
+def test_family_size_2_53_is_inside_the_caps(tmp_path, spec, command, code):
+    result, _ = run_cli(tmp_path, dict(DET2_CFG, spec=spec), command)
+    assert result.exit_code == code
 
 
 def test_exit_code_on_resource_limit(tmp_path):
@@ -323,22 +351,6 @@ def test_byte_identical_reruns(tmp_path):
         assert res.exit_code == 0
         outputs.append((out / "simulate.json").read_bytes())
     assert outputs[0] == outputs[1]
-
-
-def test_thread_env_var_does_not_change_results(tmp_path):
-    blobs = []
-    for threads in ("1", "4"):
-        cfg = tmp_path / f"t{threads}.json"
-        cfg.write_text(json.dumps(dict(DET2_CFG, reps=6000)))
-        out = tmp_path / f"thr_{threads}"
-        runner = CliRunner()
-        res = runner.invoke(
-            main, ["--config", str(cfg), "--out", str(out), "simulate"],
-            env={"RDE_LAB_THREADS": threads},
-        )
-        assert res.exit_code == 0
-        blobs.append((out / "simulate.json").read_bytes())
-    assert blobs[0] == blobs[1]
 
 
 def test_seed_override_changes_hash(tmp_path):

@@ -52,7 +52,12 @@ def test_validation_rejects_bad_total_mass():
 
 
 @pytest.mark.parametrize("spec", [Deterministic(1), Deterministic(0), Geometric(0.0),
-                                  Geometric(1.0), Thinned(DET2, 0.0), Thinned(DET2, 1.0)])
+                                  Geometric(1.0), Thinned(DET2, 0.0), Thinned(DET2, 1.0),
+                                  Deterministic(2**53 + 1), Deterministic(10**400),
+                                  FinitePmf({2: 0.5, 2**53 + 1: 0.5}), FinitePmf({2: 0.5, 2**63: 0.5}),
+                                  Geometric(10**400), FinitePmf({2: 1.0}, infinity_mass=10**400),
+                                  FinitePmf({2: 10**400}), Thinned(DET2, 10**400),
+                                  Thinned(Deterministic(2**63), 0.5)])
 def test_validation_rejects_bad_parameters(spec):
     with pytest.raises(SpecValidationError):
         validate_spec(spec)

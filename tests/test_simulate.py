@@ -7,6 +7,7 @@ from rde_lab.analysis import make_two_cycle, solve_mu1
 from rde_lab.errors import ResourceError
 from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned
 from rde_lab.simulate import (
+    DEFAULT_BATCH,
     _pull_up,
     _sample_forest,
     conditional_solution,
@@ -252,6 +253,16 @@ def test_mc_moments_deterministic_reruns():
     a = mc_moments(FIN, mu1, 8, 500, seed=19)
     b = mc_moments(FIN, mu1, 8, 500, seed=19)
     assert a == b
+
+
+def test_batch_results_depend_only_on_seed_and_batch_index():
+    # batch i draws from derive(seed, i) alone, so a longer run extends a shorter one
+    mu1 = solve_mu1(Pgf(MIXED))
+    _, _, c_short, s_short = endogeny_diagnostic(MIXED, mu1, 4, DEFAULT_BATCH, seed=23)
+    _, _, c_long, s_long = endogeny_diagnostic(MIXED, mu1, 4, DEFAULT_BATCH + 100, seed=23)
+    assert c_long.size == DEFAULT_BATCH + 100
+    assert np.array_equal(c_long[:DEFAULT_BATCH], c_short)
+    assert np.array_equal(s_long[:DEFAULT_BATCH], s_short)
 
 
 def test_mc_mean_unbiased_for_stable_spec():

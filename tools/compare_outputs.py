@@ -5,9 +5,10 @@
 PARENT and CHANGE are roots of source checkouts.  For each seed, every run
 that ``perfbench/workloads.py`` makes for every workload goes through
 ``python -m rde_lab.cli`` once per tree, with that tree's ``src/`` on
-PYTHONPATH and RDE_LAB_THREADS=1, in a temporary directory.  The script
-prints each exit code or output file that differs (a file missing on one
-side counts) and exits 1 if any does, else 0.  The runs come from the
+PYTHONPATH, in a temporary directory.  The script prints each non-zero exit
+code and each output file that differs (a file missing on one side counts),
+and exits 1 if there is any, else 0: every benchmark config exits 0, so a
+run that fails on both trees fails the check too.  The runs come from the
 ``perfbench/`` of the checkout that holds this script, which is only read.
 """
 
@@ -30,7 +31,7 @@ def run_cli(tree: Path, run: Run, out: Path) -> int:
     """Exit code of one run against ``tree``; its outputs land in ``out``."""
     out.mkdir(parents=True)
     (out / "config.json").write_text(json.dumps(run.config))
-    env = dict(os.environ, RDE_LAB_THREADS="1", PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-m", "rde_lab.cli", "--config", str(out / "config.json"), "--out", str(out), run.command]
     return subprocess.run(argv, cwd=out, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
@@ -56,19 +57,20 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"{tree} has no src/rde_lab/cli.py")
     runs = [(w, s, i, run) for s in map(int, args.seeds.split(",")) for w in WORKLOADS
             for i, run in enumerate(make_runs(w, s))]
-    differing = 0
+    sides = ("parent", "change")
+    flagged = 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         for workload, seed, i, run in runs:
-            outs = [Path(tmp, side, workload, str(seed), str(i)) for side in ("parent", "change")]
+            outs = [Path(tmp, side, workload, str(seed), str(i)) for side in sides]
             codes = [run_cli(tree, run, out) for tree, out in zip(trees, outs)]
-            found = [f"exit code {codes[0]} != {codes[1]}"] if codes[0] != codes[1] else []
+            found = [f"exit code {code} on the {side} tree" for side, code in zip(sides, codes) if code]
             found += differences(*outs)
             where = f"{workload} seed {seed} {run.label} ({run.command})"
             for item in found:
                 print(f"{where}: {item}")
-            differing += bool(found)
-    print(f"{len(runs)} runs, {differing} with differences")
-    return 1 if differing else 0
+            flagged += bool(found)
+    print(f"{len(runs)} runs, {flagged} with differences or non-zero exits")
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
