@@ -56,7 +56,6 @@ from .distiter import (
     apply_T,
     basin_test,
     iterate_T,
-    kolmogorov_distance,
     mean_matched_uniform,
     moment_recursions,
     point_mass,

@@ -148,14 +148,15 @@ def solve_mu2(pgf: Pgf, mu1: float, mu_star: float, endogeny: Endogeny) -> float
 def moment_sequence(pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int) -> MomentSequence:
     """Moments m_0..m_K of an invariant law, from the roots in ``fp``.
 
-    Discrete: (1, mu1, mu1, ...).  Endogenous: (1, mu1, mu2, ...), then for
-    each n >= 3 solve H(m_n) - (-1)^n m_n = sum_{k<n} C(n,k) (-1)^k m_k for
-    the root left of mu_star, bracketing in [0, min(mu_star, m_{n-1})].  Raises
-    FeasibilityError naming the order at which no root exists.
+    Discrete: (1, mu1, mu1, ...), and so is Endogenous in the endogenous
+    class, where C = S is {0,1}-valued.  Otherwise Endogenous: (1, mu1, mu2,
+    ...), then for each n >= 3 solve H(m_n) - (-1)^n m_n = sum_{k<n} C(n,k)
+    (-1)^k m_k for the root left of mu_star, bracketing in [0, min(mu_star,
+    m_{n-1})].  Raises FeasibilityError naming the order at which no root exists.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if kind is MomentKind.DISCRETE:
+    if kind is MomentKind.DISCRETE or fp.endogeny is Endogeny.ENDOGENOUS:
         return MomentSequence(kind, (1.0,) + (fp.mu1,) * K)
     values = [1.0, fp.mu1, fp.mu2][:K + 1]
     for n in range(3, K + 1):

@@ -33,14 +33,14 @@ EXIT_RESOURCE = 3
 
 # name: (least, most, default) of every integer config field.  The lower
 # limits of K, grid and steps are the library's (below them it raises
-# ValueError); M also bounds initial.size; a seed has no default.
+# ValueError); size is iterate's initial.size; a seed has no default.
 INT_FIELDS = {
     "depth": (0, 64, 12),
     "reps": (100, 10_000_000, 10_000),
     "steps": (1, 100_000, 30),
     "K": (1, 64, 8),
     "grid": (100, 1_000_000, analysis.SCAN_GRID),
-    "M": (1, 10_000_000, distiter.DEFAULT_SAMPLE_SIZE),
+    "size": (1, 10_000_000, distiter.DEFAULT_SAMPLE_SIZE),
     "node_cap": (0, 100_000_000, simulate.DEFAULT_NODE_CAP),
     "seed": (0, math.inf, None),
 }
@@ -62,10 +62,9 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int(obj: dict, key: str, row: str | None = None, prefix: str = "") -> int:
-    """obj[key], or the default of its INT_FIELDS row (``row``, else ``key``),
-    checked against that row's range."""
-    least, most, default = INT_FIELDS[row or key]
+def _int(obj: dict, key: str, prefix: str = "") -> int:
+    """obj[key], or the default of its INT_FIELDS row, checked against that row's range."""
+    least, most, default = INT_FIELDS[key]
     v = obj.get(key, default)
     if not _is_int(v) or not least <= v <= most:
         raise ConfigError(f"config field '{prefix}{key}' must be an integer in [{least}, {most}], got {v!r}")
@@ -88,14 +87,15 @@ def _json_int(digits: str) -> int | float:
         return float(digits)
 
 
-def _load_config(path: str | None, seed: int | None, out: str | None, tol: float | None) -> dict:
+def _load_config(path: str | None, seed: int | None, out: str | None) -> dict:
     if path is None:
         raise ConfigError("--config PATH is required")
     try:
         config = json.loads(Path(path).read_text(), parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError from read_text
+    # a JSONDecodeError, a UnicodeDecodeError from read_text, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -103,15 +103,11 @@ def _load_config(path: str | None, seed: int | None, out: str | None, tol: float
         config["seed"] = seed
     if out is not None:
         config["out"] = out
-    if tol is not None:
-        config["tol"] = tol
     if "spec" not in config:
         raise ConfigError("config must contain a 'spec' object")
     for key in INT_FIELDS:
-        if key in config:
+        if key in config and key != "size":  # size is initial.size, checked where iterate reads it
             _int(config, key)
-    if "tol" in config and not 0 < _real(config, "tol") <= distiter.EMPIRICAL_BAND_FLOOR:
-        raise ConfigError(f"config field 'tol' must lie in (0, {distiter.EMPIRICAL_BAND_FLOOR}], got {config['tol']!r}")
     if not isinstance(config.get("out", ""), str):
         raise ConfigError("config field 'out' must be a string")
     if not isinstance(config.get("traces", False), bool):
@@ -143,17 +139,9 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -161,12 +149,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON run configuration.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.option("--tol", type=float, default=None, help="Override the config 'tol', iterate's basin band around mu1.")
 @click.pass_context
-def main(ctx, config_path, seed, out, tol):
+def main(ctx, config_path, seed, out):
     """Analyze and simulate the recursion X = 1 - prod(X_i) on random trees."""
     ctx.ensure_object(dict)
-    ctx.obj.update(config_path=config_path, seed=seed, out=out, tol=tol)
+    ctx.obj.update(config_path=config_path, seed=seed, out=out)
 
 
 def _run(ctx, command: str, filename: str, body) -> None:
@@ -174,7 +161,7 @@ def _run(ctx, command: str, filename: str, body) -> None:
     the spec echo and the fields that body(config, spec) returns."""
     o = ctx.obj
     try:
-        config = _load_config(o["config_path"], o["seed"], o["out"], o["tol"])
+        config = _load_config(o["config_path"], o["seed"], o["out"])
         spec = spec_from_json(config["spec"])
         payload = _envelope(config, command)
         payload.update(body(config, spec), spec=spec_to_json(spec))
@@ -257,7 +244,7 @@ def _initial_dist(config: dict) -> distiter.EmpiricalDist:
     init = config.get("initial")
     if not isinstance(init, dict) or "kind" not in init:
         raise ConfigError("iterate requires an 'initial' object with a 'kind'")
-    size = _int(init, "size", "M", "initial.") if "size" in init else _int(config, "M")
+    size = _int(init, "size", "initial.")
     kind = init["kind"]
     if kind == "points_csv":
         if not isinstance(init.get("path"), str):
@@ -291,14 +278,10 @@ def iterate(ctx):
 
     def body(config, spec):
         seed = _require_seed(config)
-        tol = float(config.get("tol", distiter.BASIN_TOL))
         nu0 = _initial_dist(config)
-        report = distiter.basin_test(nu0, spec, _int(config, "steps"), tol=tol, seed=seed)
-        rows = [
-            [rec.k, rec.m1, rec.m2, rec.r, rec.E, rec.kolmogorov_to_target]
-            for rec in report.records
-        ]
-        _write_csv(_out_dir(config) / "trajectory.csv", ["k", "m1", "m2", "r", "E", "kolmogorov"], rows)
+        report = distiter.basin_test(nu0, spec, _int(config, "steps"), seed=seed)
+        rows = [[rec.k, rec.m1, rec.m2] for rec in report.records]
+        _write_csv(_out_dir(config) / "trajectory.csv", ["k", "m1", "m2"], rows)
         return dict(
             verdict={"analytic": report.analytic, "empirical": report.empirical},
             mu1=report.mu1,

@@ -30,7 +30,6 @@ from .simulate import one_minus_prod
 from .streams import derive
 
 DEFAULT_SAMPLE_SIZE = 100_000
-KOLMOGOROV_GRID = 1001
 BASIN_TOL = 1e-6  # a start whose mean lies this close to mu1 counts as having mean mu1
 EMPIRICAL_BAND_FLOOR = 1e-3  # least half-width of the band that a converged trajectory ends in
 
@@ -104,17 +103,6 @@ class TrajectoryRecord:
     m2: float
     r: float | None = None
     E: float | None = None
-    kolmogorov_to_target: float | None = None
-
-
-def kolmogorov_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Sup distance of the two empirical CDFs over a fixed [0,1] grid."""
-    xs = np.linspace(0.0, 1.0, KOLMOGOROV_GRID)
-    a_sorted = np.sort(a)
-    b_sorted = np.sort(b)
-    fa = np.searchsorted(a_sorted, xs, side="right") / a_sorted.size
-    fb = np.searchsorted(b_sorted, xs, side="right") / b_sorted.size
-    return float(np.max(np.abs(fa - fb)))
 
 
 def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) -> EmpiricalDist:
@@ -134,20 +122,17 @@ def iterate_T(
     spec: OffspringSpec,
     steps: int,
     rng: np.random.Generator,
-    target: EmpiricalDist | None = None,
 ) -> list[TrajectoryRecord]:
     """Repeated application of the map, recording per-step moments.
 
-    The k=0 record describes the initial sample; Kolmogorov distances to
-    ``target`` are attached when a target sample is supplied.
+    The k=0 record describes the initial sample.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     records = []
     nu = nu0
     for k in range(steps + 1):
-        ks = kolmogorov_distance(nu.points, target.points) if target is not None else None
-        records.append(TrajectoryRecord(k=k, m1=nu.mean(), m2=nu.second_moment(), kolmogorov_to_target=ks))
+        records.append(TrajectoryRecord(k=k, m1=nu.mean(), m2=nu.second_moment()))
         if k < steps:
             nu = apply_T(nu, spec, rng)
     return records
@@ -192,18 +177,17 @@ def basin_test(
     nu0: EmpiricalDist,
     spec: OffspringSpec,
     steps: int,
-    tol: float = BASIN_TOL,
     seed: int = 0,
 ) -> BasinTestReport:
     """Analytic basin membership for the endogenous law, plus the observed
     empirical trajectory.
 
     Unstable case (H'(mu1) > 1): membership requires the exact mean mu1 and
-    a sample that is not concentrated on {0,1}; means within [tol, 10 tol]
-    of mu1 are flagged Boundary since a finite sample cannot witness an
-    exact mean.  Stable case: membership follows the basin of the mean map.
-    The empirical verdict is reported separately and never overrides the
-    analytic one.
+    a sample that is not concentrated on {0,1}; means within [BASIN_TOL,
+    10 BASIN_TOL] of mu1 are flagged Boundary since a finite sample cannot
+    witness an exact mean.  Stable case: membership follows the basin of the
+    mean map.  The empirical verdict is reported separately and never
+    overrides the analytic one.
     """
     pgf = Pgf(spec)
     fp = analysis.build_fixed_point_report(pgf)
@@ -212,9 +196,9 @@ def basin_test(
     if fp.endogeny is analysis.Endogeny.NON_ENDOGENOUS:
         if is_two_point_concentrated(nu0):
             verdict = "NotInBasin"
-        elif abs(mean0 - mu1) < tol:
+        elif abs(mean0 - mu1) < BASIN_TOL:
             verdict = "InBasin"
-        elif abs(mean0 - mu1) <= 10.0 * tol:
+        elif abs(mean0 - mu1) <= 10.0 * BASIN_TOL:
             verdict = "Boundary"
         else:
             verdict = "NotInBasin"
@@ -224,7 +208,7 @@ def basin_test(
             verdict = "InBasin"
         elif mean_basin.kind == "Neutral":
             # every off-mean point is 2-periodic, so the mean basin is {mu1}
-            verdict = "InBasin" if abs(mean0 - mu1) < tol else "NotInBasin"
+            verdict = "InBasin" if abs(mean0 - mu1) < BASIN_TOL else "NotInBasin"
         else:
             verdict = "NotInBasin"
 

@@ -2,7 +2,7 @@
 
 Every stochastic entry point takes a 64-bit seed; independent substreams
 are derived as SeedSequence([seed, index]) so that reruns with the same
-(seed, layout) are bit-identical and parallel workers never share state.
+(seed, layout) are bit-identical and no two batches share state.
 """
 
 from __future__ import annotations

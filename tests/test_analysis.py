@@ -23,7 +23,7 @@ from rde_lab.analysis import (
     solve_mu_star,
     stability_product,
 )
-from rde_lab.errors import FeasibilityError, SpecValidationError
+from rde_lab.errors import SpecValidationError
 from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, Thinned
 
 from oracles import completely_monotone_violation
@@ -144,14 +144,15 @@ def test_moment_sequence_residuals_and_inequalities():
 
 
 def test_moment_sequence_feasibility_error_names_order():
-    # heavy unit mass with far atoms drives the bracket shut at high order
+    # an endogenous spec (H'(mu1) = 0.703): C = S is {0,1}-valued, so every
+    # moment is mu1, up to the K = 64 cap
     spec = FinitePmf({1: 0.7020269881904789, 14: 0.015066173556674499,
                       15: 0.04785503551743686, 23: 0.2350518027354099})
     pgf = Pgf(spec)
     fp = build_fixed_point_report(pgf)
-    with pytest.raises(FeasibilityError) as err:
-        moment_sequence(pgf, fp, MomentKind.ENDOGENOUS, 20)
-    assert err.value.n >= 2
+    assert fp.endogeny is Endogeny.ENDOGENOUS
+    for K in (20, 64):
+        assert moment_sequence(pgf, fp, MomentKind.ENDOGENOUS, K).values == (1.0,) + (fp.mu1,) * K
 
 
 def test_moment_sequence_requires_convexity():

@@ -145,10 +145,21 @@ def test_iterate_oscillating_start(tmp_path):
     payload = json.loads((out / "verdict.json").read_text())
     assert payload["verdict"]["analytic"] == "NotInBasin"
     lines = (out / "trajectory.csv").read_text().splitlines()
-    assert lines[0] == "k,m1,m2,r,E,kolmogorov"
+    assert lines[0] == "k,m1,m2"
     assert len(lines) == cfg["steps"] + 2
+    assert all(len(line.split(",")) == 3 for line in lines)
     last_m1 = float(lines[-1].split(",")[1])
     assert min(last_m1, 1.0 - last_m1) < 0.05
+
+
+def test_iterate_sample_size_is_initial_size_only(tmp_path):
+    # the sample size is initial.size; a top-level M or size is ignored like any key no command reads
+    cfg = {"spec": {"kind": "deterministic", "d": 2}, "seed": 5, "steps": 1, "M": 500, "size": 0,
+           "initial": {"kind": "point_mass", "value": 0.5}}
+    result, out = run_cli(tmp_path, cfg, "iterate")
+    assert result.exit_code == 0
+    payload = json.loads((out / "verdict.json").read_text())
+    assert payload["initial"]["size"] == 100_000
 
 
 def test_iterate_from_points_csv(tmp_path):
@@ -241,7 +252,7 @@ def test_exit_code_on_zero_reps(tmp_path):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("field", ["depth", "seed", "tol"])
+@pytest.mark.parametrize("field", ["depth", "seed"])
 def test_exit_code_on_boolean_config_field(tmp_path, field):
     # JSON true is a Python bool, which isinstance(..., int) would accept as 1
     cfg = {"spec": {"kind": "deterministic", "d": 2}, "reps": 200, "depth": 4, "seed": 1}
@@ -291,10 +302,10 @@ PAST_DIGIT_LIMIT = "integer of 4400 digits"
         ("analyze", {"spec": {"kind": "finite", "pmf": {"2": True}}}, "pmf"),
         ("analyze", {"spec": {"kind": "finite", "pmf": {"2": 0.5, "3": math.nan}, "infinity_mass": 0.5}}, "pmf"),
         ("analyze", {"spec": {"kind": "finite", "pmf": {"2": 1.0}, "infinity_mass": math.nan}}, "infinity_mass"),
-        ("iterate", _iterate_cfg(POINT_MASS, tol=math.inf), "tol"),
-        ("iterate", _iterate_cfg(POINT_MASS, tol=1.0), "tol"),
+        ("iterate", _iterate_cfg(dict(POINT_MASS, size=0)), "initial.size"),
+        ("iterate", _iterate_cfg(dict(POINT_MASS, size=10_000_001)), "initial.size"),
         # numbers too large for a float, and family sizes past 2**53
-        ("iterate", _iterate_cfg(POINT_MASS, tol=10**400), "tol"),
+        ("iterate", _iterate_cfg(dict(POINT_MASS, size=10**400)), "initial.size"),
         ("iterate", _iterate_cfg(dict(POINT_MASS, value=10**400)), "initial.value"),
         ("analyze", {"spec": {"kind": "geometric", "alpha": 10**400}}, "alpha"),
         ("analyze", {"spec": {"kind": "finite", "pmf": {"2": 1.0}, "infinity_mass": 10**400}}, "infinity_mass"),
@@ -307,7 +318,7 @@ PAST_DIGIT_LIMIT = "integer of 4400 digits"
         ("simulate", dict(DET2_CFG, spec={"kind": "finite", "pmf": {"2": 0.5, str(2**63 - 1): 0.5}}), "pmf"),
         ("simulate", dict(DET2_CFG, depth=PAST_DIGIT_LIMIT), "depth"),
         ("simulate", dict(DET2_CFG, seed=PAST_DIGIT_LIMIT), "seed"),
-        ("iterate", _iterate_cfg(POINT_MASS, tol=PAST_DIGIT_LIMIT), "tol"),
+        ("iterate", _iterate_cfg(dict(POINT_MASS, size=PAST_DIGIT_LIMIT)), "initial.size"),
         ("analyze", {"spec": {"kind": "deterministic", "d": PAST_DIGIT_LIMIT}}, "d"),
         ("analyze", {"spec": {"kind": "geometric", "alpha": PAST_DIGIT_LIMIT}}, "alpha"),
         ("analyze", {"spec": {"kind": "finite", "pmf": {"2": PAST_DIGIT_LIMIT}}}, "pmf"),
@@ -323,6 +334,15 @@ def test_malformed_config_exits_2_naming_field(tmp_path, monkeypatch, command, c
     assert result.exit_code == 2
     assert f"'{field}'" in result.output
     assert not Path("out").exists()
+
+
+def test_config_nested_too_deep_exits_2(tmp_path):
+    # json.loads raises RecursionError on nesting this deep
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"spec": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    result = CliRunner().invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"), "analyze"])
+    assert result.exit_code == 2
+    assert "config is not valid JSON" in result.output
 
 
 @pytest.mark.parametrize("spec", [{"kind": "deterministic", "d": 2**53},
