@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecValidationError
+from .errors import ResourceError, SpecValidationError
 from .pgf import OffspringSpec, Pgf, sample_family_sizes, validate_spec
 from . import analysis
 from .simulate import one_minus_prod
@@ -32,6 +32,7 @@ from .streams import derive
 DEFAULT_SAMPLE_SIZE = 100_000
 BASIN_TOL = 1e-6  # a start whose mean lies this close to mu1 counts as having mean mu1
 EMPIRICAL_BAND_FLOOR = 1e-3  # least half-width of the band that a converged trajectory ends in
+MAX_CHILD_DRAWS = 2**27  # per step of the map: about 2 GiB of indices and values
 
 # a sample counts as the two-point law only if essentially no interior mass
 DELTA_INTERIOR_EPS = 1e-9
@@ -109,11 +110,18 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     """Push the sample through one application of the map.
 
     Each of the nu.size output points is 1 - prod of N resampled input
-    points; an infinite family yields the point 1 exactly.
+    points; an infinite family yields the point 1 exactly.  Raises
+    ResourceError when the step needs more than MAX_CHILD_DRAWS children.
     """
     validate_spec(spec)
     sizes = sample_family_sizes(spec, nu.size, rng)
-    draws = nu.points[rng.integers(0, nu.size, int(sizes.sum()))]
+    # a float sum cannot wrap as an int64 one can; it is exact below 2**53
+    children = float(sizes.sum(dtype=float))
+    if children > MAX_CHILD_DRAWS:
+        raise ResourceError(
+            f"one step of the map needs {children:.0f} child draws, more than the limit {MAX_CHILD_DRAWS}"
+        )
+    draws = nu.points[rng.integers(0, nu.size, int(children))]
     return EmpiricalDist(one_minus_prod(draws, sizes))
 
 

@@ -324,18 +324,16 @@ class Pgf:
 
     def deriv(self, s):
         """H'(s); raises DomainError at a square-root-type singularity."""
-        out = _deriv_array(self.spec, _unit_interval(s, "derivative"))
+        out = self.deriv_or_inf(s)
         if np.any(np.isinf(out)):
             raise DomainError(f"derivative at s={s} sits at a square-root-type singularity")
-        return float(out) if np.ndim(s) == 0 else out
+        return out
 
-    def deriv_or_inf(self, s) -> float:
-        """H'(s) with singularities reported as +inf instead of an exception."""
-        try:
-            v = self.deriv(s)
-        except DomainError:
-            return INFINITY
-        return v
+    def deriv_or_inf(self, s):
+        """H'(s), +inf at a square-root-type singularity; DomainError for
+        complex s or s outside [0,1], as for deriv."""
+        out = _deriv_array(self.spec, _unit_interval(s, "derivative"))
+        return float(out) if np.ndim(s) == 0 else out
 
     def defect(self) -> float:
         """P(N = infinity) = 1 - H(1)."""

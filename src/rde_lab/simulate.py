@@ -12,14 +12,13 @@ sampled trees of a fixed depth n:
 Nodes with an infinite family are pinned to value 1 (an infinite product
 of iid values with mean < 1 vanishes a.s.) and have no materialised
 children.  The Monte Carlo estimators never build the depth-n boundary:
-a depth-(n-1) node with finite family k has C = 1 - mu1^k, and its S is
-Bernoulli(1 - mu1^k), as 1 - prod B_i over k iid Bernoulli(mu1) values
-is 0 only when all are 1.  One pass over a forest yields C, S and an
-independent resampling S' at every root.  Replicates are batched into
-forests so the per-level product recursion runs as a handful of
-vectorised passes; the batches run one after another, so a run holds one
-batch's forest at a time, and each owns an RNG stream derived from (seed,
-batch index), which keeps reruns bit-identical.
+a depth-(n-1) node with finite family k has C = 1 - mu1^k.  Given the
+tree, the root's S is Bernoulli(C_root), so S and an independent
+resampling S' are drawn at the root from one pull-up of C.  Replicates are
+batched into forests so the per-level product recursion runs as a handful
+of vectorised passes; the batches run one after another, so a run holds
+one batch's forest at a time, and each owns an RNG stream derived from
+(seed, batch index), which keeps reruns bit-identical.
 """
 
 from __future__ import annotations
@@ -99,33 +98,27 @@ def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
     ``sizes[i]`` is the number of children parent i stores; the children
     of the parents are laid out back to back in ``values``.  An infinite
-    family (INF_SENTINEL, 0) stores none and gives 1.  Float values use
-    (multiply, 1 - x); bool values use (logical_and, not), which is the
-    same map on {0,1}.
+    family (INF_SENTINEL, 0) stores none and gives 1.
     """
-    if values.dtype == bool:
-        reduce, complement = np.logical_and, np.logical_not
-    else:
-        reduce, complement = np.multiply, lambda x: 1.0 - x
     n = sizes.shape[0]
     if n > 0 and sizes.min() == sizes.max() and sizes[0] != INF_SENTINEL:  # values[0::0] raises
         w = int(sizes[0])
         acc = values[0::w]
         for j in range(1, w):
-            acc = reduce(acc, values[j::w])
-        return complement(acc)
+            acc = acc * values[j::w]
+        return 1.0 - acc
     finite = sizes != INF_SENTINEL
-    out = np.ones(n, dtype=values.dtype)
+    out = np.ones(n)
     if finite.any():
         starts = np.zeros(n, dtype=np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
-        out[finite] = complement(reduce.reduceat(values, starts[finite]))
+        out[finite] = 1.0 - np.multiply.reduceat(values, starts[finite])
     return out
 
 
 def _pull_up(fams: list[np.ndarray], boundary: np.ndarray) -> np.ndarray:
     """Root values of value(u) = 1 - prod(children), applied upward from
-    boundary values.  Bool boundaries give bool values throughout."""
+    boundary values."""
     v = boundary
     for sizes in reversed(fams):
         v = one_minus_prod(v, sizes)
@@ -262,13 +255,13 @@ def _batch_roots(
         # out as a pull-up does; an infinite family (INF_SENTINEL) gives 1
         table = 1.0 - np.cumprod(np.r_[1.0, np.full(int(forest.fams[-1].max(initial=0)), b)])
         table[INF_SENTINEL] = 1.0
-        c = table[forest.fams[-1]]
+        c = _pull_up(forest.fams[:-1], table[forest.fams[-1]])
     else:
         c = np.full(size, b)
-    above = forest.fams[:-1]
-    s = _pull_up(above, rng.random(c.size) < c).astype(float)
-    s2 = _pull_up(above, rng.random(c.size) < c).astype(float)
-    return _pull_up(above, c), s, s2
+    # given the tree, S and S' at the root are independent Bernoulli(C) draws
+    s = (rng.random(size) < c).astype(float)
+    s2 = (rng.random(size) < c).astype(float)
+    return c, s, s2
 
 
 def _forest_pass(
@@ -282,8 +275,8 @@ def _forest_pass(
     """Root values of C, S and S' on one forest with boundary constant b.
 
     The batches run in order, batch i on stream derive(seed, i).  Family
-    sizes are drawn first, then one uniform per depth-(n-1) node (per root
-    at depth 0) for S and another for S'.
+    sizes are drawn first, then one uniform per root for S and another
+    per root for S'.
     """
     validate_spec(spec)
     batches = [
@@ -322,10 +315,10 @@ def endogeny_diagnostic(
 ) -> tuple[McMoments, EndogenyDiagnostic, np.ndarray, np.ndarray]:
     """Moments of C, E[C(1-C)] and P(S != S') from one forest.
 
-    S and S' are two independent boundary resamplings on the same tree, so
-    P(S != S' | tree) = 2 C (1 - C); both statistics vanish exactly when
-    the discrete solution is endogenous.  Returns the moments, the
-    diagnostic, and the root values of C and S per replicate.
+    S and S' are two independent Bernoulli(C) draws at the root of the
+    same tree, so P(S != S' | tree) = 2 C (1 - C); both statistics vanish
+    exactly when the discrete solution is endogenous.  Returns the moments,
+    the diagnostic, and the root values of C and S per replicate.
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")

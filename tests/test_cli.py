@@ -133,6 +133,32 @@ def test_simulate_report_embeds_analytic_values(tmp_path):
         assert line == f"{r},{c!r},{s!r},{cfg['depth']}"
 
 
+FINITE_INF = {"kind": "finite", "pmf": {"1": 0.3, "2": 0.4, "3": 0.2}, "infinity_mass": 0.1}
+THINNED_03 = {"kind": "thinned", "p": 0.3, "base": {"kind": "deterministic", "d": 2}}
+
+
+@pytest.mark.parametrize(
+    "spec, depth, m2",
+    [(FINITE_INF, 10, 0.52275), (THINNED_03, 5, 0.51538)],
+    ids=["finite-inf-depth10", "thinned-p0.3-depth5"],
+)
+def test_simulate_flags_test_the_exact_finite_depth_values(tmp_path, spec, depth, m2):
+    # the depth-n second moment sits well below its n = infinity limit mu2,
+    # so flags tested against mu2 read false on these configs
+    for seed in range(1, 6):
+        cfg = {"spec": spec, "depth": depth, "reps": 10_000, "seed": seed}
+        result, out = run_cli(tmp_path, cfg, "simulate", name=f"seed{seed}.json")
+        assert result.exit_code == 0
+        payload = json.loads((out / "simulate.json").read_text())
+        exact = payload["finite_depth"]
+        mu1 = payload["analytic"]["mu1"]
+        assert exact["m2"] == pytest.approx(m2, abs=1e-5)
+        assert exact["e_c_one_minus_c"] == mu1 - exact["m2"]
+        assert exact["p_disagree"] == 2.0 * exact["e_c_one_minus_c"]
+        assert payload["analytic"]["mu2"] - exact["m2"] > 0.01
+        assert all(payload["flags"].values()), (seed, payload["flags"])
+
+
 def test_iterate_oscillating_start(tmp_path):
     cfg = {
         "spec": {"kind": "deterministic", "d": 2},
@@ -351,6 +377,16 @@ def test_config_nested_too_deep_exits_2(tmp_path):
 def test_family_size_2_53_is_inside_the_caps(tmp_path, spec, command, code):
     result, _ = run_cli(tmp_path, dict(DET2_CFG, spec=spec), command)
     assert result.exit_code == code
+
+
+@pytest.mark.parametrize("size, children", [(100, 100 * 2**53), (10_000_000, 10_000_000 * 2**53)])
+def test_iterate_exits_3_past_the_child_draw_bound(tmp_path, size, children):
+    # at size 1e7 the children overflow an int64 sum
+    cfg = {"spec": {"kind": "deterministic", "d": 2**53}, "seed": 1, "steps": 1,
+           "initial": {"kind": "point_mass", "value": 0.5, "size": size}}
+    result, _ = run_cli(tmp_path, cfg, "iterate")
+    assert result.exit_code == 3
+    assert f"needs {children} child draws" in result.output
 
 
 def test_exit_code_on_resource_limit(tmp_path):

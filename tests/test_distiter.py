@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rde_lab.distiter as distiter
 from rde_lab.analysis import build_fixed_point_report, solve_mu1
 from rde_lab.distiter import (
     EmpiricalDist,
@@ -15,7 +16,7 @@ from rde_lab.distiter import (
     moment_recursions,
     point_mass,
 )
-from rde_lab.errors import SpecValidationError
+from rde_lab.errors import ResourceError, SpecValidationError
 from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, sample_family_sizes
 from rde_lab.streams import derive
 
@@ -44,6 +45,13 @@ def test_apply_infinite_families_pin_to_one():
     out = apply_T(point_mass(0.5, 40_000), FIN, derive(2, 0))
     frac_one = float((out.points == 1.0).mean())
     assert abs(frac_one - 0.5) < 3.0 * math.sqrt(0.25 / out.size)
+
+
+def test_apply_bounds_the_child_draws(monkeypatch):
+    monkeypatch.setattr(distiter, "MAX_CHILD_DRAWS", 1000)
+    assert apply_T(point_mass(0.5, 500), DET2, derive(2, 0)).size == 500
+    with pytest.raises(ResourceError, match="needs 1500 child draws"):
+        apply_T(point_mass(0.5, 500), Deterministic(3), derive(2, 0))
 
 
 def test_mean_transport_law():

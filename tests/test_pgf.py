@@ -205,6 +205,18 @@ def test_deriv_singularity_raises_domain_error():
         Pgf(TH05).deriv(1.0 - 1e-13)
 
 
+def test_deriv_or_inf_gives_inf_only_at_the_singularity():
+    assert Pgf(TH05).deriv_or_inf(1.0) == INFINITY
+    assert Pgf(DET2).deriv_or_inf(0.5) == 1.0
+
+
+@pytest.mark.parametrize("s", [1.5, -3.0, 0.5 + 0j], ids=["above-one", "negative", "complex"])
+@pytest.mark.parametrize("method", ["deriv", "deriv_or_inf"])
+def test_deriv_rejects_s_outside_the_unit_interval(method, s):
+    with pytest.raises(DomainError):
+        getattr(Pgf(DET2), method)(s)
+
+
 def test_eval_rejects_complex_argument():
     with pytest.raises(DomainError):
         Pgf(TH05).eval(np.array([0.5j]))

@@ -138,21 +138,12 @@ def test_discrete_mean_invariance_binary_depth8():
     mu1 = solve_mu1(Pgf(DET2))
     rng = derive(12, 0)
     forest = _sample_forest(DET2, 8, 100_000, rng)
-    roots = _pull_up(forest.fams, rng.random(int(forest.rep_counts[-1].sum())) < mu1)
+    boundary = (rng.random(int(forest.rep_counts[-1].sum())) < mu1).astype(float)
+    roots = _pull_up(forest.fams, boundary)
+    assert set(roots.tolist()) <= {0.0, 1.0}
     emp = float(roots.mean())
     se = math.sqrt(mu1 * (1.0 - mu1) / roots.size)
     assert abs(emp - mu1) < 3.0 * se
-
-
-def test_bool_and_float_pull_up_agree():
-    rng = derive(13, 0)
-    forest = _sample_forest(MIXED, 4, 500, rng)
-    boundary = rng.random(int(forest.rep_counts[-1].sum())) < 0.6
-    a = _pull_up(forest.fams, boundary)
-    b = _pull_up(forest.fams, boundary.astype(float))
-    assert a.dtype == bool
-    a = a.astype(float)
-    assert np.array_equal(a, b)
 
 
 def _one_minus_prod_loop(values, sizes):
@@ -182,17 +173,15 @@ def _one_minus_prod_loop(values, sizes):
         [INF_SENTINEL, INF_SENTINEL],
         [],
     ],
-    ids=["w1", "w2", "w3", "w5", "ragged", "ragged-inf-ends", "all-inf", "empty"],
+    ids=["float-w1", "float-w2", "float-w3", "float-w5", "float-ragged", "float-ragged-inf-ends",
+         "float-all-inf", "float-empty"],
 )
-@pytest.mark.parametrize("dtype", [float, bool])
-def test_one_minus_prod_matches_loop(sizes, dtype):
+def test_one_minus_prod_matches_loop(sizes):
     sizes = np.array(sizes, dtype=np.int64)
-    rng = derive(16, 0)
-    raw = rng.random(int(sizes[sizes > 0].sum()))
-    values = raw < 0.6 if dtype is bool else raw
+    values = derive(16, 0).random(int(sizes[sizes > 0].sum()))
     got = one_minus_prod(values, sizes)
-    assert got.dtype == values.dtype and got.shape == sizes.shape
-    assert got.astype(float).tolist() == _one_minus_prod_loop(values, sizes.tolist())
+    assert got.dtype == float and got.shape == sizes.shape
+    assert got.tolist() == _one_minus_prod_loop(values, sizes.tolist())
 
 
 def test_forest_matches_single_tree_recursion():
@@ -327,6 +316,20 @@ def test_forest_pass_matches_single_tree_recursion(depth):
         want = conditional_solution(extract_tree(forest, r), mu1).values[()]
         assert abs(c_roots[r] - want) <= 1e-15
     assert set(s_roots.tolist()) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_root_draws_follow_the_forest_on_the_batch_stream(depth):
+    # one batch: after its family sizes, the stream gives reps uniforms for
+    # S and then reps for S', each compared with the root's C
+    mu1 = solve_mu1(Pgf(MIXED))
+    reps, seed = 300, 30
+    _, diag, c_roots, s_roots = endogeny_diagnostic(MIXED, mu1, depth, reps, seed)
+    rng = derive(seed, 0)
+    _sample_forest(MIXED, depth, reps, rng)
+    u1, u2 = rng.random(reps), rng.random(reps)
+    assert np.array_equal(s_roots, (u1 < c_roots).astype(float))
+    assert diag.p_disagree == float(((u1 < c_roots) != (u2 < c_roots)).mean())
 
 
 def test_diagnostic_matches_exact_finite_depth_recursion():
