@@ -55,8 +55,9 @@ from .distiter import (
     TrajectoryRecord,
     apply_T,
     basin_test,
+    finite_depth_moments,
     iterate_T,
     mean_matched_uniform,
-    moment_recursions,
+    moment_map,
     point_mass,
 )

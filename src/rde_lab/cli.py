@@ -227,18 +227,17 @@ def simulate_cmd(ctx):
             pairs = enumerate(zip(c_roots.tolist(), s_roots.tolist()))
             rows = [f"{r},{c!r},{s!r},{depth}" for r, (c, s) in pairs]
             (_out_dir(config) / "traces.csv").write_text("\n".join(["rep,root_C,root_S,depth", *rows]) + "\n")
-        # the exact law at the simulated depth: the boundary constant mu1 is
-        # E[C_0], and E[C_0^2] = mu1^2 starts the second-moment recursion
-        m2 = distiter.moment_recursions(pgf, mu1, mu1 * mu1, mu1 * mu1, mu1, depth, mu2)[-1].m2
+        # the exact second moment of C at the simulated depth
+        m2 = float(distiter.finite_depth_moments(pgf, mu1, depth, 2)[2])
         gap = mu1 - m2
         return dict(
             analytic={"mu1": mu1, "mu2": mu2, "mu1_minus_mu2": mu1 - mu2},
             finite_depth={"m2": m2, "e_c_one_minus_c": gap, "p_disagree": 2.0 * gap},
-            mc_moments=mc.to_json(),
+            mc_moments=asdict(mc),
             endogeny_diagnostic=asdict(diag),
             flags={
-                "mean_within_3se": bool(abs(mc.mean_c - mu1) <= 3.0 * mc.se_mean + 1e-9),
-                "m2_within_3se": bool(abs(mc.m2_c - m2) <= 3.0 * mc.se_m2 + 1e-9),
+                "mean_within_3se": bool(abs(mc.mean_C - mu1) <= 3.0 * mc.se_mean + 1e-9),
+                "m2_within_3se": bool(abs(mc.m2_C - m2) <= 3.0 * mc.se_m2 + 1e-9),
                 "diagnostic_within_3se": bool(abs(diag.e_c_one_minus_c - gap) <= 3.0 * diag.se_e + 1e-9),
             },
         )

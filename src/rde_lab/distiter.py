@@ -1,25 +1,25 @@
 """Iteration of the distributional map on empirical samples.
 
-One application of the map sends a law nu on [0,1] to the law of
+One application of the map T sends a law nu on [0,1] to the law of
 1 - prod_{i=1}^N x_i with the x_i iid from nu and N an independent family
 size.  Distributions are carried as equally-weighted samples because the
 map has no closed-form density action; pushing a sample through the map is
 the faithful finite-M approximation.
 
-Moment bookkeeping runs alongside: with m1/m2 the first two moments and r
-the cross moment against the conditional solution C, one application gives
+The moments m_j = E[x^j] of nu map exactly: E[(prod x_i)^j] = H(m_j) for
+j >= 1 (an infinite family gives the product 0), so T nu has moments
 
-    m1' = 1 - H(m1)
-    m2' = 1 - 2 H(m1) + H(m2)
-    r'  = 1 - H(mu1) - H(m1) + H(r)
+    m_k' = sum_{j=0}^k C(k,j) (-1)^j H(m_j),   the j = 0 term being 1.
 
-and E = m2 - 2 r + mu2 tracks the L2 distance to C.  These recursions are
-exact, so they double as an oracle for the empirical trajectories.
+The conditional solution at depth n has law T^n delta_mu1, so iterating
+this map from m_k = mu1^k gives its exact moments; they double as an
+oracle for the empirical trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -102,8 +102,6 @@ class TrajectoryRecord:
     k: int
     m1: float
     m2: float
-    r: float | None = None
-    E: float | None = None
 
 
 def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) -> EmpiricalDist:
@@ -146,30 +144,31 @@ def iterate_T(
     return records
 
 
-def moment_recursions(
-    pgf: Pgf,
-    m1_0: float,
-    m2_0: float,
-    r_0: float,
-    mu1: float,
-    steps: int,
-    mu2: float,
-) -> list[TrajectoryRecord]:
-    """Exact deterministic trajectory of (m1, m2, r) with E = m2 - 2r + mu2."""
-    for name, v in (("m1_0", m1_0), ("m2_0", m2_0), ("r_0", r_0)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0,1]")
-    if m2_0 > m1_0 + 1e-12:
-        raise ValueError("m2_0 must not exceed m1_0")
-    h_mu1 = pgf.eval(mu1)
-    m1, m2, r = m1_0, m2_0, r_0
-    records = [TrajectoryRecord(k=0, m1=m1, m2=m2, r=r, E=m2 - 2.0 * r + mu2)]
-    for k in range(1, steps + 1):
-        m2 = 1.0 - 2.0 * pgf.eval(m1) + pgf.eval(m2)
-        r = 1.0 - h_mu1 - pgf.eval(m1) + pgf.eval(r)
-        m1 = 1.0 - pgf.eval(m1)
-        records.append(TrajectoryRecord(k=k, m1=m1, m2=m2, r=r, E=m2 - 2.0 * r + mu2))
-    return records
+def moment_map(pgf: Pgf, m) -> np.ndarray:
+    """Moments m_0..m_K of T nu from the moments m_0..m_K of nu.
+
+    One vector evaluation of H on m_1..m_K and one signed-binomial product;
+    a moment outside [0,1] raises DomainError through Pgf.eval.
+    """
+    m = np.asarray(m, dtype=float)
+    k = range(m.size)
+    signed_binomial = np.array([[comb(i, j) * (-1) ** j for j in k] for i in k], dtype=float)
+    return signed_binomial @ np.concatenate(([1.0], pgf.eval(m[1:])))
+
+
+def finite_depth_moments(pgf: Pgf, mu1: float, depth: int, K: int) -> np.ndarray:
+    """E[C_n^k] for k = 0..K, n = depth: the moments of T^n delta_mu1.
+
+    E[C_n] = mu1 exactly, so m_1 is reset to mu1 after each step; left
+    free, its rounding would grow by H'(mu1) per step.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    m = mu1 ** np.arange(K + 1.0)
+    for _ in range(depth):
+        m = moment_map(pgf, m)
+        m[1] = mu1
+    return m
 
 
 @dataclass(frozen=True)

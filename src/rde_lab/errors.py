@@ -27,4 +27,6 @@ class FeasibilityError(RdeLabError):
 
 
 class ResourceError(RdeLabError):
-    """A sampled tree exceeded the configured node cap."""
+    """A sampled tree exceeded the configured node cap, or one step of
+    ``distiter.apply_T`` needs more than ``distiter.MAX_CHILD_DRAWS`` child
+    draws."""

@@ -210,22 +210,12 @@ def discrete_solution(tree: SampledTree, mu1: float, rng: np.random.Generator) -
 
 @dataclass(frozen=True)
 class McMoments:
-    mean_c: float
-    m2_c: float
+    mean_C: float
+    m2_C: float
     se_mean: float
     se_m2: float
     depth: int
     reps: int
-
-    def to_json(self) -> dict:
-        return {
-            "mean_C": self.mean_c,
-            "m2_C": self.m2_c,
-            "se_mean": self.se_mean,
-            "se_m2": self.se_m2,
-            "depth": self.depth,
-            "reps": self.reps,
-        }
 
 
 @dataclass(frozen=True)
@@ -287,9 +277,9 @@ def _forest_pass(
 
 
 def _moments(c_roots: np.ndarray, depth: int) -> McMoments:
-    mean_c, se_mean = _mean_se(c_roots)
-    m2_c, se_m2 = _mean_se(c_roots ** 2)
-    return McMoments(mean_c=mean_c, m2_c=m2_c, se_mean=se_mean, se_m2=se_m2, depth=depth, reps=c_roots.size)
+    mean_C, se_mean = _mean_se(c_roots)
+    m2_C, se_m2 = _mean_se(c_roots ** 2)
+    return McMoments(mean_C=mean_C, m2_C=m2_C, se_mean=se_mean, se_m2=se_m2, depth=depth, reps=c_roots.size)
 
 
 def mc_moments(

@@ -1,23 +1,26 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import rde_lab.distiter as distiter
-from rde_lab.analysis import build_fixed_point_report, solve_mu1
+from rde_lab.analysis import MomentKind, build_fixed_point_report, moment_sequence, solve_mu1
 from rde_lab.distiter import (
     EmpiricalDist,
     apply_T,
     basin_test,
     bernoulli_two_point,
+    finite_depth_moments,
     is_two_point_concentrated,
     iterate_T,
     mean_matched_uniform,
-    moment_recursions,
+    moment_map,
     point_mass,
 )
-from rde_lab.errors import ResourceError, SpecValidationError
-from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, sample_family_sizes
+from rde_lab.errors import DomainError, ResourceError, SpecValidationError
+from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned, sample_family_sizes
+from rde_lab.simulate import SampledTree, conditional_solution
 from rde_lab.streams import derive
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -120,16 +123,21 @@ def test_initial_constructors():
 
 # ---------------------------------------------------------- moment recursion
 
+def _moment_orbit(pgf, m0, steps):
+    """The exact moments (m_0, m_1, m_2) after 0..steps applications of the map."""
+    orbit = [np.array(m0, dtype=float)]
+    for _ in range(steps):
+        orbit.append(moment_map(pgf, orbit[-1]))
+    return orbit
+
+
 def test_moment_recursion_fixed_point_is_constant():
     pgf = Pgf(DET2)
     mu1 = solve_mu1(pgf)
     mu2 = build_fixed_point_report(pgf).mu2
-    recs = moment_recursions(pgf, mu1, mu2, mu2, mu1, 25, mu2=mu2)
-    for rec in recs:
-        assert rec.m1 == pytest.approx(mu1, abs=1e-12)
-        assert rec.m2 == pytest.approx(mu2, abs=1e-12)
-        assert rec.r == pytest.approx(mu2, abs=1e-12)
-        assert rec.E == pytest.approx(0.0, abs=1e-12)
+    for _, m1, m2 in _moment_orbit(pgf, (1.0, mu1, mu2), 25):
+        assert m1 == pytest.approx(mu1, abs=1e-12)
+        assert m2 == pytest.approx(mu2, abs=1e-12)
 
 
 def test_moment_recursion_m2_fixed_points_are_mu1_and_mu2():
@@ -145,41 +153,89 @@ def test_moment_recursion_converges_to_endogenous_second_moment():
     pgf = Pgf(DET2)
     mu1 = solve_mu1(pgf)
     mu2 = build_fixed_point_report(pgf).mu2
-    recs = moment_recursions(pgf, mu1, 0.45, 0.45, mu1, 100, mu2=mu2)
-    assert recs[-1].m2 == pytest.approx(mu2, abs=1e-9)
-    assert recs[-1].E == pytest.approx(0.0, abs=1e-8)
+    assert _moment_orbit(pgf, (1.0, mu1, 0.45), 100)[-1][2] == pytest.approx(mu2, abs=1e-9)
 
 
 def test_moment_recursion_oscillates_from_wrong_mean():
     pgf = Pgf(DET2)
-    mu1 = solve_mu1(pgf)
-    recs = moment_recursions(pgf, 0.5, 0.25, 0.25, mu1, 40, mu2=build_fixed_point_report(pgf).mu2)
-    tail = [rec.m1 for rec in recs[-6:]]
+    tail = [m[1] for m in _moment_orbit(pgf, (1.0, 0.5, 0.25), 40)[-6:]]
     assert all(min(v, 1.0 - v) < 0.01 for v in tail)
     assert any(v < 0.5 for v in tail) and any(v > 0.5 for v in tail)
 
 
-def test_moment_recursion_discrepancy_stays_nonnegative():
-    # E_k is a mean square whenever the seed triple is realizable
-    pgf = Pgf(DET2)
+def test_moment_map_rejects_a_moment_above_one():
+    with pytest.raises(DomainError):
+        moment_map(Pgf(DET2), (1.0, 0.5, 1.2))
+
+
+@pytest.mark.parametrize("d", [20, 3])
+def test_finite_depth_second_moment_matches_pinned_recursion(d):
+    # m2_k = 2 mu1 - 1 + H(m2_{k-1}) from m2_0 = mu1^2; a free m1 would
+    # drift off the unstable mu1 by H'(mu1) per step and drag m2 with it
+    pgf = Pgf(Deterministic(d))
     mu1 = solve_mu1(pgf)
-    mu2 = build_fixed_point_report(pgf).mu2
-    for m1 in np.linspace(0.05, 0.95, 7):
-        for m2 in np.linspace(m1 * m1, m1, 5):
-            for r0 in (mu1 * m1, math.sqrt(m2 * mu2)):
-                recs = moment_recursions(pgf, float(m1), float(m2), float(min(r0, 1.0)), mu1, 40, mu2=mu2)
-                assert min(rec.E for rec in recs) > -1e-9
+    m2 = mu1 * mu1
+    for _ in range(64):
+        m2 = 2.0 * mu1 - 1.0 + pgf.eval(m2)
+    m = finite_depth_moments(pgf, mu1, 64, 2)
+    assert m[1] == mu1
+    assert abs(m[2] - m2) < 1e-12
 
 
-def test_moment_recursion_validates_seeds():
-    pgf = Pgf(DET2)
-    with pytest.raises(ValueError):
-        moment_recursions(pgf, 0.4, 0.6, 0.2, GOLDEN, 5, mu2=GOLDEN * GOLDEN)
+def _enumerate_trees(pmf, infinity_mass, depth):
+    """Every tree of the given depth with its probability, as (prob, fams):
+    fams is a family size per internal node, or None for the boundary and
+    INF_SENTINEL for an infinite family."""
+    if depth == 0:
+        return [(1.0, None)]
+    out = [(infinity_mass, INF_SENTINEL)]
+    subtrees = _enumerate_trees(pmf, infinity_mass, depth - 1)
+    for k, w in pmf.items():
+        for children in itertools.product(subtrees, repeat=k):
+            out.append((w * math.prod(p for p, _ in children), tuple(t for _, t in children)))
+    return out
+
+
+def _as_sampled_tree(tree, depth):
+    """The nested tree laid out level by level in BFS order."""
+    level_fams, level_counts, level = [], [1], [tree]
+    for _ in range(depth):
+        level_fams.append(np.array([0 if t == INF_SENTINEL else len(t) for t in level], dtype=np.int64))
+        level = [child for t in level if t != INF_SENTINEL for child in t]
+        level_counts.append(len(level))
+    return SampledTree(depth=depth, level_fams=level_fams, level_counts=level_counts)
+
+
+@pytest.mark.parametrize("depth, count", [(1, 3), (2, 13), (3, 183)])
+def test_finite_depth_moments_match_exact_tree_enumeration(depth, count):
+    pmf, infinity_mass = {1: 0.5, 2: 0.3}, 0.2
+    pgf = Pgf(FinitePmf(pmf, infinity_mass=infinity_mass))
+    mu1 = solve_mu1(pgf)
+    trees = _enumerate_trees(pmf, infinity_mass, depth)
+    assert len(trees) == count
+    assert math.fsum(p for p, _ in trees) == pytest.approx(1.0, abs=1e-14)
+    roots = [(p, conditional_solution(_as_sampled_tree(t, depth), mu1).values[()]) for p, t in trees]
+    exact = [math.fsum(p * c ** k for p, c in roots) for k in range(5)]
+    assert np.max(np.abs(finite_depth_moments(pgf, mu1, depth, 4) - exact)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "spec, depth",
+    [(Deterministic(2), 64), (Deterministic(3), 64), (Thinned(Deterministic(2), 0.3), 400)],
+    ids=["det2", "det3", "thinned-binary-p0.3"],
+)
+def test_finite_depth_moments_confirm_the_root_selection_rule(spec, depth):
+    # moment_sequence takes the root left of mu_star at each order; the
+    # finite-depth moments converge to the law of C with no such choice
+    pgf = Pgf(spec)
+    fp = build_fixed_point_report(pgf)
+    limit = moment_sequence(pgf, fp, MomentKind.ENDOGENOUS, 8).values
+    assert np.max(np.abs(finite_depth_moments(pgf, fp.mu1, depth, 8) - limit)) < 1e-13
 
 
 # -------------------------------------------------------------- iteration MC
 
-def test_iterate_records_and_kolmogorov():
+def test_iterate_records():
     nu0 = point_mass(0.3, 5_000)
     recs = iterate_T(nu0, FIN, 5, derive(5, 0))
     assert len(recs) == 6
@@ -192,11 +248,10 @@ def test_iterate_matches_analytic_recursion_stable_spec():
     mu1 = solve_mu1(pgf)
     nu0 = point_mass(0.2, 20_000)
     recs = iterate_T(nu0, FIN, 12, derive(6, 0))
-    analytic = moment_recursions(pgf, 0.2, 0.04, mu1 * 0.2, mu1, 12, mu2=build_fixed_point_report(pgf).mu2)
-    for emp, exact in zip(recs, analytic):
+    for emp, (_, m1, m2) in zip(recs, _moment_orbit(pgf, (1.0, 0.2, 0.04), 12)):
         se1 = max(emp.m1 * (1.0 - emp.m1), 1e-4) ** 0.5 / math.sqrt(20_000)
-        assert abs(emp.m1 - exact.m1) < 4.0 * se1 + 1e-6
-        assert abs(emp.m2 - exact.m2) < 4.0 * se1 + 1e-6
+        assert abs(emp.m1 - m1) < 4.0 * se1 + 1e-6
+        assert abs(emp.m2 - m2) < 4.0 * se1 + 1e-6
 
 
 def test_iterate_matches_analytic_recursion_neutral_spec():
@@ -204,12 +259,12 @@ def test_iterate_matches_analytic_recursion_neutral_spec():
     mu1 = solve_mu1(pgf)
     nu0 = point_mass(0.3, 50_000)
     recs = iterate_T(nu0, GEO, 6, derive(7, 0))
-    analytic = moment_recursions(pgf, 0.3, 0.09, mu1 * 0.3, mu1, 6, mu2=build_fixed_point_report(pgf).mu2)
+    analytic = _moment_orbit(pgf, (1.0, 0.3, 0.09), 6)
     for emp, exact in zip(recs, analytic):
-        assert abs(emp.m1 - exact.m1) < 0.02
+        assert abs(emp.m1 - exact[1]) < 0.02
     # neutral family: the exact mean trajectory is 2-periodic
-    assert analytic[2].m1 == pytest.approx(0.3, abs=1e-12)
-    assert analytic[4].m1 == pytest.approx(0.3, abs=1e-12)
+    assert analytic[2][1] == pytest.approx(0.3, abs=1e-12)
+    assert analytic[4][1] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_iterate_one_step_transport_through_unstable_run():

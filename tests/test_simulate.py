@@ -220,15 +220,15 @@ def test_conditional_boundary_depth_restriction():
 def test_mc_moments_depth_zero_exact():
     mu1 = solve_mu1(Pgf(DET2))
     mc = mc_moments(DET2, mu1, 0, 200, seed=17)
-    assert mc.mean_c == pytest.approx(mu1, abs=1e-15)
+    assert mc.mean_C == pytest.approx(mu1, abs=1e-15)
     assert mc.se_mean == 0.0
 
 
 def test_mc_moments_binary_is_deterministic():
     mu1 = solve_mu1(Pgf(DET2))
     mc = mc_moments(DET2, mu1, 8, 300, seed=18)
-    assert mc.mean_c == pytest.approx(mu1, abs=1e-11)
-    assert mc.m2_c == pytest.approx(mu1 ** 2, abs=1e-11)
+    assert mc.mean_C == pytest.approx(mu1, abs=1e-11)
+    assert mc.m2_C == pytest.approx(mu1 ** 2, abs=1e-11)
     assert mc.se_mean < 1e-14
 
 
@@ -257,7 +257,7 @@ def test_batch_results_depend_only_on_seed_and_batch_index():
 def test_mc_mean_unbiased_for_stable_spec():
     mu1 = solve_mu1(Pgf(FIN))
     mc = mc_moments(FIN, mu1, 10, 4000, seed=20)
-    assert abs(mc.mean_c - mu1) < 3.0 * mc.se_mean
+    assert abs(mc.mean_C - mu1) < 3.0 * mc.se_mean
 
 
 def test_endogeny_diagnostic_identity_between_statistics():
@@ -280,28 +280,28 @@ def test_iterated_conditional_reduces_to_mc_moments():
     cyc = make_two_cycle(Pgf(DET2), mu1, mu1)
     mc = mc_moments(DET2, mu1, 8, 400, seed=24)
     it = iterated_conditional(DET2, cyc, 4, 400, seed=24)
-    assert it.mean_c == mc.mean_c
-    assert it.m2_c == mc.m2_c
+    assert it.mean_C == mc.mean_C
+    assert it.m2_C == mc.m2_C
 
 
 def test_iterated_conditional_boundary_one_forces_root_one():
     cyc = make_two_cycle(Pgf(DET2), 1.0, 0.0)
     it = iterated_conditional(DET2, cyc, 3, 200, seed=25)
-    assert it.mean_c == 1.0 and it.se_mean == 0.0
+    assert it.mean_C == 1.0 and it.se_mean == 0.0
 
 
 def test_iterated_conditional_neutral_pair_preserved():
     # f(0.2) = 16/17 and f(16/17) = 0.2 for the alpha=1/4 geometric family
     pair = make_two_cycle(Pgf(GEO), 0.2, 16.0 / 17.0)
     it = iterated_conditional(GEO, pair, 4, 400, seed=26, node_cap=50_000_000)
-    assert abs(it.mean_c - 0.2) < 3.0 * it.se_mean
+    assert abs(it.mean_C - 0.2) < 3.0 * it.se_mean
 
 
 def test_thinned_spec_trees_sample_and_solve():
     spec = Thinned(DET2, 0.6)
     mu1 = solve_mu1(Pgf(spec))
     mc = mc_moments(spec, mu1, 4, 500, seed=27)
-    assert abs(mc.mean_c - mu1) < 4.0 * mc.se_mean + 1e-3
+    assert abs(mc.mean_C - mu1) < 4.0 * mc.se_mean + 1e-3
 
 
 @pytest.mark.parametrize("depth", [0, 1, 3])

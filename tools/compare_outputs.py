@@ -7,8 +7,9 @@ that ``perfbench/workloads.py`` makes for every workload goes through
 ``python -m rde_lab.cli`` once per tree, with that tree's ``src/`` on
 PYTHONPATH, in a temporary directory.  The script prints each non-zero exit
 code and each output file that differs (a file missing on one side counts),
-and exits 1 if there is any, else 0: every benchmark config exits 0, so a
-run that fails on both trees fails the check too.  The runs come from the
+a JSON file once per dotted key whose value differs, and exits 1 if there
+is any, else 0: every benchmark config exits 0, so a run that fails on both
+trees fails the check too.  The runs come from the
 ``perfbench/`` of the checkout that holds this script, which is only read.
 """
 
@@ -36,12 +37,40 @@ def run_cli(tree: Path, run: Run, out: Path) -> int:
     return subprocess.run(argv, cwd=out, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
+def _leaves(value, path: str = "") -> dict[str, object]:
+    """The scalar leaves of parsed JSON by dotted path; list items go by index."""
+    if isinstance(value, list):
+        value = dict(enumerate(value))
+    if not isinstance(value, dict) or not value:
+        return {path: value}
+    return {
+        leaf: v
+        for key, item in value.items()
+        for leaf, v in _leaves(item, f"{path}.{key}" if path else str(key)).items()
+    }
+
+
+def _json_keys(a: bytes, b: bytes) -> list[str]:
+    """Dotted keys whose values differ between two JSON documents."""
+    leaves_a, leaves_b = _leaves(json.loads(a)), _leaves(json.loads(b))
+    missing = object()
+    return sorted(
+        key for key in leaves_a.keys() | leaves_b.keys()
+        if repr(leaves_a.get(key, missing)) != repr(leaves_b.get(key, missing))
+    )
+
+
 def differences(a: Path, b: Path) -> list[str]:
-    """Names of the files under a and b that differ or exist on one side only."""
+    """The files under a and b that differ or exist on one side only; a
+    differing JSON file is named once per dotted key whose value differs."""
     names_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     names_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     found = [f"{name} only in one tree" for name in sorted(names_a ^ names_b)]
-    found += [str(name) for name in sorted(names_a & names_b) if (a / name).read_bytes() != (b / name).read_bytes()]
+    for name in sorted(names_a & names_b):
+        bytes_a, bytes_b = (a / name).read_bytes(), (b / name).read_bytes()
+        if bytes_a != bytes_b:
+            keys = _json_keys(bytes_a, bytes_b) if name.suffix == ".json" else []
+            found += [f"{name}: {key}" for key in keys] or [str(name)]
     return found
 
 
