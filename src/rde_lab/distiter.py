@@ -24,15 +24,16 @@ from math import comb
 import numpy as np
 
 from .errors import ResourceError, SpecValidationError
-from .pgf import OffspringSpec, Pgf, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, OffspringSpec, Pgf, sample_family_sizes, validate_spec
 from . import analysis
-from .simulate import one_minus_prod
+from .simulate import one_minus_prod_uniform
 from .streams import derive
 
 DEFAULT_SAMPLE_SIZE = 100_000
 BASIN_TOL = 1e-6  # a start whose mean lies this close to mu1 counts as having mean mu1
 EMPIRICAL_BAND_FLOOR = 1e-3  # least half-width of the band that a converged trajectory ends in
-MAX_CHILD_DRAWS = 2**27  # per step of the map: about 2 GiB of indices and values
+MAX_CHILD_DRAWS = 2**27  # per step of the map: it bounds the time; the chunks bound the memory
+CHUNK_CHILDREN = 2**16  # children drawn at once, 1 MiB of indices and values; outputs do not depend on it
 
 # a sample counts as the two-point law only if essentially no interior mass
 DELTA_INTERIOR_EPS = 1e-9
@@ -108,8 +109,14 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     """Push the sample through one application of the map.
 
     Each of the nu.size output points is 1 - prod of N resampled input
-    points; an infinite family yields the point 1 exactly.  Raises
-    ResourceError when the step needs more than MAX_CHILD_DRAWS children.
+    points; an infinite family yields the point 1 exactly.  The family
+    sizes are drawn first, and the output is grouped by them: the infinite
+    families come first, then each finite size k in ascending order, whose
+    c_k families draw their c_k * k child indices one family after
+    another.  The order of the points carries no meaning, since the next
+    step resamples them uniformly.  Indices are drawn CHUNK_CHILDREN at a
+    time, which gives the values of one draw.  Raises ResourceError when
+    the step needs more than MAX_CHILD_DRAWS children.
     """
     validate_spec(spec)
     sizes = sample_family_sizes(spec, nu.size, rng)
@@ -119,8 +126,32 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
         raise ResourceError(
             f"one step of the map needs {children:.0f} child draws, more than the limit {MAX_CHILD_DRAWS}"
         )
-    draws = nu.points[rng.integers(0, nu.size, int(children))]
-    return EmpiricalDist(one_minus_prod(draws, sizes))
+    classes, counts = np.unique(sizes, return_counts=True)
+    out = np.empty(nu.size)
+    end = 0
+    for k, c in zip(classes.tolist(), counts.tolist()):
+        block = out[end:end + c]
+        end += c
+        if k == INF_SENTINEL:
+            block.fill(1.0)
+        elif k <= CHUNK_CHILDREN:
+            step = CHUNK_CHILDREN // k
+            for f in range(0, c, step):
+                part = block[f:f + step]
+                one_minus_prod_uniform(_draw(nu.points, part.size * k, rng), k, part)
+        else:
+            # a family wider than a chunk: its product runs on across chunks, in order
+            for f in range(c):
+                prod = 1.0
+                for s in range(0, k, CHUNK_CHILDREN):
+                    prod = np.multiply.reduce(_draw(nu.points, min(CHUNK_CHILDREN, k - s), rng), initial=prod)
+                block[f] = 1.0 - prod
+    return EmpiricalDist(out)
+
+
+def _draw(points: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n points resampled uniformly with replacement."""
+    return points[rng.integers(0, points.size, n)]
 
 
 def iterate_T(

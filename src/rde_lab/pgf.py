@@ -427,16 +427,22 @@ def sample_family_sizes(
     if isinstance(spec, Geometric):
         return rng.geometric(spec.alpha, size=n).astype(np.int64)
     if isinstance(spec, FinitePmf):
-        support = [k for k, w in sorted(spec.weights.items()) if w > 0.0]
-        probs = [spec.weights[k] for k in support]
-        if spec.infinity_mass > 0.0:
-            support.append(INF_SENTINEL)
-            probs.append(spec.infinity_mass)
-        probs = np.asarray(probs, dtype=float)
-        probs = probs / probs.sum()
-        return rng.choice(np.asarray(support, dtype=np.int64), size=n, p=probs)
+        support, probs = _support_and_probs(spec)
+        return rng.choice(support, size=n, p=probs)
     assert isinstance(spec, Thinned)
     return _sample_thinned(spec, n, rng, budget)
+
+
+def _support_and_probs(spec: FinitePmf) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes with positive mass, ascending, then INF_SENTINEL if
+    infinity has mass, as int64; and their probabilities, normalised."""
+    support = [k for k, w in sorted(spec.weights.items()) if w > 0.0]
+    probs = [spec.weights[k] for k in support]
+    if spec.infinity_mass > 0.0:
+        support.append(INF_SENTINEL)
+        probs.append(spec.infinity_mass)
+    probs = np.asarray(probs, dtype=float)
+    return np.asarray(support, dtype=np.int64), probs / probs.sum()
 
 
 def _sum_family_draws(
@@ -444,8 +450,9 @@ def _sum_family_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sum of counts[i] iid base draws, infinite-draw flag), per entry.
 
-    Structured bases have closed forms for the sum, which keeps each
-    pruning generation O(#samples) instead of O(#nodes).
+    Deterministic, geometric and finite bases have closed forms for the
+    sum, which keeps each pruning generation O(#samples) instead of
+    O(#nodes).
     """
     if isinstance(base, Deterministic):
         return counts * base.d, np.zeros(counts.size, dtype=bool)
@@ -456,7 +463,12 @@ def _sum_family_draws(
             # {1,2,...}-geometric sum = count + NegBinomial(count, alpha)
             sums[pos] += rng.negative_binomial(counts[pos], base.alpha)
         return sums, np.zeros(counts.size, dtype=bool)
-    # generic fall-back: one draw per node
+    if isinstance(base, FinitePmf):
+        # how many of the counts[i] draws take each size; INF_SENTINEL (0) adds nothing to the sum
+        support, probs = _support_and_probs(base)
+        tallies = rng.multinomial(counts, probs)
+        return tallies @ support, tallies[:, support == INF_SENTINEL].any(axis=1)
+    # a thinned base: one draw per node
     owners = np.repeat(np.arange(counts.size), counts)
     fams = sample_family_sizes(base, int(owners.size), rng, budget)
     inf_mask = np.bincount(owners[fams == INF_SENTINEL], minlength=counts.size) > 0

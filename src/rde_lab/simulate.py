@@ -33,6 +33,7 @@ from .streams import derive
 
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_BATCH = 2048  # frozen: results depend on it, so it is not a tuning knob
+STRIDED_MAX_WIDTH = 8  # widest family multiplied as strided columns; a speed choice only
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,23 @@ def _sample_forest(
     return _Forest(depth=depth, fams=fams, rep_counts=rep_counts)
 
 
+def one_minus_prod_uniform(values: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` 1 - the product of each family of ``width``
+    consecutive children in ``values``, and return it.
+
+    Narrow families multiply strided columns; wider ones reduce the rows of
+    a (families, width) view.  Both multiply each family's children in
+    order, so the two forms agree bit for bit.
+    """
+    if width <= STRIDED_MAX_WIDTH:
+        np.copyto(out, values[0::width])
+        for j in range(1, width):
+            np.multiply(out, values[j::width], out=out)
+    else:
+        np.multiply.reduce(values.reshape(out.size, width), axis=1, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
 def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """For each parent, 1 - the product of its consecutive children.
 
@@ -102,11 +120,7 @@ def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """
     n = sizes.shape[0]
     if n > 0 and sizes.min() == sizes.max() and sizes[0] != INF_SENTINEL:  # values[0::0] raises
-        w = int(sizes[0])
-        acc = values[0::w]
-        for j in range(1, w):
-            acc = acc * values[j::w]
-        return 1.0 - acc
+        return one_minus_prod_uniform(values, int(sizes[0]), np.empty(n))
     finite = sizes != INF_SENTINEL
     out = np.ones(n)
     if finite.any():

@@ -389,6 +389,14 @@ def test_iterate_exits_3_past_the_child_draw_bound(tmp_path, size, children):
     assert f"needs {children} child draws" in result.output
 
 
+def test_iterate_thinned_finite_base_ends_cleanly(tmp_path):
+    # supercritical pruning (mean 0.9 * 2.5): most draws explore past the budget
+    spec = {"kind": "thinned", "p": 0.9, "base": {"kind": "finite", "pmf": {"2": 0.5, "3": 0.5}}}
+    cfg = {"spec": spec, "seed": 1, "steps": 1, "initial": {"kind": "point_mass", "value": 0.5, "size": 10_000}}
+    result, _ = run_cli(tmp_path, cfg, "iterate")
+    assert result.exit_code in (0, 3)
+
+
 def test_exit_code_on_resource_limit(tmp_path):
     cfg = {"spec": {"kind": "geometric", "alpha": 0.25}, "reps": 200, "depth": 12,
            "seed": 3, "node_cap": 10_000}

@@ -70,22 +70,48 @@ def test_mean_transport_law():
         assert abs(out.mean() - predicted) < 4.0 * se
 
 
-@pytest.mark.parametrize("spec", [Deterministic(3), FIN], ids=["det3", "finite-inf"])
-def test_apply_matches_per_point_loop(spec):
-    # replay apply_T's draws (family sizes, then child indices) from the same stream
-    nu = EmpiricalDist(derive(5, 0).random(400))
-    out = apply_T(nu, spec, derive(5, 1))
+@pytest.mark.parametrize(
+    "spec, classes, power",
+    [
+        (Deterministic(3), {3}, 1.0),
+        (FIN, {INF_SENTINEL, 2}, 1.0),
+        # points near 1, so that a product of 2**20 of them does not underflow
+        (FinitePmf({1: 0.975, 2**20: 0.005}, infinity_mass=0.02), {INF_SENTINEL, 1, 2**20}, 2.0**-20),
+    ],
+    ids=["det3", "finite-inf", "sizes-1-2**20-inf"],
+)
+def test_apply_matches_per_point_loop(spec, classes, power):
+    # replay apply_T's draws: the family sizes, then the child indices of
+    # each size class in ascending order, which is also the output's order
+    points = derive(5, 0).random(400) ** power
+    out = apply_T(EmpiricalDist(points), spec, derive(5, 1))
     rng = derive(5, 1)
-    sizes = sample_family_sizes(spec, 400, rng)
-    idx = iter(rng.integers(0, nu.size, int(sizes[sizes > 0].sum())))
+    sizes = np.sort(sample_family_sizes(spec, 400, rng))
+    idx = iter(rng.integers(0, points.size, int(sizes.sum())).tolist())
+    points = points.tolist()
     want = []
-    for n in sizes:
+    for n in sizes.tolist():  # the infinite families (INF_SENTINEL, 0) come first
         prod = 1.0
-        for _ in range(n):  # empty for an infinite family (INF_SENTINEL, 0)
-            prod *= nu.points[next(idx)]
+        for _ in range(n):
+            prod *= points[next(idx)]
         want.append(1.0 if n == INF_SENTINEL else 1.0 - prod)
     assert next(idx, None) is None
     assert out.points.tolist() == want
+    assert set(sizes.tolist()) == classes
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DET2, GEO, FinitePmf({1: 0.4, 5: 0.2, 1000: 0.2}, infinity_mass=0.2)],
+    ids=["det2", "geometric", "sizes-1-5-1000-inf"],
+)
+def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec):
+    # a family of 1000 is wider than a 300-child chunk, so its product runs
+    # across chunks; points near 1 keep such a product from underflowing
+    nu = EmpiricalDist(derive(6, 0).random(3000) ** 1e-3)
+    want = apply_T(nu, spec, derive(6, 1)).points
+    monkeypatch.setattr(distiter, "CHUNK_CHILDREN", 300)
+    assert apply_T(nu, spec, derive(6, 1)).points.tolist() == want.tolist()
 
 
 def test_apply_preserves_two_point_laws():

@@ -373,6 +373,20 @@ def test_sample_thinned_pmf_matches_series_coefficients():
         assert abs(emp - target) < 3.0 * se
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [Thinned(FinitePmf({1: 0.2, 2: 0.5, 3: 0.3}), 0.4), Thinned(FinitePmf({2: 0.5}, infinity_mass=0.5), 0.3)],
+    ids=["finite-base", "finite-inf-base"],
+)
+def test_sample_thinned_finite_base_matches_series_coefficients(spec):
+    prefix, _ = Pgf(spec).pmf_prefix(6)
+    draws = sample_family_sizes(spec, 200_000, derive(6, 0), budget=10_000)
+    for k, target in [(k, prefix[k]) for k in range(1, 6)] + [(INF_SENTINEL, Pgf(spec).defect())]:
+        emp = float((draws == k).mean())
+        se = math.sqrt(max(target * (1.0 - target), 1e-12) / draws.size)
+        assert abs(emp - target) < 3.0 * se
+
+
 def test_sample_family_sizes_at_least_one():
     for spec in ALL_SPECS:
         draws = sample_family_sizes(spec, 2000, derive(5, 0), budget=5_000)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import rde_lab.simulate as simulate
 from rde_lab.analysis import make_two_cycle, solve_mu1
 from rde_lab.errors import ResourceError
 from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned
@@ -17,6 +19,7 @@ from rde_lab.simulate import (
     iterated_conditional,
     mc_moments,
     one_minus_prod,
+    one_minus_prod_uniform,
     sample_tree,
 )
 from rde_lab.streams import derive
@@ -182,6 +185,23 @@ def test_one_minus_prod_matches_loop(sizes):
     got = one_minus_prod(values, sizes)
     assert got.dtype == float and got.shape == sizes.shape
     assert got.tolist() == _one_minus_prod_loop(values, sizes.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 40) | st.sampled_from([64, 100, 1000]),
+    families=st.integers(0, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strided_and_reshaped_products_agree(width, families, seed):
+    # a product of width such values is about 1/e, far from underflow
+    values = derive(seed, 0).random(width * families) ** (1.0 / width)
+    got = []
+    for strided_max_width in (0, width):  # the reshaped form, then the strided one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "STRIDED_MAX_WIDTH", strided_max_width)
+            got.append(one_minus_prod_uniform(values, width, np.empty(families)).tolist())
+    assert got[0] == got[1]
 
 
 def test_forest_matches_single_tree_recursion():
