@@ -55,6 +55,14 @@ class EmpiricalDist:
             raise SpecValidationError("sample points must lie in [0,1]")
         object.__setattr__(self, "points", np.clip(pts, 0.0, 1.0))
 
+    @classmethod
+    def _unchecked(cls, points: np.ndarray) -> EmpiricalDist:
+        """A sample the map built, each point already in [0,1]: neither
+        checked nor copied."""
+        nu = object.__new__(cls)
+        object.__setattr__(nu, "points", points)
+        return nu
+
     @property
     def size(self) -> int:
         return int(self.points.size)
@@ -146,7 +154,8 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
                 for s in range(0, k, CHUNK_CHILDREN):
                     prod = np.multiply.reduce(_draw(nu.points, min(CHUNK_CHILDREN, k - s), rng), initial=prod)
                 block[f] = 1.0 - prod
-    return EmpiricalDist(out)
+    # each point is 1 - a product of points in [0,1], so it lies in [0,1]
+    return EmpiricalDist._unchecked(out)
 
 
 def _draw(points: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

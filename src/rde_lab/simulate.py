@@ -12,13 +12,16 @@ sampled trees of a fixed depth n:
 Nodes with an infinite family are pinned to value 1 (an infinite product
 of iid values with mean < 1 vanishes a.s.) and have no materialised
 children.  The Monte Carlo estimators never build the depth-n boundary:
-a depth-(n-1) node with finite family k has C = 1 - mu1^k.  Given the
-tree, the root's S is Bernoulli(C_root), so S and an independent
-resampling S' are drawn at the root from one pull-up of C.  Replicates are
-batched into forests so the per-level product recursion runs as a handful
-of vectorised passes; the batches run one after another, so a run holds
-one batch's forest at a time, and each owns an RNG stream derived from
-(seed, batch index), which keeps reruns bit-identical.
+it is the one value mu1, and a constant level is pulled up as one value
+through the table 1 - v^k by family size k.  A Deterministic(d) level is
+stored as its width d, so its forest holds no per-node array and C stays
+one value up to the root.  Given the tree, the root's S is
+Bernoulli(C_root), so S and an independent resampling S' are drawn at the
+root from one pull-up of C.  Replicates are batched into forests so the
+per-level product recursion runs as a handful of vectorised passes; the
+batches run one after another, so a run holds one batch's forest at a
+time, and each owns an RNG stream derived from (seed, batch index), which
+keeps reruns bit-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError
-from .pgf import INF_SENTINEL, OffspringSpec, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, Deterministic, OffspringSpec, sample_family_sizes, validate_spec
 from .streams import derive
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -37,21 +40,22 @@ STRIDED_MAX_WIDTH = 8  # widest family multiplied as strided columns; a speed ch
 
 
 # ---------------------------------------------------------------------------
-# Forest representation (level arrays, BFS order, stored-child counts)
+# Forest representation (level arrays or widths, BFS order, stored-child counts)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _Forest:
-    """reps independent trees stored level-by-level in one array per level.
+    """reps independent trees stored level-by-level in one entry per level.
 
     ``fams[d]`` holds the children each depth-d node stores (0 for an
-    infinite family) across the batch in BFS order; ``rep_counts[d]`` says
-    how many depth-d nodes each replicate owns, which keeps per-replicate
-    slices recoverable.
+    infinite family) across the batch in BFS order, or, for a
+    Deterministic(d) spec, the int width d that every node of the level
+    has; ``rep_counts[d]`` says how many depth-d nodes each replicate owns,
+    which keeps per-replicate slices recoverable.
     """
 
     depth: int
-    fams: list[np.ndarray]
+    fams: list[np.ndarray | int]
     rep_counts: list[np.ndarray]  # len depth+1, each shape (reps,)
 
 
@@ -72,18 +76,19 @@ def _sample_forest(
     rng: np.random.Generator,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> _Forest:
-    fams: list[np.ndarray] = []
+    fams: list[np.ndarray | int] = []
     rep_counts: list[np.ndarray] = [np.ones(reps, dtype=np.int64)]
     totals = np.ones(reps, dtype=np.int64)
     for d in range(depth):
-        count = int(rep_counts[d].sum())
-        level = sample_family_sizes(spec, count, rng)
-        fams.append(level)
-        if count and level.min() == level.max():
-            # homogeneous level (e.g. a deterministic spec): no pass needed
-            children = rep_counts[d] * int(level[0])
+        if isinstance(spec, Deterministic):
+            # stored as its width, which draws nothing; a sampled level stays an
+            # array, as one all INF_SENTINEL would lose its node count
+            level = spec.d
+            children = rep_counts[d] * level
         else:
+            level = sample_family_sizes(spec, int(rep_counts[d].sum()), rng)
             children = _segment_sums(level, rep_counts[d])
+        fams.append(level)
         rep_counts.append(children)
         totals += children
         if int(totals.max()) > node_cap:
@@ -130,12 +135,24 @@ def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pull_up(fams: list[np.ndarray], boundary: np.ndarray) -> np.ndarray:
+def _pull_up(fams: list[np.ndarray | int], boundary: np.ndarray | float) -> np.ndarray | float:
     """Root values of value(u) = 1 - prod(children), applied upward from
-    boundary values."""
+    boundary values: one per boundary node, or one float for them all.
+
+    A constant level v goes up as table[sizes], table[k] = 1 - v^k with the
+    powers multiplied in order as the kernels multiply children, and 1 for
+    an infinite family (INF_SENTINEL); over a width level it stays one value.
+    """
     v = boundary
     for sizes in reversed(fams):
-        v = one_minus_prod(v, sizes)
+        if np.ndim(v) == 0:
+            table = 1.0 - np.cumprod(np.r_[1.0, np.full(int(np.max(sizes, initial=0)), v)])
+            table[INF_SENTINEL] = 1.0
+            v = table[sizes]
+        elif isinstance(sizes, int):
+            v = one_minus_prod_uniform(v, sizes, np.empty(v.size // sizes))
+        else:
+            v = one_minus_prod(v, sizes)
     return v
 
 
@@ -185,7 +202,8 @@ def sample_tree(
     validate_spec(spec)
     forest = _sample_forest(spec, depth, 1, rng, node_cap=node_cap)
     counts = [int(c[0]) for c in forest.rep_counts]
-    return SampledTree(depth=depth, level_fams=forest.fams, level_counts=counts)
+    fams = [np.full(n, f, dtype=np.int64) if isinstance(f, int) else f for f, n in zip(forest.fams, counts)]
+    return SampledTree(depth=depth, level_fams=fams, level_counts=counts)
 
 
 def _solution_layer(tree: SampledTree, boundary: np.ndarray, boundary_depth: int) -> SolutionLayer:
@@ -254,14 +272,8 @@ def _batch_roots(
     """Root values of C, S and S' on one batch's forest; the forest is
     freed on return, before the next batch is sampled."""
     forest = _sample_forest(spec, depth, size, rng, node_cap=node_cap)
-    if depth:
-        # C at depth n-1 by family size k: 1 - b^k, the powers multiplied
-        # out as a pull-up does; an infinite family (INF_SENTINEL) gives 1
-        table = 1.0 - np.cumprod(np.r_[1.0, np.full(int(forest.fams[-1].max(initial=0)), b)])
-        table[INF_SENTINEL] = 1.0
-        c = _pull_up(forest.fams[:-1], table[forest.fams[-1]])
-    else:
-        c = np.full(size, b)
+    # one value when every root has the same C: depth 0, or a deterministic spec
+    c = np.broadcast_to(_pull_up(forest.fams, b), size)
     # given the tree, S and S' at the root are independent Bernoulli(C) draws
     s = (rng.random(size) < c).astype(float)
     s2 = (rng.random(size) < c).astype(float)
@@ -367,5 +379,6 @@ def extract_tree(forest: _Forest, rep: int) -> SampledTree:
         cum = np.concatenate([[0], np.cumsum(forest.rep_counts[d])])
         counts.append(int(forest.rep_counts[d][rep]))
         if d < forest.depth:
-            fams.append(forest.fams[d][cum[rep]:cum[rep + 1]])
+            f = forest.fams[d]
+            fams.append(np.full(counts[d], f, dtype=np.int64) if isinstance(f, int) else f[cum[rep]:cum[rep + 1]])
     return SampledTree(depth=forest.depth, level_fams=fams, level_counts=counts)

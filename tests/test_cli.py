@@ -404,6 +404,22 @@ def test_exit_code_on_resource_limit(tmp_path):
     assert result.exit_code == 3
 
 
+def test_simulate_deterministic_forest_does_not_grow_with_nodes(tmp_path, address_space_gib):
+    # one batch of 2048 trees with 2**20 leaves each: per-node level arrays would need 16 GiB
+    cfg = {"spec": {"kind": "deterministic", "d": 2}, "depth": 20, "reps": 2048, "seed": 4}
+    result, out = run_cli(tmp_path, cfg, "simulate")
+    assert result.exit_code == 0
+    payload = json.loads((out / "simulate.json").read_text())
+    assert payload["mc_moments"]["mean_C"] == pytest.approx(payload["analytic"]["mu1"], abs=1e-15)
+
+
+def test_simulate_deterministic_node_cap_exits_3(tmp_path, address_space_gib):
+    cfg = {"spec": {"kind": "deterministic", "d": 2}, "depth": 30, "seed": 4, "node_cap": 100_000_000}
+    result, _ = run_cli(tmp_path, cfg, "simulate")
+    assert result.exit_code == 3
+    assert "node cap 100000000" in result.output
+
+
 def test_byte_identical_reruns(tmp_path):
     outputs = []
     for sub in ("a", "b"):

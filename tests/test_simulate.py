@@ -204,6 +204,29 @@ def test_strided_and_reshaped_products_agree(width, families, seed):
     assert got[0] == got[1]
 
 
+@pytest.mark.parametrize("d, depth, reps", [(2, 10, 5), (3, 6, 4), (9, 4, 3), (64, 3, 2)])
+def test_width_forest_pulls_up_as_materialised_levels(d, depth, reps):
+    # d = 9 and d = 64 reduce rows past STRIDED_MAX_WIDTH; the table multiplies in order too
+    spec = Deterministic(d)
+    mu1 = solve_mu1(Pgf(spec))
+    forest = _sample_forest(spec, depth, reps, derive(31, d))
+    assert forest.fams == [d] * depth
+    full = [np.full(int(n.sum()), d, dtype=np.int64) for n in forest.rep_counts[:-1]]
+    leaves = int(forest.rep_counts[-1].sum())
+    want = _pull_up(full, np.full(leaves, mu1))
+    assert np.broadcast_to(_pull_up(forest.fams, mu1), reps).tolist() == want.tolist()
+    boundary = derive(32, d).random(leaves) ** (1.0 / d)
+    assert _pull_up(forest.fams, boundary).tolist() == _pull_up(full, boundary).tolist()
+
+
+def test_deterministic_forest_holds_no_level_array(address_space_gib):
+    rng = derive(33, 0)
+    forest = _sample_forest(DET2, 20, 2048, rng)
+    assert all(type(f) is int for f in forest.fams)
+    assert forest.rep_counts[-1].tolist() == [2**20] * 2048
+    assert rng.random() == derive(33, 0).random()  # nothing was drawn
+
+
 def test_forest_matches_single_tree_recursion():
     mu1 = solve_mu1(Pgf(MIXED))
     forest = _sample_forest(MIXED, 4, 64, derive(14, 0))
