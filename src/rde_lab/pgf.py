@@ -26,10 +26,19 @@ phi(h) = G(p*h + q*z) - h, which rises monotonically to the least root (the
 correct fixed point) without overshooting.  At a double root (binary base,
 p = 1/2, z = 1) floats resolve it only to about sqrt(eps); ``Pgf.eval_bounds``
 returns a bracket around H, which the two-cycle scans use.
+
+Finite and thinned family sizes are drawn by inverse CDF, one uniform per
+family.  A thinned spec's table is the exact series ``Pgf.pmf_prefix``,
+long enough to sum to H(1); the uniforms past it are the infinite family,
+so no exploration decides it.  Where no table within ``TABLE_WORK`` sums
+to H(1) (critical pruning, or a base of unbounded support), draws run the
+pruning process instead, and only there a draw that explores more than
+``SAMPLE_BUDGET`` nodes counts as infinite.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import sys
@@ -52,6 +61,12 @@ MAX_FAMILY_SIZE = 2**53
 
 # explored-node count after which a thinned family-size draw counts as infinite
 SAMPLE_BUDGET = 1_000_000
+
+# n^2 * J bound on the work of a thinned inverse-CDF table of n entries (see _thinned_cdf)
+TABLE_WORK = 2**25
+
+# longest cdf that a draw locates by counting thresholds instead of by binary search
+SHORT_CDF = 8
 
 
 @dataclass(frozen=True)
@@ -206,8 +221,8 @@ def _eval_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
     if isinstance(spec, Deterministic):
         return s ** spec.d
     if isinstance(spec, Geometric):
-        beta = 1.0 - spec.alpha
-        return spec.alpha * s / (1.0 - beta * s)
+        # (1 - s) + alpha*s is 1 - (1 - alpha)*s without its cancellation at s = 1
+        return spec.alpha * s / ((1.0 - s) + spec.alpha * s)
     if isinstance(spec, FinitePmf):
         out = np.zeros_like(s)
         for k, w in spec.weights.items():
@@ -241,8 +256,7 @@ def _deriv_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
     if isinstance(spec, Deterministic):
         return spec.d * s ** (spec.d - 1)
     if isinstance(spec, Geometric):
-        beta = 1.0 - spec.alpha
-        return spec.alpha / (1.0 - beta * s) ** 2
+        return spec.alpha / ((1.0 - s) + spec.alpha * s) ** 2
     if isinstance(spec, FinitePmf):
         out = np.zeros_like(s)
         for k, w in spec.weights.items():
@@ -289,8 +303,10 @@ class Pgf:
         validate_spec(self.spec)
 
     def eval(self, s):
-        """H(s) for scalar or array s in [0,1] (mass at infinity contributes 0)."""
-        out = _eval_array(self.spec, _unit_interval(s, "evaluation"))
+        """H(s) for scalar or array s in [0,1] (mass at infinity contributes 0),
+        clipped to [0,1]: weights that sum to 1 within the validator's
+        tolerance, or roundoff, could otherwise carry H past 1."""
+        out = np.clip(_eval_array(self.spec, _unit_interval(s, "evaluation")), 0.0, 1.0)
         return float(out) if np.ndim(s) == 0 else out
 
     def eval_bounds(self, s):
@@ -301,7 +317,7 @@ class Pgf:
         roundoff level while |phi(lo + delta)| stays within it, where
         phi(h) = G(p*h + q*s) - h.  Past the root phi drops below the noise
         and at a tangency it rises above it; phi is convex, so either way the
-        least root lies in [lo, hi].  hi is capped at max(lo, 1).
+        least root lies in [lo, hi].  Both ends lie in [0,1], as eval's do.
         """
         lo = self.eval(s)
         spec = self.spec
@@ -310,13 +326,12 @@ class Pgf:
         p, q = spec.p, 1.0 - spec.p
         z = _unit_interval(s, "evaluation")
         lo_arr = np.asarray(lo, dtype=float)
-        noise = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(lo_arr))
-        cap = np.maximum(lo_arr, 1.0)  # lo can pass 1 by roundoff
+        noise = 8.0 * np.finfo(float).eps
         delta = noise
         while True:
-            hi = np.minimum(lo_arr + delta, cap)
+            hi = np.minimum(lo_arr + delta, 1.0)
             phi = _eval_array(spec.base, p * hi + q * z) - hi
-            grow = (np.abs(phi) <= noise) & (hi < cap)
+            grow = (np.abs(phi) <= noise) & (hi < 1.0)
             if not np.any(grow):
                 break
             delta = np.where(grow, 2.0 * delta, delta)
@@ -412,11 +427,21 @@ def sample_family_sizes(
     """n iid draws of N as an int64 array of the children each family
     stores: an infinite family stores none and reads INF_SENTINEL (0).
 
-    Parametric variants use exact inverse-CDF sampling.  Thinned draws run
-    the pruning process on the base tree: every child line survives with
-    probability p and is cut (one count) with probability q; a draw whose
-    explored-node count exceeds ``budget`` is reported as infinite.  The
-    misclassification this can cause inflates a huge finite family to
+    Deterministic and geometric specs are sampled directly.  Finite and
+    thinned specs share one inverse-CDF sampler: one uniform per family,
+    located in a cumulative table built once per process.  A finite spec's
+    table is its normalised weights, and its draws are the ones
+    ``rng.choice(support, p=probs)`` makes.  A thinned spec's table is the
+    exact series ``Pgf.pmf_prefix(k)``, lengthened until its sum reaches
+    H(1); a uniform past the table's end is the infinite family.
+
+    A thinned table that stays short of H(1) within the work cap
+    ``TABLE_WORK`` (critical pruning, whose tail decays like k^-1/2, or a
+    base of unbounded support such as a geometric one) falls back to
+    running the pruning process on the base tree: every child line survives
+    with probability p and is cut (one count) with probability q.  Only
+    there does ``budget`` apply: a draw whose explored-node count exceeds it
+    is reported as infinite.  That inflates a huge finite family to
     infinity, which downstream value recursions treat the same way a truly
     infinite family behaves (node value ~ 1).
     """
@@ -426,11 +451,59 @@ def sample_family_sizes(
         return np.full(n, spec.d, dtype=np.int64)
     if isinstance(spec, Geometric):
         return rng.geometric(spec.alpha, size=n).astype(np.int64)
-    if isinstance(spec, FinitePmf):
-        support, probs = _support_and_probs(spec)
-        return rng.choice(support, size=n, p=probs)
-    assert isinstance(spec, Thinned)
-    return _sample_thinned(spec, n, rng, budget)
+    table = _inverse_cdf_table(spec)
+    if table is None:
+        return _sample_thinned(spec, n, rng, budget)
+    cdf, values = table
+    u = rng.random(n)
+    if cdf.size <= SHORT_CDF:
+        # the count of entries <= u is the index searchsorted(side="right") gives, in a few flat passes
+        idx = np.zeros(n, dtype=np.intp)
+        for c in cdf:
+            idx += u >= c
+    else:
+        idx = cdf.searchsorted(u, side="right")
+    return values[idx]
+
+
+_TABLES: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
+
+
+def _inverse_cdf_table(spec: FinitePmf | Thinned) -> tuple[np.ndarray, np.ndarray] | None:
+    """(cdf, values): a uniform u draws values[cdf.searchsorted(u, side="right")].
+    None for a thinned spec whose table does not complete.  Cached by the
+    spec's JSON, as a FinitePmf spec holds a dict and does not hash."""
+    key = json.dumps(spec_to_json(spec))
+    if key not in _TABLES:
+        if isinstance(spec, FinitePmf):
+            values, probs = _support_and_probs(spec)
+            cdf = np.cumsum(probs)
+            cdf /= cdf[-1]
+            _TABLES[key] = cdf, values
+        else:
+            cdf = _thinned_cdf(spec)
+            # the index is the size, and one past the table is the infinite family
+            _TABLES[key] = None if cdf is None else (cdf, np.r_[np.arange(cdf.size), INF_SENTINEL])
+    return _TABLES[key]
+
+
+def _thinned_cdf(spec: Thinned) -> np.ndarray | None:
+    """P(N <= k) for k < n, with n doubled from 256 until the last entry
+    reaches H(1), the low end of its eval_bounds bracket, to within the
+    cumsum's rounding, about n ulps; the finite mass left out is then at
+    most the bracket's width plus that.  pmf_prefix(n) costs O(n^2 * J),
+    J the base's largest size below n, so None once that passes TABLE_WORK."""
+    eps = np.finfo(float).eps
+    h1 = Pgf(spec).eval(1.0)
+    n = 256
+    while True:
+        g, _ = Pgf(spec.base).pmf_prefix(n)
+        if n * n * int(np.flatnonzero(g).max(initial=1)) > TABLE_WORK:
+            return None
+        cdf = np.cumsum(Pgf(spec).pmf_prefix(n)[0])
+        if cdf[-1] >= h1 - n * eps:
+            return cdf
+        n *= 2
 
 
 def _support_and_probs(spec: FinitePmf) -> tuple[np.ndarray, np.ndarray]:

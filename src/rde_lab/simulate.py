@@ -37,6 +37,7 @@ from .streams import derive
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_BATCH = 2048  # frozen: results depend on it, so it is not a tuning knob
 STRIDED_MAX_WIDTH = 8  # widest family multiplied as strided columns; a speed choice only
+POWER_CHUNK = 2**16  # factors per cumprod when a width level raises one value to its width
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,17 @@ def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ordered_power(v: float, d: int) -> float:
+    """v^d multiplied left to right, as the kernels multiply d children, by
+    cumprod a bounded chunk at a time: each chunk starts from the running
+    product, so the multiplies, their order and the bits are those of one
+    cumprod over all d factors."""
+    carry = 1.0
+    for start in range(0, d, POWER_CHUNK):
+        carry = np.cumprod(np.r_[carry, np.full(min(POWER_CHUNK, d - start), v)])[-1]
+    return float(carry)
+
+
 def _pull_up(fams: list[np.ndarray | int], boundary: np.ndarray | float) -> np.ndarray | float:
     """Root values of value(u) = 1 - prod(children), applied upward from
     boundary values: one per boundary node, or one float for them all.
@@ -145,7 +157,9 @@ def _pull_up(fams: list[np.ndarray | int], boundary: np.ndarray | float) -> np.n
     """
     v = boundary
     for sizes in reversed(fams):
-        if np.ndim(v) == 0:
+        if np.ndim(v) == 0 and isinstance(sizes, int):
+            v = 1.0 - _ordered_power(v, sizes)
+        elif np.ndim(v) == 0:
             table = 1.0 - np.cumprod(np.r_[1.0, np.full(int(np.max(sizes, initial=0)), v)])
             table[INF_SENTINEL] = 1.0
             v = table[sizes]

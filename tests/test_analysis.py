@@ -188,6 +188,14 @@ def test_two_cycles_neutral_geometric():
         assert scan.neutral_continuum
 
 
+def test_two_cycles_scan_runs_on_every_geometric_alpha():
+    # 1 - (1 - alpha) s cancelled at s = 1, so H(1) rounded past 1 on about a third of these
+    for alpha in np.geomspace(1e-6, 0.999, 400):
+        h = Pgf(Geometric(float(alpha)))
+        assert h.eval(1.0) == 1.0
+        find_two_cycles(h)
+
+
 def test_two_cycles_contraction_case():
     scan = find_two_cycles(FIN, 1001)
     assert not scan.neutral_continuum

@@ -49,6 +49,18 @@ def test_analyze_geometric_neutral(tmp_path):
     assert payload["two_cycles"]["neutral_continuum"] is True
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "geometric", "alpha": 0.042780271335}, {"kind": "finite", "pmf": {"1": 0.5, "2": 0.5000000000009}}],
+    ids=["geometric-H1-rounds-up", "finite-mass-within-tolerance"],
+)
+def test_analyze_exits_0_where_H_would_round_past_1(tmp_path, spec):
+    # 1 - (1 - alpha) s put H(1) 1.1e-15 above 1, and the second pmf's mass is 1 + 9e-13
+    result, out = run_cli(tmp_path, {"spec": spec, "K": 4}, "analyze")
+    assert result.exit_code == 0
+    assert json.loads((out / "analysis.json").read_text())["fixed_point"]["endogeny"]
+
+
 def test_analyze_thinned_critical(tmp_path):
     cfg = {"spec": {"kind": "thinned", "p": 0.5, "base": {"kind": "deterministic", "d": 2}}}
     result, out = run_cli(tmp_path, cfg, "analyze")
@@ -390,7 +402,7 @@ def test_iterate_exits_3_past_the_child_draw_bound(tmp_path, size, children):
 
 
 def test_iterate_thinned_finite_base_ends_cleanly(tmp_path):
-    # supercritical pruning (mean 0.9 * 2.5): most draws explore past the budget
+    # supercritical pruning (mean 0.9 * 2.5): most families are infinite
     spec = {"kind": "thinned", "p": 0.9, "base": {"kind": "finite", "pmf": {"2": 0.5, "3": 0.5}}}
     cfg = {"spec": spec, "seed": 1, "steps": 1, "initial": {"kind": "point_mass", "value": 0.5, "size": 10_000}}
     result, _ = run_cli(tmp_path, cfg, "iterate")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rde_lab.pgf as pgf_module
 from rde_lab.errors import DomainError, SpecValidationError
 from rde_lab.pgf import (
     INF_SENTINEL,
@@ -159,6 +160,17 @@ def test_exact_specs_have_point_bounds(spec):
     lo, hi = pgf.eval_bounds(zs)
     assert np.array_equal(lo, pgf.eval(zs)) and np.array_equal(hi, lo)
     assert pgf.eval_bounds(0.3) == (pgf.eval(0.3), pgf.eval(0.3))
+
+
+@pytest.mark.parametrize(
+    "spec", [FinitePmf({1: 0.5, 2: 0.5000000000009}), Geometric(0.042780271335), Thinned(DET2, 0.45)]
+)
+def test_eval_and_bounds_stay_in_the_unit_interval(spec):
+    # each of these evaluated H(1) above 1: mass 1 + 9e-13, cancellation, Newton roundoff
+    zs = np.linspace(0.0, 1.0, 11)
+    lo, hi = Pgf(spec).eval_bounds(zs)
+    assert np.all(0.0 <= lo) and np.all(lo <= hi) and np.all(hi <= 1.0)
+    assert np.array_equal(Pgf(spec).eval(zs), lo)
 
 
 def test_thinned_bounds_scalar():
@@ -381,6 +393,115 @@ def test_sample_thinned_pmf_matches_series_coefficients():
 def test_sample_thinned_finite_base_matches_series_coefficients(spec):
     prefix, _ = Pgf(spec).pmf_prefix(6)
     draws = sample_family_sizes(spec, 200_000, derive(6, 0), budget=10_000)
+    for k, target in [(k, prefix[k]) for k in range(1, 6)] + [(INF_SENTINEL, Pgf(spec).defect())]:
+        emp = float((draws == k).mean())
+        se = math.sqrt(max(target * (1.0 - target), 1e-12) / draws.size)
+        assert abs(emp - target) < 3.0 * se
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FinitePmf({2: 0.5, 3: 0.5}), FinitePmf({1: 0.2, 3: 0.1, 4: 0.3}, infinity_mass=0.4),
+     FinitePmf({k: 0.1 for k in range(1, 11)})],
+    ids=["2-point", "4-point", "10-point"],
+)
+def test_finite_draws_match_rng_choice_in_both_branches(monkeypatch, spec):
+    support, probs = pgf_module._support_and_probs(spec)
+    want = derive(8, 0).choice(support, size=1_000_000, p=probs)
+    for short_cdf in (pgf_module.SHORT_CDF, 0):  # counting thresholds where the cdf is short, then binary search
+        monkeypatch.setattr(pgf_module, "SHORT_CDF", short_cdf)
+        got = sample_family_sizes(spec, 1_000_000, derive(8, 0))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _chi_square_ok(counts: np.ndarray, probs: np.ndarray) -> bool:
+    """No draws in cells of probability 0, and Pearson's statistic over the
+    others below its 0.999 quantile (Wilson-Hilferty); cells expecting
+    fewer than 5 draws are pooled into one."""
+    n = counts.sum()
+    if counts[probs == 0.0].any():
+        return False
+    big = probs * n >= 5.0
+    small = ~big & (probs > 0.0)
+    obs = np.r_[counts[big], counts[small].sum()] if small.any() else counts[big]
+    exp = (np.r_[probs[big], probs[small].sum()] if small.any() else probs[big]) * n
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    df = obs.size - 1
+    return stat < df * (1.0 - 2.0 / (9.0 * df) + 3.09 * math.sqrt(2.0 / (9.0 * df))) ** 3
+
+
+@pytest.mark.parametrize("d, p", [(2, 0.3), (3, 0.4)])
+def test_thinned_table_draws_follow_the_total_progeny_law(d, p):
+    spec = Thinned(Deterministic(d), p)
+    assert pgf_module._inverse_cdf_table(spec) is not None
+    draws = sample_family_sizes(spec, 200_000, derive(9, d))
+    n = 64
+    exact = thinned_deterministic_pmf(d, p, n)
+    counts = np.bincount(draws, minlength=n)[:n].astype(float)
+    # cells: each size below n, then the finite sizes >= n and the infinite family together
+    counts[INF_SENTINEL] = draws.size - counts[1:].sum()
+    exact[INF_SENTINEL] = 1.0 - exact[1:].sum()
+    assert _chi_square_ok(counts, exact)
+
+
+def test_thinned_table_infinite_fraction_is_the_defect():
+    spec = Thinned(Deterministic(3), 0.4)
+    draws = sample_family_sizes(spec, 400_000, derive(10, 0))
+    target = 1.0 - Pgf(spec).eval(1.0)
+    se = math.sqrt(target * (1.0 - target) / draws.size)
+    assert abs(float((draws == INF_SENTINEL).mean()) - target) < 3.0 * se
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Thinned(DET2, 0.3), Thinned(DET2, 0.45), TH06, Thinned(Deterministic(3), 0.4),
+     Thinned(FinitePmf({2: 0.5, 3: 0.5}), 0.9), Thinned(Thinned(DET2, 0.3), 0.5)],
+)
+def test_thinned_table_reaches_h1(spec):
+    cdf, values = pgf_module._inverse_cdf_table(spec)
+    lo, hi = Pgf(spec).eval_bounds(1.0)
+    assert lo - cdf.size * np.finfo(float).eps <= cdf[-1] <= hi
+    assert values.tolist() == list(range(cdf.size)) + [INF_SENTINEL]
+
+
+def test_critical_thinned_draws_take_the_budgeted_fallback():
+    # the p = 1/2 tail decays like k^-1/2, so no table within the work cap reaches H(1) = 1
+    assert pgf_module._inverse_cdf_table(TH05) is None
+    got = sample_family_sizes(TH05, 20_000, derive(11, 0), budget=10_000)
+    want = pgf_module._sample_thinned(TH05, 20_000, derive(11, 0), 10_000)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_geometric_base_table_stops_at_the_work_cap(monkeypatch):
+    spec = Thinned(Geometric(0.3), 0.4)
+    sizes = []
+    real_prefix = Pgf.pmf_prefix
+
+    def recording_prefix(self, n):
+        sizes.append((self.spec, n))
+        return real_prefix(self, n)
+
+    monkeypatch.setattr(Pgf, "pmf_prefix", recording_prefix)
+    assert pgf_module._thinned_cdf(spec) is None
+    # the 256-entry table falls short of H(1); 512 entries would cost 512^2 * 511 > TABLE_WORK
+    assert [n for s, n in sizes if s == spec] == [256]
+    assert 512 * 512 * 511 > pgf_module.TABLE_WORK >= 256 * 256 * 255
+    assert sample_family_sizes(spec, 1000, derive(12, 0), budget=10_000).tobytes() == (
+        pgf_module._sample_thinned(spec, 1000, derive(12, 0), 10_000).tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [TH06, Thinned(DET2, 0.4), Thinned(FinitePmf({1: 0.2, 2: 0.5, 3: 0.3}), 0.4),
+     Thinned(FinitePmf({2: 0.5}, infinity_mass=0.5), 0.3), Thinned(FinitePmf({2: 0.5, 3: 0.5}), 0.9),
+     Thinned(Geometric(0.3), 0.4)],
+    ids=["binary-p0.6", "binary-p0.4", "finite-base", "finite-inf-base", "finite-base-p0.9", "geometric-base"],
+)
+def test_pruning_fallback_matches_series_coefficients(spec):
+    # the pruning process behind specs without a table, checked where the series is known
+    prefix, _ = Pgf(spec).pmf_prefix(6)
+    draws = pgf_module._sample_thinned(spec, 100_000, derive(13, 0), 10_000)
     for k, target in [(k, prefix[k]) for k in range(1, 6)] + [(INF_SENTINEL, Pgf(spec).defect())]:
         emp = float((draws == k).mean())
         se = math.sqrt(max(target * (1.0 - target), 1e-12) / draws.size)

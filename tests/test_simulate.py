@@ -219,6 +219,14 @@ def test_width_forest_pulls_up_as_materialised_levels(d, depth, reps):
     assert _pull_up(forest.fams, boundary).tolist() == _pull_up(full, boundary).tolist()
 
 
+@pytest.mark.parametrize("d", [2, 3, 9, 64, 2**20 + 3])
+def test_width_level_power_matches_the_materialised_table(d):
+    # 2**20 + 3 spans several POWER_CHUNK chunks and ends in a partial one
+    for v in (GOLDEN, 1.0 - 1e-7, 0.3):
+        table = 1.0 - np.cumprod(np.r_[1.0, np.full(d, v)])
+        assert _pull_up([d], v) == table[d]
+
+
 def test_deterministic_forest_holds_no_level_array(address_space_gib):
     rng = derive(33, 0)
     forest = _sample_forest(DET2, 20, 2048, rng)
