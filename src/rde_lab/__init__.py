@@ -18,7 +18,6 @@ from .pgf import (
     OffspringSpec,
     Pgf,
     Thinned,
-    sample_family_size,
     spec_from_json,
     spec_to_json,
 )
@@ -40,16 +39,7 @@ from .analysis import (
     solve_mu2,
     solve_mu_star,
 )
-from .simulate import (
-    SampledTree,
-    SolutionLayer,
-    conditional_solution,
-    discrete_solution,
-    endogeny_diagnostic,
-    iterated_conditional,
-    mc_moments,
-    sample_tree,
-)
+from .simulate import endogeny_diagnostic, mc_moments
 from .distiter import (
     EmpiricalDist,
     TrajectoryRecord,

@@ -27,6 +27,7 @@ class FeasibilityError(RdeLabError):
 
 
 class ResourceError(RdeLabError):
-    """A sampled tree exceeded the configured node cap, or one step of
-    ``distiter.apply_T`` needs more than ``distiter.MAX_CHILD_DRAWS`` child
-    draws."""
+    """A sampled tree exceeded the configured node cap, one level of a
+    batch of trees needs more than ``simulate.MAX_LEVEL_DRAWS`` family-size
+    draws, or one step of ``distiter.apply_T`` needs more than
+    ``distiter.MAX_CHILD_DRAWS`` child draws."""

@@ -568,8 +568,3 @@ def _sample_thinned(spec: Thinned, n: int, rng: np.random.Generator, budget: int
         active = survivors[going]
     return deaths
 
-
-def sample_family_size(spec: OffspringSpec, rng: np.random.Generator, budget: int = SAMPLE_BUDGET):
-    """One draw of N; returns an int >= 1 or INFINITY."""
-    v = int(sample_family_sizes(spec, 1, rng, budget)[0])
-    return INFINITY if v == INF_SENTINEL else v

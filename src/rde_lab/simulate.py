@@ -1,27 +1,23 @@
-"""Galton-Watson tree sampling and tree-indexed solutions.
+"""Galton-Watson forests and the root values of the tree-indexed solutions.
 
-Two tree-indexed solutions of X_u = 1 - prod_i X_{ui} are computed on
-sampled trees of a fixed depth n:
-
-* the discrete solution S: boundary nodes at depth n draw iid
-  Bernoulli(mu1) values and the recursion is applied upward, so every
-  S_u lies in {0,1};
-* the conditional solution C: boundary nodes carry the constant mu1 and
-  the same recursion yields C_u = P(S_u = 1 | tree) exactly.
+On a tree of depth n the conditional solution C of X_u = 1 - prod_i X_{ui}
+holds the constant mu1 at the depth-n boundary, and the recursion applied
+upward gives C_u = P(S_u = 1 | tree), S being the discrete solution whose
+boundary is iid Bernoulli(mu1).  Given the tree, the root's S is
+Bernoulli(C_root), so S and an independent resampling S' are drawn at the
+root from one pull-up of C; no per-node S is built.
 
 Nodes with an infinite family are pinned to value 1 (an infinite product
 of iid values with mean < 1 vanishes a.s.) and have no materialised
-children.  The Monte Carlo estimators never build the depth-n boundary:
-it is the one value mu1, and a constant level is pulled up as one value
-through the table 1 - v^k by family size k.  A Deterministic(d) level is
-stored as its width d, so its forest holds no per-node array and C stays
-one value up to the root.  Given the tree, the root's S is
-Bernoulli(C_root), so S and an independent resampling S' are drawn at the
-root from one pull-up of C.  Replicates are batched into forests so the
-per-level product recursion runs as a handful of vectorised passes; the
-batches run one after another, so a run holds one batch's forest at a
-time, and each owns an RNG stream derived from (seed, batch index), which
-keeps reruns bit-identical.
+children.  The depth-n boundary is never built: it is the one value mu1,
+and a constant level is pulled up as one value through the table 1 - v^k
+by family size k.  A Deterministic(d) level is stored as its width d, so
+its forest holds no per-node array and C stays one value up to the root.
+Replicates are batched into forests so the per-level product recursion
+runs as a handful of vectorised passes; the batches run one after
+another, so a run holds one batch's forest at a time, and each owns an
+RNG stream derived from (seed, batch index), which keeps reruns
+bit-identical.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_BATCH = 2048  # frozen: results depend on it, so it is not a tuning knob
 STRIDED_MAX_WIDTH = 8  # widest family multiplied as strided columns; a speed choice only
 POWER_CHUNK = 2**16  # factors per cumprod when a width level raises one value to its width
+MAX_LEVEL_DRAWS = 2**27  # family sizes drawn for one level of a batch, as distiter.MAX_CHILD_DRAWS
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +52,6 @@ class _Forest:
     which keeps per-replicate slices recoverable.
     """
 
-    depth: int
     fams: list[np.ndarray | int]
     rep_counts: list[np.ndarray]  # len depth+1, each shape (reps,)
 
@@ -87,7 +83,13 @@ def _sample_forest(
             level = spec.d
             children = rep_counts[d] * level
         else:
-            level = sample_family_sizes(spec, int(rep_counts[d].sum()), rng)
+            n = int(rep_counts[d].sum())
+            if n > MAX_LEVEL_DRAWS:
+                raise ResourceError(
+                    f"level {d} of a batch of {reps} trees has {n} nodes, more than the limit "
+                    f"{MAX_LEVEL_DRAWS} family-size draws; their sizes alone would need {8 * n} bytes"
+                )
+            level = sample_family_sizes(spec, n, rng)
             children = _segment_sums(level, rep_counts[d])
         fams.append(level)
         rep_counts.append(children)
@@ -97,7 +99,7 @@ def _sample_forest(
                 f"tree exceeded node cap {node_cap} at depth {d + 1}; "
                 "reduce depth or the spec is supercritical"
             )
-    return _Forest(depth=depth, fams=fams, rep_counts=rep_counts)
+    return _Forest(fams=fams, rep_counts=rep_counts)
 
 
 def one_minus_prod_uniform(values: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
@@ -168,86 +170,6 @@ def _pull_up(fams: list[np.ndarray | int], boundary: np.ndarray | float) -> np.n
         else:
             v = one_minus_prod(v, sizes)
     return v
-
-
-# ---------------------------------------------------------------------------
-# Single-tree API
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SampledTree:
-    """A depth-bounded family tree.
-
-    Addresses are tuples of 1-based child indices, the root being ().
-    """
-
-    depth: int
-    level_fams: list[np.ndarray]
-    level_counts: list[int]
-
-    @property
-    def node_count(self) -> int:
-        return int(sum(self.level_counts))
-
-    def addresses(self) -> list[list[tuple[int, ...]]]:
-        levels: list[list[tuple[int, ...]]] = [[()]]
-        for d in range(self.depth):
-            nxt: list[tuple[int, ...]] = []
-            for addr, fam in zip(levels[d], self.level_fams[d]):
-                nxt.extend(addr + (i,) for i in range(1, int(fam) + 1))
-            levels.append(nxt)
-        return levels
-
-
-@dataclass
-class SolutionLayer:
-    values: dict[tuple[int, ...], float]
-
-
-def sample_tree(
-    spec: OffspringSpec,
-    depth: int,
-    rng: np.random.Generator,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> SampledTree:
-    """Breadth-first sample to the given depth; infinite nodes are leaves."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    validate_spec(spec)
-    forest = _sample_forest(spec, depth, 1, rng, node_cap=node_cap)
-    counts = [int(c[0]) for c in forest.rep_counts]
-    fams = [np.full(n, f, dtype=np.int64) if isinstance(f, int) else f for f, n in zip(forest.fams, counts)]
-    return SampledTree(depth=depth, level_fams=fams, level_counts=counts)
-
-
-def _solution_layer(tree: SampledTree, boundary: np.ndarray, boundary_depth: int) -> SolutionLayer:
-    """The values of every node down to boundary_depth, pulled up from the
-    boundary values held by the nodes at that depth."""
-    value_levels = [boundary]
-    for sizes in reversed(tree.level_fams[:boundary_depth]):
-        value_levels.append(one_minus_prod(value_levels[-1], sizes))
-    value_levels.reverse()  # index by depth
-    addr_levels = tree.addresses()
-    values: dict[tuple[int, ...], float] = {}
-    for d in range(boundary_depth + 1):
-        for addr, val in zip(addr_levels[d], value_levels[d]):
-            values[addr] = float(val)
-    return SolutionLayer(values=values)
-
-
-def conditional_solution(tree: SampledTree, mu1: float, boundary_depth: int | None = None) -> SolutionLayer:
-    """C on the tree: boundary nodes at the given depth hold the constant mu1."""
-    n = tree.depth if boundary_depth is None else boundary_depth
-    if not 0 <= n <= tree.depth:
-        raise ValueError("boundary_depth out of range")
-    boundary = np.full(tree.level_counts[n], float(mu1))
-    return _solution_layer(tree, boundary, n)
-
-
-def discrete_solution(tree: SampledTree, mu1: float, rng: np.random.Generator) -> SolutionLayer:
-    """S on the tree: iid Bernoulli(mu1) boundary, {0,1} values throughout."""
-    boundary = (rng.random(tree.level_counts[tree.depth]) < mu1).astype(float)
-    return _solution_layer(tree, boundary, tree.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -364,35 +286,3 @@ def endogeny_diagnostic(
         reps=reps,
     )
     return _moments(c_roots, depth), diag, c_roots, s_roots
-
-
-def iterated_conditional(
-    spec: OffspringSpec,
-    cycle,
-    half_depth: int,
-    reps: int,
-    seed: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> McMoments:
-    """Moments of the iterated-recursion endogenous solution C+.
-
-    Runs the conditional recursion with boundary constant mu_plus at even
-    depth 2*half_depth, so the root estimates the C+ of the two-cycle.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    c_roots, _, _ = _forest_pass(spec, float(cycle.mu_plus), 2 * half_depth, reps, seed, node_cap)
-    return _moments(c_roots, 2 * half_depth)
-
-
-def extract_tree(forest: _Forest, rep: int) -> SampledTree:
-    """Slice one replicate's tree out of a forest (testing/diagnostics)."""
-    fams = []
-    counts = []
-    for d in range(forest.depth + 1):
-        cum = np.concatenate([[0], np.cumsum(forest.rep_counts[d])])
-        counts.append(int(forest.rep_counts[d][rep]))
-        if d < forest.depth:
-            f = forest.fams[d]
-            fams.append(np.full(counts[d], f, dtype=np.int64) if isinstance(f, int) else f[cum[rep]:cum[rep + 1]])
-    return SampledTree(depth=forest.depth, level_fams=fams, level_counts=counts)

@@ -13,47 +13,61 @@ import numpy as np
 from rde_lab.pgf import INF_SENTINEL
 
 
+def forest_tree(fams, rep_counts, rep: int):
+    """Replicate ``rep`` of a forest (``_Forest.fams`` and ``rep_counts``)
+    as a nested tree of python values.
+
+    ``None`` is a boundary node, ``INF_SENTINEL`` an infinite family and a
+    tuple of subtrees a finite family.  A level stored as an int width gives
+    every node of the level that many children.
+    """
+    levels = []
+    for sizes, counts in zip(fams, rep_counts):
+        start, count = sum(int(c) for c in counts[:rep]), int(counts[rep])
+        levels.append([sizes] * count if isinstance(sizes, int) else [int(f) for f in sizes[start:start + count]])
+    below = [None] * int(rep_counts[len(fams)][rep])
+    for level in reversed(levels):
+        nodes, pos = [], 0
+        for f in level:
+            nodes.append(INF_SENTINEL if f == INF_SENTINEL else tuple(below[pos:pos + f]))
+            pos += f  # an infinite family, INF_SENTINEL = 0, stores no children
+        assert pos == len(below)
+        below = nodes
+    return below[0]
+
+
+def leaf_count(tree) -> int:
+    """The number of boundary nodes of a nested tree."""
+    if tree is None:
+        return 1
+    if tree == INF_SENTINEL:
+        return 0
+    return sum(leaf_count(t) for t in tree)
+
+
+def root_value(tree, boundary) -> float:
+    """The root of value(u) = 1 - prod(children) on a nested tree, with an
+    infinite family giving 1 and the boundary nodes taking the values of the
+    iterator ``boundary`` from left to right."""
+    if tree is None:
+        return next(boundary)
+    if tree == INF_SENTINEL:
+        return 1.0
+    return 1.0 - math.prod(root_value(t, boundary) for t in tree)
+
+
+def conditional_root(tree, mu1: float) -> float:
+    """C at the root of a nested tree: every boundary node holds mu1."""
+    return root_value(tree, itertools.repeat(mu1))
+
+
 def brute_force_root_probability(tree, mu1: float) -> float:
     """P(S_root = 1 | tree) by exhausting all Bernoulli(mu1) boundaries."""
-    levels = tree.addresses()
-    leaves = levels[tree.depth]
     total = 0.0
-    for bits in itertools.product((0.0, 1.0), repeat=len(leaves)):
-        weight = 1.0
-        for b in bits:
-            weight *= mu1 if b == 1.0 else (1.0 - mu1)
-        vals = dict(zip(leaves, bits))
-        for d in range(tree.depth - 1, -1, -1):
-            for addr, fam in zip(levels[d], tree.level_fams[d]):
-                if fam == INF_SENTINEL:
-                    vals[addr] = 1.0
-                else:
-                    prod = 1.0
-                    for i in range(1, int(fam) + 1):
-                        prod *= vals[addr + (i,)]
-                    vals[addr] = 1.0 - prod
-        total += weight * vals[()]
+    for bits in itertools.product((0.0, 1.0), repeat=leaf_count(tree)):
+        weight = math.prod(mu1 if b == 1.0 else 1.0 - mu1 for b in bits)
+        total += weight * root_value(tree, iter(bits))
     return total
-
-
-def layer_recursion_violation(tree, layer) -> float:
-    """Max node-wise violation of value(u) = 1 - prod(children),
-    with infinite-family nodes required to carry value 1."""
-    levels = tree.addresses()
-    worst = 0.0
-    for d in range(tree.depth):
-        for addr, fam in zip(levels[d], tree.level_fams[d]):
-            if addr not in layer.values:
-                continue
-            if fam == INF_SENTINEL:
-                worst = max(worst, abs(layer.values[addr] - 1.0))
-                continue
-            children = [addr + (i,) for i in range(1, int(fam) + 1)]
-            if any(c not in layer.values for c in children):
-                continue  # below the boundary depth of a partial layer
-            prod = math.prod(layer.values[c] for c in children)
-            worst = max(worst, abs(layer.values[addr] - (1.0 - prod)))
-    return worst
 
 
 def centered_fd(f, s: float, h: float = 1e-7) -> float:

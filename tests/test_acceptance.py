@@ -22,10 +22,10 @@ from rde_lab.distiter import (
     point_mass,
 )
 from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, Thinned
-from rde_lab.simulate import endogeny_diagnostic, mc_moments, sample_tree, conditional_solution
+from rde_lab.simulate import _sample_forest, endogeny_diagnostic, mc_moments
 from rde_lab.streams import derive
 
-from oracles import brute_force_root_probability
+from oracles import brute_force_root_probability, forest_tree, leaf_count
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DET2 = Deterministic(2)
@@ -119,17 +119,16 @@ def test_criterion_5_brute_force_endogeny_oracle():
     with _Timer(5, 10.0, "exhaustive boundary enumeration reproduces C"):
         spec = FinitePmf({1: 0.3, 2: 0.4, 3: 0.2}, infinity_mass=0.1)
         mu1 = solve_mu1(Pgf(spec))
-        rng = derive(505, 0)
-        checked = 0
-        while checked < 50:
-            tree = sample_tree(spec, 3, rng)
-            leaves = tree.level_counts[3]
-            if not 1 <= leaves <= 12:
-                continue
-            got = conditional_solution(tree, mu1).values[()]
-            want = brute_force_root_probability(tree, mu1)
-            assert abs(got - want) < 1e-12
-            checked += 1
+        # one batch: its forest is rebuilt from stream (505, 0), whose family
+        # sizes are drawn before any uniform
+        reps = 300
+        c_roots = endogeny_diagnostic(spec, mu1, 3, reps, seed=505)[2]
+        forest = _sample_forest(spec, 3, reps, derive(505, 0))
+        trees = [(r, forest_tree(forest.fams, forest.rep_counts, r)) for r in range(reps)]
+        small = [(r, tree) for r, tree in trees if 1 <= leaf_count(tree) <= 12][:50]
+        assert len(small) == 50
+        for r, tree in small:
+            assert abs(c_roots[r] - brute_force_root_probability(tree, mu1)) < 1e-12
 
 
 def test_criterion_6_monte_carlo_concordance():

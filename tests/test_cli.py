@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import rde_lab.analysis as analysis
+import rde_lab.simulate as simulate
 from rde_lab.cli import main
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -414,6 +416,17 @@ def test_exit_code_on_resource_limit(tmp_path):
            "seed": 3, "node_cap": 10_000}
     result, _ = run_cli(tmp_path, cfg, "simulate")
     assert result.exit_code == 3
+
+
+def test_simulate_exits_3_before_drawing_a_level_past_the_limit(tmp_path, monkeypatch):
+    # about 200 * 4**2 nodes at level 2, far below the node cap
+    monkeypatch.setattr(simulate, "MAX_LEVEL_DRAWS", 1000)
+    cfg = {"spec": {"kind": "geometric", "alpha": 0.25}, "reps": 200, "depth": 6, "seed": 3}
+    result, _ = run_cli(tmp_path, cfg, "simulate")
+    assert result.exit_code == 3
+    n = int(re.search(r"level 2 of a batch of 200 trees has (\d+) nodes", result.output)[1])
+    assert n > 1000
+    assert f"more than the limit 1000 family-size draws; their sizes alone would need {8 * n} bytes" in result.output
 
 
 def test_simulate_deterministic_forest_does_not_grow_with_nodes(tmp_path, address_space_gib):

@@ -20,8 +20,9 @@ from rde_lab.distiter import (
 )
 from rde_lab.errors import DomainError, ResourceError, SpecValidationError
 from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned, sample_family_sizes
-from rde_lab.simulate import SampledTree, conditional_solution
 from rde_lab.streams import derive
+
+from oracles import conditional_root
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DET2 = Deterministic(2)
@@ -209,9 +210,9 @@ def test_finite_depth_second_moment_matches_pinned_recursion(d):
 
 
 def _enumerate_trees(pmf, infinity_mass, depth):
-    """Every tree of the given depth with its probability, as (prob, fams):
-    fams is a family size per internal node, or None for the boundary and
-    INF_SENTINEL for an infinite family."""
+    """Every tree of the given depth with its probability, as (prob, tree):
+    a tree is None for the boundary, INF_SENTINEL for an infinite family and
+    a tuple of subtrees for a finite one."""
     if depth == 0:
         return [(1.0, None)]
     out = [(infinity_mass, INF_SENTINEL)]
@@ -222,16 +223,6 @@ def _enumerate_trees(pmf, infinity_mass, depth):
     return out
 
 
-def _as_sampled_tree(tree, depth):
-    """The nested tree laid out level by level in BFS order."""
-    level_fams, level_counts, level = [], [1], [tree]
-    for _ in range(depth):
-        level_fams.append(np.array([0 if t == INF_SENTINEL else len(t) for t in level], dtype=np.int64))
-        level = [child for t in level if t != INF_SENTINEL for child in t]
-        level_counts.append(len(level))
-    return SampledTree(depth=depth, level_fams=level_fams, level_counts=level_counts)
-
-
 @pytest.mark.parametrize("depth, count", [(1, 3), (2, 13), (3, 183)])
 def test_finite_depth_moments_match_exact_tree_enumeration(depth, count):
     pmf, infinity_mass = {1: 0.5, 2: 0.3}, 0.2
@@ -240,7 +231,7 @@ def test_finite_depth_moments_match_exact_tree_enumeration(depth, count):
     trees = _enumerate_trees(pmf, infinity_mass, depth)
     assert len(trees) == count
     assert math.fsum(p for p, _ in trees) == pytest.approx(1.0, abs=1e-14)
-    roots = [(p, conditional_solution(_as_sampled_tree(t, depth), mu1).values[()]) for p, t in trees]
+    roots = [(p, conditional_root(t, mu1)) for p, t in trees]
     exact = [math.fsum(p * c ** k for p, c in roots) for k in range(5)]
     assert np.max(np.abs(finite_depth_moments(pgf, mu1, depth, 4) - exact)) < 1e-14
 

@@ -17,7 +17,6 @@ from rde_lab.pgf import (
     Thinned,
     ess_sup,
     require_analysis_assumptions,
-    sample_family_size,
     sample_family_sizes,
     spec_from_json,
     spec_to_json,
@@ -346,7 +345,7 @@ def test_spec_json_rejects_malformed():
 def test_sample_deterministic_is_constant():
     draws = sample_family_sizes(Deterministic(3), 1000, derive(0, 0))
     assert np.all(draws == 3)
-    assert sample_family_size(Deterministic(3), derive(0, 1)) == 3
+    assert sample_family_sizes(Deterministic(3), 1, derive(0, 1)).tolist() == [3]
 
 
 def test_sample_geometric_mean():
@@ -371,7 +370,7 @@ def test_sample_thinned_infinity_probability():
     target = 5.0 / 9.0
     se = math.sqrt(target * (1.0 - target) / draws.size)
     assert abs(emp - target) < 3.0 * se
-    assert sample_family_size(TH06, derive(3, 1), budget=10_000) in {INFINITY} | set(range(2, 10_000))
+    assert int(sample_family_sizes(TH06, 1, derive(3, 1), budget=10_000)[0]) in {INF_SENTINEL} | set(range(2, 10_000))
 
 
 def test_sample_thinned_pmf_matches_series_coefficients():

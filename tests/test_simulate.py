@@ -12,19 +12,14 @@ from rde_lab.simulate import (
     DEFAULT_BATCH,
     _pull_up,
     _sample_forest,
-    conditional_solution,
-    discrete_solution,
     endogeny_diagnostic,
-    extract_tree,
-    iterated_conditional,
     mc_moments,
     one_minus_prod,
     one_minus_prod_uniform,
-    sample_tree,
 )
 from rde_lab.streams import derive
 
-from oracles import brute_force_root_probability, layer_recursion_violation
+from oracles import brute_force_root_probability, conditional_root, forest_tree, leaf_count, root_value
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DET2 = Deterministic(2)
@@ -36,10 +31,12 @@ MIXED = FinitePmf({1: 0.3, 2: 0.4, 3: 0.2}, infinity_mass=0.1)
 # ----------------------------------------------------------------- sampling
 
 def test_binary_tree_is_complete():
-    tree = sample_tree(DET2, 3, derive(0, 0))
-    assert tree.node_count == 15
-    assert tree.level_counts == [1, 2, 4, 8]
-    assert all(np.all(f == 2) for f in tree.level_fams)
+    forest = _sample_forest(DET2, 3, 1, derive(0, 0))
+    assert [int(c[0]) for c in forest.rep_counts] == [1, 2, 4, 8]
+    complete = None
+    for _ in range(3):
+        complete = (complete, complete)
+    assert forest_tree(forest.fams, forest.rep_counts, 0) == complete
 
 
 def test_geometric_expected_node_count():
@@ -61,80 +58,83 @@ def test_half_infinite_root_split():
 def test_family_sizes_count_the_stored_children():
     # each level's family sizes add up to the node count of the next level
     forest = _sample_forest(FIN, 6, 2000, derive(2, 1))
-    for d in range(forest.depth):
-        assert forest.fams[d].sum() == forest.rep_counts[d + 1].sum()
+    for fams, below in zip(forest.fams, forest.rep_counts[1:]):
+        assert fams.sum() == below.sum()
 
 
 def test_node_cap_raises_resource_error():
     with pytest.raises(ResourceError):
-        sample_tree(GEO, 12, derive(3, 0), node_cap=10_000)
+        _sample_forest(GEO, 12, 1, derive(3, 0), node_cap=10_000)
 
 
 # ------------------------------------------------------------ tree solutions
 
 def test_conditional_fixed_point_consistency():
     mu1 = solve_mu1(Pgf(DET2))
-    tree = sample_tree(DET2, 1, derive(4, 0))
-    layer = conditional_solution(tree, mu1)
-    assert layer.values[()] == pytest.approx(1.0 - mu1 ** 2, abs=1e-15)
-    assert layer.values[()] == pytest.approx(mu1, abs=1e-12)
+    forest = _sample_forest(DET2, 1, 1, derive(4, 0))
+    root = _pull_up(forest.fams, mu1)
+    assert root == conditional_root(forest_tree(forest.fams, forest.rep_counts, 0), mu1)
+    assert root == pytest.approx(1.0 - mu1 ** 2, abs=1e-15)
+    assert root == pytest.approx(mu1, abs=1e-12)
 
 
 def test_conditional_depth_zero_is_boundary_constant():
     mu1 = solve_mu1(Pgf(DET2))
-    tree = sample_tree(DET2, 0, derive(4, 1))
-    assert conditional_solution(tree, mu1).values == {(): mu1}
+    forest = _sample_forest(DET2, 0, 1, derive(4, 1))
+    assert forest_tree(forest.fams, forest.rep_counts, 0) is None
+    assert _pull_up(forest.fams, mu1) == mu1
 
 
 def test_conditional_infinite_root_is_one():
-    tree = sample_tree(FinitePmf({2: 1e-9}, infinity_mass=1.0 - 1e-9), 2, derive(5, 0))
-    assert tree.level_fams[0][0] == INF_SENTINEL
-    assert conditional_solution(tree, 0.7).values[()] == 1.0
+    forest = _sample_forest(FinitePmf({2: 1e-9}, infinity_mass=1.0 - 1e-9), 2, 1, derive(5, 0))
+    assert forest_tree(forest.fams, forest.rep_counts, 0) == INF_SENTINEL
+    assert _pull_up(forest.fams, 0.7).tolist() == [1.0]
 
 
 def test_discrete_all_ones_boundary_gives_zero_root():
-    # mu1 = 1.0 forces every boundary draw to 1, so the root vetoes exactly
-    tree = sample_tree(DET2, 1, derive(6, 0))
-    layer = discrete_solution(tree, 1.0, derive(6, 1))
-    assert layer.values == {(): 0.0, (1,): 1.0, (2,): 1.0}
+    # a boundary of ones makes the root veto exactly
+    forest = _sample_forest(DET2, 1, 1, derive(6, 0))
+    assert _pull_up(forest.fams, np.ones(2)).tolist() == [0.0]
 
 
 def test_discrete_zero_child_forces_parent_one():
-    tree = sample_tree(DET2, 1, derive(7, 0))
-    layer = discrete_solution(tree, 0.0, derive(7, 1))
-    assert layer.values[()] == 1.0
-    assert set(layer.values[addr] for addr in ((1,), (2,))) == {0.0}
+    forest = _sample_forest(DET2, 1, 1, derive(7, 0))
+    assert _pull_up(forest.fams, np.array([0.0, 1.0])).tolist() == [1.0]
 
 
 def test_solution_values_stay_in_ranges():
     mu1 = solve_mu1(Pgf(MIXED))
-    tree = sample_tree(MIXED, 3, derive(8, 0))
-    cond = conditional_solution(tree, mu1)
-    assert all(0.0 <= v <= 1.0 for v in cond.values.values())
-    disc = discrete_solution(tree, mu1, derive(8, 1))
-    assert set(disc.values.values()) <= {0.0, 1.0}
+    rng = derive(8, 0)
+    forest = _sample_forest(MIXED, 3, 500, rng)
+    cond = _pull_up(forest.fams, mu1)
+    assert np.all((0.0 <= cond) & (cond <= 1.0))
+    boundary = (rng.random(int(forest.rep_counts[-1].sum())) < mu1).astype(float)
+    assert set(_pull_up(forest.fams, boundary).tolist()) <= {0.0, 1.0}
 
 
 def test_interior_recursion_identity_exact():
+    # the oracle applies 1 - prod(children) at every node of each tree
     mu1 = solve_mu1(Pgf(MIXED))
     for k in range(6):
-        tree = sample_tree(MIXED, 3, derive(9, k))
-        assert layer_recursion_violation(tree, conditional_solution(tree, mu1)) < 1e-14
-        assert layer_recursion_violation(tree, discrete_solution(tree, mu1, derive(10, k))) == 0.0
+        forest = _sample_forest(MIXED, 3, 50, derive(9, k))
+        boundary = (derive(10, k).random(int(forest.rep_counts[-1].sum())) < mu1).astype(float)
+        cond, disc = _pull_up(forest.fams, mu1), _pull_up(forest.fams, boundary)
+        leaves = iter(boundary.tolist())
+        for r in range(50):
+            tree = forest_tree(forest.fams, forest.rep_counts, r)
+            assert abs(cond[r] - conditional_root(tree, mu1)) < 1e-14
+            assert disc[r] == root_value(tree, leaves)
 
 
 def test_brute_force_oracle_small_trees():
     mu1 = solve_mu1(Pgf(MIXED))
-    rng = derive(11, 0)
-    checked = 0
-    while checked < 15:
-        tree = sample_tree(MIXED, 3, rng)
-        if not 1 <= tree.level_counts[3] <= 10:
-            continue
-        got = conditional_solution(tree, mu1).values[()]
-        want = brute_force_root_probability(tree, mu1)
-        assert got == pytest.approx(want, abs=1e-12)
-        checked += 1
+    forest = _sample_forest(MIXED, 3, 100, derive(11, 0))
+    roots = _pull_up(forest.fams, mu1)
+    trees = [(r, forest_tree(forest.fams, forest.rep_counts, r)) for r in range(100)]
+    small = [(r, tree) for r, tree in trees if 1 <= leaf_count(tree) <= 10][:15]
+    assert len(small) == 15
+    for r, tree in small:
+        assert roots[r] == pytest.approx(brute_force_root_probability(tree, mu1), abs=1e-12)
 
 
 def test_discrete_mean_invariance_binary_depth8():
@@ -240,8 +240,7 @@ def test_forest_matches_single_tree_recursion():
     forest = _sample_forest(MIXED, 4, 64, derive(14, 0))
     roots = _pull_up(forest.fams, np.full(int(forest.rep_counts[-1].sum()), mu1))
     for r in range(64):
-        tree = extract_tree(forest, r)
-        assert conditional_solution(tree, mu1).values[()] == roots[r]
+        assert conditional_root(forest_tree(forest.fams, forest.rep_counts, r), mu1) == roots[r]
 
 
 def test_depth_coupling_differences_shrink():
@@ -259,11 +258,12 @@ def test_depth_coupling_differences_shrink():
 
 
 def test_conditional_boundary_depth_restriction():
+    # the first two levels of a depth-5 forest, with the boundary at depth 2
     mu1 = solve_mu1(Pgf(FIN))
-    tree = sample_tree(FIN, 5, derive(16, 0))
-    partial = conditional_solution(tree, mu1, boundary_depth=2)
-    assert max(len(addr) for addr in partial.values) <= 2
-    assert layer_recursion_violation(tree, partial) < 1e-14
+    forest = _sample_forest(FIN, 5, 40, derive(16, 0))
+    roots = _pull_up(forest.fams[:2], mu1)
+    for r in range(40):
+        assert roots[r] == conditional_root(forest_tree(forest.fams[:2], forest.rep_counts, r), mu1)
 
 
 # ---------------------------------------------------------------- MC reports
@@ -326,25 +326,17 @@ def test_endogeny_diagnostic_binary_matches_golden_gap():
     assert abs(diag.p_disagree - 2.0 * gap) < 3.0 * diag.se_p
 
 
-def test_iterated_conditional_reduces_to_mc_moments():
-    mu1 = solve_mu1(Pgf(DET2))
-    cyc = make_two_cycle(Pgf(DET2), mu1, mu1)
-    mc = mc_moments(DET2, mu1, 8, 400, seed=24)
-    it = iterated_conditional(DET2, cyc, 4, 400, seed=24)
-    assert it.mean_C == mc.mean_C
-    assert it.m2_C == mc.m2_C
-
-
 def test_iterated_conditional_boundary_one_forces_root_one():
+    # the iterated solution C+ of a two-cycle is C at an even depth from the constant mu_plus
     cyc = make_two_cycle(Pgf(DET2), 1.0, 0.0)
-    it = iterated_conditional(DET2, cyc, 3, 200, seed=25)
+    it = mc_moments(DET2, cyc.mu_plus, 6, 200, seed=25)
     assert it.mean_C == 1.0 and it.se_mean == 0.0
 
 
 def test_iterated_conditional_neutral_pair_preserved():
     # f(0.2) = 16/17 and f(16/17) = 0.2 for the alpha=1/4 geometric family
     pair = make_two_cycle(Pgf(GEO), 0.2, 16.0 / 17.0)
-    it = iterated_conditional(GEO, pair, 4, 400, seed=26, node_cap=50_000_000)
+    it = mc_moments(GEO, pair.mu_plus, 8, 400, seed=26, node_cap=50_000_000)
     assert abs(it.mean_C - 0.2) < 3.0 * it.se_mean
 
 
@@ -364,7 +356,7 @@ def test_forest_pass_matches_single_tree_recursion(depth):
     _, _, c_roots, s_roots = endogeny_diagnostic(MIXED, mu1, depth, reps, seed)
     forest = _sample_forest(MIXED, depth, reps, derive(seed, 0))
     for r in range(reps):
-        want = conditional_solution(extract_tree(forest, r), mu1).values[()]
+        want = conditional_root(forest_tree(forest.fams, forest.rep_counts, r), mu1)
         assert abs(c_roots[r] - want) <= 1e-15
     assert set(s_roots.tolist()) <= {0.0, 1.0}
 
