@@ -285,13 +285,14 @@ def iterate(ctx):
         seed = _require_seed(config)
         nu0 = _initial_dist(config)
         report = distiter.basin_test(nu0, spec, _int(config, "steps"), seed=seed)
+        start = report.records[0]
         rows = [[rec.k, rec.m1, rec.m2] for rec in report.records]
         _write_csv(_out_dir(config) / "trajectory.csv", ["k", "m1", "m2"], rows)
         return dict(
             verdict={"analytic": report.analytic, "empirical": report.empirical},
             mu1=report.mu1,
             mu2=report.mu2,
-            initial={"mean": nu0.mean(), "m2": nu0.second_moment(), "size": nu0.size},
+            initial={"mean": start.m1, "m2": start.m2, "size": nu0.size},
             final={"m1": report.records[-1].m1, "m2": report.records[-1].m2},
         )
 

@@ -33,7 +33,9 @@ DEFAULT_SAMPLE_SIZE = 100_000
 BASIN_TOL = 1e-6  # a start whose mean lies this close to mu1 counts as having mean mu1
 EMPIRICAL_BAND_FLOOR = 1e-3  # least half-width of the band that a converged trajectory ends in
 MAX_CHILD_DRAWS = 2**27  # per step of the map: it bounds the time; the chunks bound the memory
-CHUNK_CHILDREN = 2**16  # children drawn at once, 1 MiB of indices and values; outputs do not depend on it
+# family sizes or children drawn at once, 1 MiB of scratch; outputs do not depend on it, save where
+# pgf's pruning fallback draws the sizes
+CHUNK_CHILDREN = 2**16
 
 # a sample counts as the two-point law only if essentially no interior mass
 DELTA_INTERIOR_EPS = 1e-9
@@ -122,22 +124,21 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     families come first, then each finite size k in ascending order, whose
     c_k families draw their c_k * k child indices one family after
     another.  The order of the points carries no meaning, since the next
-    step resamples them uniformly.  Indices are drawn CHUNK_CHILDREN at a
-    time, which gives the values of one draw.  Raises ResourceError when
-    the step needs more than MAX_CHILD_DRAWS children.
+    step resamples them uniformly.  Sizes and indices are drawn
+    CHUNK_CHILDREN at a time, which gives the values of one draw, so a step
+    holds its input, its output and scratch of a chunk's size.  Raises
+    ResourceError when the step needs more than MAX_CHILD_DRAWS children.
     """
     validate_spec(spec)
-    sizes = sample_family_sizes(spec, nu.size, rng)
-    # a float sum cannot wrap as an int64 one can; it is exact below 2**53
-    children = float(sizes.sum(dtype=float))
+    tally = _family_size_tally(spec, nu.size, rng)
+    children = sum(k * c for k, c in tally.items())
     if children > MAX_CHILD_DRAWS:
         raise ResourceError(
-            f"one step of the map needs {children:.0f} child draws, more than the limit {MAX_CHILD_DRAWS}"
+            f"one step of the map needs {children} child draws, more than the limit {MAX_CHILD_DRAWS}"
         )
-    classes, counts = np.unique(sizes, return_counts=True)
     out = np.empty(nu.size)
     end = 0
-    for k, c in zip(classes.tolist(), counts.tolist()):
+    for k, c in sorted(tally.items()):
         block = out[end:end + c]
         end += c
         if k == INF_SENTINEL:
@@ -158,25 +159,38 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     return EmpiricalDist._unchecked(out)
 
 
+def _family_size_tally(spec: OffspringSpec, n: int, rng: np.random.Generator) -> dict[int, int]:
+    """Count of each family size among n draws of N, the sizes drawn
+    CHUNK_CHILDREN at a time; a Deterministic(d) spec gives {d: n}."""
+    tally: dict[int, int] = {}
+    for start in range(0, n, CHUNK_CHILDREN):
+        sizes = sample_family_sizes(spec, min(CHUNK_CHILDREN, n - start), rng)
+        classes, counts = np.unique(sizes, return_counts=True)
+        for k, c in zip(classes.tolist(), counts.tolist()):
+            tally[k] = tally.get(k, 0) + c
+    return tally
+
+
 def _draw(points: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """n points resampled uniformly with replacement."""
     return points[rng.integers(0, points.size, n)]
 
 
 def iterate_T(
-    nu0: EmpiricalDist,
+    nu: EmpiricalDist,
     spec: OffspringSpec,
     steps: int,
     rng: np.random.Generator,
 ) -> list[TrajectoryRecord]:
     """Repeated application of the map, recording per-step moments.
 
-    The k=0 record describes the initial sample.
+    The k=0 record describes the initial sample.  Each sample is let go
+    once its image is drawn, so the loop itself holds no more than two; a
+    caller that keeps the start sample keeps a third.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     records = []
-    nu = nu0
     for k in range(steps + 1):
         records.append(TrajectoryRecord(k=k, m1=nu.mean(), m2=nu.second_moment()))
         if k < steps:
@@ -260,8 +274,7 @@ def basin_test(
             verdict = "NotInBasin"
 
     records = iterate_T(nu0, spec, steps, derive(seed, 0))
-    m = nu0.size
-    band = max(5.0 / np.sqrt(m), EMPIRICAL_BAND_FLOOR)
+    band = max(5.0 / np.sqrt(nu0.size), EMPIRICAL_BAND_FLOOR)
     last = records[-1]
     prev = records[-2]
     if abs(last.m1 - mu1) < band and abs(last.m2 - mu2) < band:

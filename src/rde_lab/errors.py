@@ -27,7 +27,7 @@ class FeasibilityError(RdeLabError):
 
 
 class ResourceError(RdeLabError):
-    """A sampled tree exceeded the configured node cap, one level of a
-    batch of trees needs more than ``simulate.MAX_LEVEL_DRAWS`` family-size
-    draws, or one step of ``distiter.apply_T`` needs more than
+    """A sampled tree exceeded the configured node cap, the forest of a
+    batch of trees would store more than ``simulate.MAX_FOREST_DRAWS``
+    family sizes, or one step of ``distiter.apply_T`` needs more than
     ``distiter.MAX_CHILD_DRAWS`` child draws."""

@@ -450,7 +450,7 @@ def sample_family_sizes(
     if isinstance(spec, Deterministic):
         return np.full(n, spec.d, dtype=np.int64)
     if isinstance(spec, Geometric):
-        return rng.geometric(spec.alpha, size=n).astype(np.int64)
+        return rng.geometric(spec.alpha, size=n).astype(np.int64, copy=False)
     table = _inverse_cdf_table(spec)
     if table is None:
         return _sample_thinned(spec, n, rng, budget)

@@ -34,7 +34,7 @@ DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_BATCH = 2048  # frozen: results depend on it, so it is not a tuning knob
 STRIDED_MAX_WIDTH = 8  # widest family multiplied as strided columns; a speed choice only
 POWER_CHUNK = 2**16  # factors per cumprod when a width level raises one value to its width
-MAX_LEVEL_DRAWS = 2**27  # family sizes drawn for one level of a batch, as distiter.MAX_CHILD_DRAWS
+MAX_FOREST_DRAWS = 2**27  # family sizes one batch's forest holds, as distiter.MAX_CHILD_DRAWS
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +59,14 @@ class _Forest:
 def _segment_sums(values: np.ndarray, seg_counts: np.ndarray) -> np.ndarray:
     """Sum of ``values`` over consecutive segments of the given lengths.
 
-    Cumsum-based so zero-length segments are handled (unlike reduceat).
+    Cumsum-based so zero-length segments are handled (unlike reduceat);
+    the running sums go straight into one buffer with a leading 0.
     """
-    cs = np.concatenate([[0], np.cumsum(values)])
-    offs = np.concatenate([[0], np.cumsum(seg_counts)])
-    return (cs[offs[1:]] - cs[offs[:-1]]).astype(np.int64)
+    cs = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=cs[1:])
+    offs = np.zeros(seg_counts.size + 1, dtype=np.int64)
+    np.cumsum(seg_counts, out=offs[1:])
+    return cs[offs[1:]] - cs[offs[:-1]]
 
 
 def _sample_forest(
@@ -76,6 +79,7 @@ def _sample_forest(
     fams: list[np.ndarray | int] = []
     rep_counts: list[np.ndarray] = [np.ones(reps, dtype=np.int64)]
     totals = np.ones(reps, dtype=np.int64)
+    stored = 0  # family sizes held by the sampled levels so far
     for d in range(depth):
         if isinstance(spec, Deterministic):
             # stored as its width, which draws nothing; a sampled level stays an
@@ -84,12 +88,14 @@ def _sample_forest(
             children = rep_counts[d] * level
         else:
             n = int(rep_counts[d].sum())
-            if n > MAX_LEVEL_DRAWS:
+            if stored + n > MAX_FOREST_DRAWS:
                 raise ResourceError(
-                    f"level {d} of a batch of {reps} trees has {n} nodes, more than the limit "
-                    f"{MAX_LEVEL_DRAWS} family-size draws; their sizes alone would need {8 * n} bytes"
+                    f"level {d} of a batch of {reps} trees has {n} nodes and the levels above it store "
+                    f"{stored} family sizes, more than the limit {MAX_FOREST_DRAWS} together; "
+                    f"the sizes alone would need {8 * (stored + n)} bytes"
                 )
             level = sample_family_sizes(spec, n, rng)
+            stored += n
             children = _segment_sums(level, rep_counts[d])
         fams.append(level)
         rep_counts.append(children)

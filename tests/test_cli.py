@@ -419,14 +419,19 @@ def test_exit_code_on_resource_limit(tmp_path):
 
 
 def test_simulate_exits_3_before_drawing_a_level_past_the_limit(tmp_path, monkeypatch):
-    # about 200 * 4**2 nodes at level 2, far below the node cap
-    monkeypatch.setattr(simulate, "MAX_LEVEL_DRAWS", 1000)
+    # about 200 * 4**d nodes at level d, far below the node cap; the limit
+    # counts the sizes the levels above store, not only the next level
+    monkeypatch.setattr(simulate, "MAX_FOREST_DRAWS", 1000)
     cfg = {"spec": {"kind": "geometric", "alpha": 0.25}, "reps": 200, "depth": 6, "seed": 3}
     result, _ = run_cli(tmp_path, cfg, "simulate")
     assert result.exit_code == 3
-    n = int(re.search(r"level 2 of a batch of 200 trees has (\d+) nodes", result.output)[1])
-    assert n > 1000
-    assert f"more than the limit 1000 family-size draws; their sizes alone would need {8 * n} bytes" in result.output
+    found = re.search(
+        r"level (\d+) of a batch of 200 trees has (\d+) nodes and the levels above it store (\d+) family sizes",
+        result.output,
+    )
+    d, n, stored = (int(g) for g in found.groups())
+    assert n <= 1000 < stored + n and d >= 1
+    assert f"more than the limit 1000 together; the sizes alone would need {8 * (stored + n)} bytes" in result.output
 
 
 def test_simulate_deterministic_forest_does_not_grow_with_nodes(tmp_path, address_space_gib):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,8 +104,8 @@ def test_apply_matches_per_point_loop(spec, classes, power):
 
 @pytest.mark.parametrize(
     "spec",
-    [DET2, GEO, FinitePmf({1: 0.4, 5: 0.2, 1000: 0.2}, infinity_mass=0.2)],
-    ids=["det2", "geometric", "sizes-1-5-1000-inf"],
+    [DET2, GEO, FinitePmf({1: 0.4, 5: 0.2, 1000: 0.2}, infinity_mass=0.2), Thinned(DET2, 0.3)],
+    ids=["det2", "geometric", "sizes-1-5-1000-inf", "thinned-table"],
 )
 def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec):
     # a family of 1000 is wider than a 300-child chunk, so its product runs
@@ -112,7 +113,30 @@ def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec):
     nu = EmpiricalDist(derive(6, 0).random(3000) ** 1e-3)
     want = apply_T(nu, spec, derive(6, 1)).points
     monkeypatch.setattr(distiter, "CHUNK_CHILDREN", 300)
+    draws = []
+
+    def sample_family_sizes_spy(spec, n, rng):
+        draws.append(n)
+        return sample_family_sizes(spec, n, rng)
+
+    monkeypatch.setattr(distiter, "sample_family_sizes", sample_family_sizes_spy)
     assert apply_T(nu, spec, derive(6, 1)).points.tolist() == want.tolist()
+    # the 3000 family sizes come in ten chunks, so the sizes' stream is chunked too
+    assert draws == [300] * 10
+
+
+@pytest.mark.parametrize("spec", [DET2, GEO, FIN], ids=["det2", "geometric", "finite-inf"])
+def test_apply_working_memory_is_the_output_and_a_chunk(spec):
+    # at M = 1e6 an M-long array of family sizes, or any copy of it, is 8 MB
+    nu = EmpiricalDist(derive(7, 0).random(1_000_000))
+    apply_T(nu, spec, derive(7, 1))  # builds the spec's cached tables
+    tracemalloc.start()
+    try:
+        out = apply_T(nu, spec, derive(7, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.points.nbytes + 2 * 2**20
 
 
 def test_apply_preserves_two_point_laws():
