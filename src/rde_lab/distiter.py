@@ -14,6 +14,9 @@ j >= 1 (an infinite family gives the product 0), so T nu has moments
 The conditional solution at depth n has law T^n delta_mu1, so iterating
 this map from m_k = mu1^k gives its exact moments; they double as an
 oracle for the empirical trajectories.
+
+Each point of T nu is formed by simulate.one_minus_prod, the kernel of the
+tree pull-up, or by its running_product for a family wider than a chunk.
 """
 
 from __future__ import annotations
@@ -25,17 +28,13 @@ import numpy as np
 
 from .errors import ResourceError, SpecValidationError
 from .pgf import INF_SENTINEL, OffspringSpec, Pgf, sample_family_sizes, validate_spec
-from . import analysis
-from .simulate import one_minus_prod_uniform
+from . import analysis, simulate
 from .streams import derive
 
 DEFAULT_SAMPLE_SIZE = 100_000
 BASIN_TOL = 1e-6  # a start whose mean lies this close to mu1 counts as having mean mu1
 EMPIRICAL_BAND_FLOOR = 1e-3  # least half-width of the band that a converged trajectory ends in
-MAX_CHILD_DRAWS = 2**27  # per step of the map: it bounds the time; the chunks bound the memory
-# family sizes or children drawn at once, 1 MiB of scratch; outputs do not depend on it, save where
-# pgf's pruning fallback draws the sizes
-CHUNK_CHILDREN = 2**16
+MAX_CHILD_DRAWS = 2**27  # per step of the map: it bounds the time; simulate.CHUNK bounds the memory
 
 # a sample counts as the two-point law only if essentially no interior mass
 DELTA_INTERIOR_EPS = 1e-9
@@ -125,7 +124,7 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     c_k families draw their c_k * k child indices one family after
     another.  The order of the points carries no meaning, since the next
     step resamples them uniformly.  Sizes and indices are drawn
-    CHUNK_CHILDREN at a time, which gives the values of one draw, so a step
+    simulate.CHUNK at a time, which gives the values of one draw, so a step
     holds its input, its output and scratch of a chunk's size.  Raises
     ResourceError when the step needs more than MAX_CHILD_DRAWS children.
     """
@@ -138,33 +137,32 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
         )
     out = np.empty(nu.size)
     end = 0
+    chunk = simulate.CHUNK
     for k, c in sorted(tally.items()):
         block = out[end:end + c]
         end += c
         if k == INF_SENTINEL:
             block.fill(1.0)
-        elif k <= CHUNK_CHILDREN:
-            step = CHUNK_CHILDREN // k
+        elif k <= chunk:
+            step = chunk // k
             for f in range(0, c, step):
                 part = block[f:f + step]
-                one_minus_prod_uniform(_draw(nu.points, part.size * k, rng), k, part)
+                simulate.one_minus_prod(_draw(nu.points, part.size * k, rng), k, part)
         else:
             # a family wider than a chunk: its product runs on across chunks, in order
             for f in range(c):
-                prod = 1.0
-                for s in range(0, k, CHUNK_CHILDREN):
-                    prod = np.multiply.reduce(_draw(nu.points, min(CHUNK_CHILDREN, k - s), rng), initial=prod)
-                block[f] = 1.0 - prod
+                draws = (_draw(nu.points, min(chunk, k - s), rng) for s in range(0, k, chunk))
+                block[f] = 1.0 - simulate.running_product(draws)
     # each point is 1 - a product of points in [0,1], so it lies in [0,1]
     return EmpiricalDist._unchecked(out)
 
 
 def _family_size_tally(spec: OffspringSpec, n: int, rng: np.random.Generator) -> dict[int, int]:
     """Count of each family size among n draws of N, the sizes drawn
-    CHUNK_CHILDREN at a time; a Deterministic(d) spec gives {d: n}."""
+    simulate.CHUNK at a time; a Deterministic(d) spec gives {d: n}."""
     tally: dict[int, int] = {}
-    for start in range(0, n, CHUNK_CHILDREN):
-        sizes = sample_family_sizes(spec, min(CHUNK_CHILDREN, n - start), rng)
+    for start in range(0, n, simulate.CHUNK):
+        sizes = sample_family_sizes(spec, min(simulate.CHUNK, n - start), rng)
         classes, counts = np.unique(sizes, return_counts=True)
         for k, c in zip(classes.tolist(), counts.tolist()):
             tally[k] = tally.get(k, 0) + c

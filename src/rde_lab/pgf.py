@@ -418,12 +418,7 @@ class Pgf:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample_family_sizes(
-    spec: OffspringSpec,
-    n: int,
-    rng: np.random.Generator,
-    budget: int = SAMPLE_BUDGET,
-) -> np.ndarray:
+def sample_family_sizes(spec: OffspringSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n iid draws of N as an int64 array of the children each family
     stores: an infinite family stores none and reads INF_SENTINEL (0).
 
@@ -440,8 +435,8 @@ def sample_family_sizes(
     base of unbounded support such as a geometric one) falls back to
     running the pruning process on the base tree: every child line survives
     with probability p and is cut (one count) with probability q.  Only
-    there does ``budget`` apply: a draw whose explored-node count exceeds it
-    is reported as infinite.  That inflates a huge finite family to
+    there does ``SAMPLE_BUDGET`` apply: a draw whose explored-node count
+    exceeds it is reported as infinite.  That inflates a huge finite family to
     infinity, which downstream value recursions treat the same way a truly
     infinite family behaves (node value ~ 1).
     """
@@ -453,7 +448,7 @@ def sample_family_sizes(
         return rng.geometric(spec.alpha, size=n).astype(np.int64, copy=False)
     table = _inverse_cdf_table(spec)
     if table is None:
-        return _sample_thinned(spec, n, rng, budget)
+        return _sample_thinned(spec, n, rng)
     cdf, values = table
     u = rng.random(n)
     if cdf.size <= SHORT_CDF:
@@ -519,7 +514,7 @@ def _support_and_probs(spec: FinitePmf) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sum_family_draws(
-    base: OffspringSpec, counts: np.ndarray, rng: np.random.Generator, budget: int
+    base: OffspringSpec, counts: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sum of counts[i] iid base draws, infinite-draw flag), per entry.
 
@@ -543,25 +538,25 @@ def _sum_family_draws(
         return tallies @ support, tallies[:, support == INF_SENTINEL].any(axis=1)
     # a thinned base: one draw per node
     owners = np.repeat(np.arange(counts.size), counts)
-    fams = sample_family_sizes(base, int(owners.size), rng, budget)
+    fams = sample_family_sizes(base, int(owners.size), rng)
     inf_mask = np.bincount(owners[fams == INF_SENTINEL], minlength=counts.size) > 0
     sums = np.bincount(owners, weights=fams.astype(float), minlength=counts.size).astype(np.int64)
     return sums, inf_mask
 
 
-def _sample_thinned(spec: Thinned, n: int, rng: np.random.Generator, budget: int) -> np.ndarray:
+def _sample_thinned(spec: Thinned, n: int, rng: np.random.Generator) -> np.ndarray:
     deaths = np.zeros(n, dtype=np.int64)
     visited = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=np.int64)  # live (surviving) nodes awaiting expansion
     idx = np.arange(n)
     while idx.size:
         # total base children of this generation's live nodes, per sample
-        children, blown = _sum_family_draws(spec.base, active, rng, budget)
+        children, blown = _sum_family_draws(spec.base, active, rng)
         # an infinite base family sheds infinitely many cut lines a.s.
         visited[idx] += children
         survivors = rng.binomial(children, spec.p)
         deaths[idx] += children - survivors
-        blown = blown | (visited[idx] > budget)
+        blown = blown | (visited[idx] > SAMPLE_BUDGET)
         deaths[idx[blown]] = INF_SENTINEL
         going = (survivors > 0) & ~blown
         idx = idx[going]

@@ -10,9 +10,11 @@ root from one pull-up of C; no per-node S is built.
 Nodes with an infinite family are pinned to value 1 (an infinite product
 of iid values with mean < 1 vanishes a.s.) and have no materialised
 children.  The depth-n boundary is never built: it is the one value mu1,
-and a constant level is pulled up as one value through the table 1 - v^k
-by family size k.  A Deterministic(d) level is stored as its width d, so
-its forest holds no per-node array and C stays one value up to the root.
+and a constant level v is pulled up as 1 - v^k by family size k.  A
+Deterministic(d) level is stored as its width d, so its forest holds no
+per-node array and C stays one value up to the root.  Other levels go
+through one_minus_prod, the kernel apply_T shares.  Sampled levels are
+drawn, and powers tabled, CHUNK values at a time.
 Replicates are batched into forests so the per-level product recursion
 runs as a handful of vectorised passes; the batches run one after
 another, so a run holds one batch's forest at a time, and each owns an
@@ -33,7 +35,7 @@ from .streams import derive
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_BATCH = 2048  # frozen: results depend on it, so it is not a tuning knob
 STRIDED_MAX_WIDTH = 8  # widest family multiplied as strided columns; a speed choice only
-POWER_CHUNK = 2**16  # factors per cumprod when a width level raises one value to its width
+CHUNK = 2**16  # values one kernel, table or sampler call holds; outputs depend on it only where pgf prunes
 MAX_FOREST_DRAWS = 2**27  # family sizes one batch's forest holds, as distiter.MAX_CHILD_DRAWS
 
 
@@ -94,7 +96,9 @@ def _sample_forest(
                     f"{stored} family sizes, more than the limit {MAX_FOREST_DRAWS} together; "
                     f"the sizes alone would need {8 * (stored + n)} bytes"
                 )
-            level = sample_family_sizes(spec, n, rng)
+            level = np.empty(n, dtype=np.int64)
+            for start in range(0, n, CHUNK):
+                level[start:start + CHUNK] = sample_family_sizes(spec, min(CHUNK, n - start), rng)
             stored += n
             children = _segment_sums(level, rep_counts[d])
         fams.append(level)
@@ -108,73 +112,74 @@ def _sample_forest(
     return _Forest(fams=fams, rep_counts=rep_counts)
 
 
-def one_minus_prod_uniform(values: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` 1 - the product of each family of ``width``
-    consecutive children in ``values``, and return it.
+def one_minus_prod(values: np.ndarray, sizes: np.ndarray | int, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` 1 - the product of each family's children, laid
+    out back to back in ``values``, and return it.
 
-    Narrow families multiply strided columns; wider ones reduce the rows of
-    a (families, width) view.  Both multiply each family's children in
-    order, so the two forms agree bit for bit.
+    ``sizes`` is the int width that every family has, or one size per
+    family, where an infinite family (INF_SENTINEL) stores none and gives 1.
+    A width up to STRIDED_MAX_WIDTH multiplies strided columns; everything
+    else goes through one reduceat.  Both multiply each family's children in
+    order, so they agree bit for bit.
     """
-    if width <= STRIDED_MAX_WIDTH:
-        np.copyto(out, values[0::width])
-        for j in range(1, width):
-            np.multiply(out, values[j::width], out=out)
-    else:
-        np.multiply.reduce(values.reshape(out.size, width), axis=1, out=out)
-    return np.subtract(1.0, out, out=out)
-
-
-def one_minus_prod(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """For each parent, 1 - the product of its consecutive children.
-
-    ``sizes[i]`` is the number of children parent i stores; the children
-    of the parents are laid out back to back in ``values``.  An infinite
-    family (INF_SENTINEL, 0) stores none and gives 1.
-    """
-    n = sizes.shape[0]
-    if n > 0 and sizes.min() == sizes.max() and sizes[0] != INF_SENTINEL:  # values[0::0] raises
-        return one_minus_prod_uniform(values, int(sizes[0]), np.empty(n))
+    if np.ndim(sizes) == 0 and sizes <= STRIDED_MAX_WIDTH:
+        np.copyto(out, values[0::sizes])
+        for j in range(1, sizes):
+            np.multiply(out, values[j::sizes], out=out)
+        return np.subtract(1.0, out, out=out)
+    sizes = np.broadcast_to(sizes, out.shape)
     finite = sizes != INF_SENTINEL
-    out = np.ones(n)
-    if finite.any():
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        out[finite] = 1.0 - np.multiply.reduceat(values, starts[finite])
+    starts = np.zeros(out.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    out.fill(1.0)
+    out[finite] = 1.0 - np.multiply.reduceat(values, starts[finite])
     return out
 
 
-def _ordered_power(v: float, d: int) -> float:
-    """v^d multiplied left to right, as the kernels multiply d children, by
-    cumprod a bounded chunk at a time: each chunk starts from the running
-    product, so the multiplies, their order and the bits are those of one
-    cumprod over all d factors."""
-    carry = 1.0
-    for start in range(0, d, POWER_CHUNK):
-        carry = np.cumprod(np.r_[carry, np.full(min(POWER_CHUNK, d - start), v)])[-1]
-    return float(carry)
+def running_product(chunks, prod: float = 1.0) -> float:
+    """``prod`` times the values of the arrays in ``chunks``, multiplied in
+    order as one_minus_prod multiplies a family's children, a chunk at a time."""
+    for chunk in chunks:
+        prod = np.multiply.reduce(chunk, initial=prod)
+    return prod
+
+
+def _one_minus_powers(v: float, sizes: np.ndarray) -> np.ndarray:
+    """1 - v^k for each family size k in ``sizes``, 1 for INF_SENTINEL, the
+    powers multiplied in order as one_minus_prod multiplies k children.
+    Sizes up to CHUNK read a table of v^0..v^CHUNK; one running product walks
+    on through the distinct larger sizes, a chunk of factors at a time, until
+    a power that one more factor leaves unchanged."""
+    top = int(np.max(sizes, initial=0))
+    factors = np.full(min(top, CHUNK), v)
+    powers = np.cumprod(np.r_[1.0, factors])
+    table = 1.0 - powers
+    table[INF_SENTINEL] = 1.0
+    out = table.take(sizes, mode="clip")
+    if top > CHUNK:
+        wide = sizes > CHUNK
+        keys, where = np.unique(sizes[wide], return_inverse=True)
+        prods, prod, reached = np.empty(keys.size), powers[-1], CHUNK
+        for i, k in enumerate(keys.tolist()):
+            if prod * v != prod:  # else every further power is prod: 0, or a subnormal stuck for v > 1/2
+                prod = running_product((factors[:min(CHUNK, k - s)] for s in range(reached, k, CHUNK)), prod)
+            prods[i], reached = prod, k
+        out[wide] = 1.0 - prods[where]
+    return out
 
 
 def _pull_up(fams: list[np.ndarray | int], boundary: np.ndarray | float) -> np.ndarray | float:
     """Root values of value(u) = 1 - prod(children), applied upward from
-    boundary values: one per boundary node, or one float for them all.
-
-    A constant level v goes up as table[sizes], table[k] = 1 - v^k with the
-    powers multiplied in order as the kernels multiply children, and 1 for
-    an infinite family (INF_SENTINEL); over a width level it stays one value.
-    """
+    boundary values: one per boundary node, or one float for them all, which
+    stays one float over a width level."""
     v = boundary
     for sizes in reversed(fams):
         if np.ndim(v) == 0 and isinstance(sizes, int):
-            v = 1.0 - _ordered_power(v, sizes)
+            v = _one_minus_powers(v, np.array([sizes]))[0]
         elif np.ndim(v) == 0:
-            table = 1.0 - np.cumprod(np.r_[1.0, np.full(int(np.max(sizes, initial=0)), v)])
-            table[INF_SENTINEL] = 1.0
-            v = table[sizes]
-        elif isinstance(sizes, int):
-            v = one_minus_prod_uniform(v, sizes, np.empty(v.size // sizes))
+            v = _one_minus_powers(v, sizes)
         else:
-            v = one_minus_prod(v, sizes)
+            v = one_minus_prod(v, sizes, np.empty(v.size // sizes if isinstance(sizes, int) else sizes.size))
     return v
 
 

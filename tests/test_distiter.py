@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rde_lab.distiter as distiter
+import rde_lab.simulate as simulate
 from rde_lab.analysis import MomentKind, build_fixed_point_report, moment_sequence, solve_mu1
 from rde_lab.distiter import (
     EmpiricalDist,
@@ -112,7 +113,7 @@ def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec):
     # across chunks; points near 1 keep such a product from underflowing
     nu = EmpiricalDist(derive(6, 0).random(3000) ** 1e-3)
     want = apply_T(nu, spec, derive(6, 1)).points
-    monkeypatch.setattr(distiter, "CHUNK_CHILDREN", 300)
+    monkeypatch.setattr(simulate, "CHUNK", 300)
     draws = []
 
     def sample_family_sizes_spy(spec, n, rng):

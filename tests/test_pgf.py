@@ -363,20 +363,22 @@ def test_sample_finite_matches_weights():
         assert abs(emp - target) < 3.0 * se
 
 
-def test_sample_thinned_infinity_probability():
+def test_sample_thinned_infinity_probability(monkeypatch):
     # defect of the p=0.6 pruned binary tree is 5/9
-    draws = sample_family_sizes(TH06, 100_000, derive(3, 0), budget=10_000)
+    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    draws = sample_family_sizes(TH06, 100_000, derive(3, 0))
     emp = float((draws == INF_SENTINEL).mean())
     target = 5.0 / 9.0
     se = math.sqrt(target * (1.0 - target) / draws.size)
     assert abs(emp - target) < 3.0 * se
-    assert int(sample_family_sizes(TH06, 1, derive(3, 1), budget=10_000)[0]) in {INF_SENTINEL} | set(range(2, 10_000))
+    assert int(sample_family_sizes(TH06, 1, derive(3, 1))[0]) in {INF_SENTINEL} | set(range(2, 10_000))
 
 
-def test_sample_thinned_pmf_matches_series_coefficients():
+def test_sample_thinned_pmf_matches_series_coefficients(monkeypatch):
     spec = Thinned(DET2, 0.4)
     prefix, _ = Pgf(spec).pmf_prefix(6)
-    draws = sample_family_sizes(spec, 200_000, derive(4, 0), budget=10_000)
+    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    draws = sample_family_sizes(spec, 200_000, derive(4, 0))
     for k in range(2, 6):
         target = prefix[k]
         emp = float((draws == k).mean())
@@ -389,9 +391,10 @@ def test_sample_thinned_pmf_matches_series_coefficients():
     [Thinned(FinitePmf({1: 0.2, 2: 0.5, 3: 0.3}), 0.4), Thinned(FinitePmf({2: 0.5}, infinity_mass=0.5), 0.3)],
     ids=["finite-base", "finite-inf-base"],
 )
-def test_sample_thinned_finite_base_matches_series_coefficients(spec):
+def test_sample_thinned_finite_base_matches_series_coefficients(monkeypatch, spec):
     prefix, _ = Pgf(spec).pmf_prefix(6)
-    draws = sample_family_sizes(spec, 200_000, derive(6, 0), budget=10_000)
+    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    draws = sample_family_sizes(spec, 200_000, derive(6, 0))
     for k, target in [(k, prefix[k]) for k in range(1, 6)] + [(INF_SENTINEL, Pgf(spec).defect())]:
         emp = float((draws == k).mean())
         se = math.sqrt(max(target * (1.0 - target), 1e-12) / draws.size)
@@ -463,11 +466,12 @@ def test_thinned_table_reaches_h1(spec):
     assert values.tolist() == list(range(cdf.size)) + [INF_SENTINEL]
 
 
-def test_critical_thinned_draws_take_the_budgeted_fallback():
+def test_critical_thinned_draws_take_the_budgeted_fallback(monkeypatch):
     # the p = 1/2 tail decays like k^-1/2, so no table within the work cap reaches H(1) = 1
     assert pgf_module._inverse_cdf_table(TH05) is None
-    got = sample_family_sizes(TH05, 20_000, derive(11, 0), budget=10_000)
-    want = pgf_module._sample_thinned(TH05, 20_000, derive(11, 0), 10_000)
+    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    got = sample_family_sizes(TH05, 20_000, derive(11, 0))
+    want = pgf_module._sample_thinned(TH05, 20_000, derive(11, 0))
     assert got.tobytes() == want.tobytes()
 
 
@@ -485,8 +489,9 @@ def test_geometric_base_table_stops_at_the_work_cap(monkeypatch):
     # the 256-entry table falls short of H(1); 512 entries would cost 512^2 * 511 > TABLE_WORK
     assert [n for s, n in sizes if s == spec] == [256]
     assert 512 * 512 * 511 > pgf_module.TABLE_WORK >= 256 * 256 * 255
-    assert sample_family_sizes(spec, 1000, derive(12, 0), budget=10_000).tobytes() == (
-        pgf_module._sample_thinned(spec, 1000, derive(12, 0), 10_000).tobytes()
+    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    assert sample_family_sizes(spec, 1000, derive(12, 0)).tobytes() == (
+        pgf_module._sample_thinned(spec, 1000, derive(12, 0)).tobytes()
     )
 
 
@@ -497,19 +502,21 @@ def test_geometric_base_table_stops_at_the_work_cap(monkeypatch):
      Thinned(Geometric(0.3), 0.4)],
     ids=["binary-p0.6", "binary-p0.4", "finite-base", "finite-inf-base", "finite-base-p0.9", "geometric-base"],
 )
-def test_pruning_fallback_matches_series_coefficients(spec):
+def test_pruning_fallback_matches_series_coefficients(monkeypatch, spec):
     # the pruning process behind specs without a table, checked where the series is known
     prefix, _ = Pgf(spec).pmf_prefix(6)
-    draws = pgf_module._sample_thinned(spec, 100_000, derive(13, 0), 10_000)
+    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    draws = pgf_module._sample_thinned(spec, 100_000, derive(13, 0))
     for k, target in [(k, prefix[k]) for k in range(1, 6)] + [(INF_SENTINEL, Pgf(spec).defect())]:
         emp = float((draws == k).mean())
         se = math.sqrt(max(target * (1.0 - target), 1e-12) / draws.size)
         assert abs(emp - target) < 3.0 * se
 
 
-def test_sample_family_sizes_at_least_one():
+def test_sample_family_sizes_at_least_one(monkeypatch):
+    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 5_000)
     for spec in ALL_SPECS:
-        draws = sample_family_sizes(spec, 2000, derive(5, 0), budget=5_000)
+        draws = sample_family_sizes(spec, 2000, derive(5, 0))
         finite = draws[draws != INF_SENTINEL]
         assert np.all(finite >= 1)
 

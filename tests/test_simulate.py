@@ -15,7 +15,6 @@ from rde_lab.simulate import (
     endogeny_diagnostic,
     mc_moments,
     one_minus_prod,
-    one_minus_prod_uniform,
 )
 from rde_lab.streams import derive
 
@@ -182,7 +181,7 @@ def _one_minus_prod_loop(values, sizes):
 def test_one_minus_prod_matches_loop(sizes):
     sizes = np.array(sizes, dtype=np.int64)
     values = derive(16, 0).random(int(sizes[sizes > 0].sum()))
-    got = one_minus_prod(values, sizes)
+    got = one_minus_prod(values, sizes, np.empty(sizes.size))
     assert got.dtype == float and got.shape == sizes.shape
     assert got.tolist() == _one_minus_prod_loop(values, sizes.tolist())
 
@@ -193,20 +192,19 @@ def test_one_minus_prod_matches_loop(sizes):
     families=st.integers(0, 50),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_strided_and_reshaped_products_agree(width, families, seed):
+def test_one_minus_prod_forms_agree(width, families, seed):
     # a product of width such values is about 1/e, far from underflow
     values = derive(seed, 0).random(width * families) ** (1.0 / width)
-    got = []
-    for strided_max_width in (0, width):  # the reshaped form, then the strided one
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "STRIDED_MAX_WIDTH", strided_max_width)
-            got.append(one_minus_prod_uniform(values, width, np.empty(families)).tolist())
-    assert got[0] == got[1]
+    want = one_minus_prod(values, width, np.empty(families)).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "STRIDED_MAX_WIDTH", 0)  # reduceat at every width
+        assert one_minus_prod(values, width, np.empty(families)).tolist() == want
+    assert one_minus_prod(values, np.full(families, width), np.empty(families)).tolist() == want
 
 
 @pytest.mark.parametrize("d, depth, reps", [(2, 10, 5), (3, 6, 4), (9, 4, 3), (64, 3, 2)])
 def test_width_forest_pulls_up_as_materialised_levels(d, depth, reps):
-    # d = 9 and d = 64 reduce rows past STRIDED_MAX_WIDTH; the table multiplies in order too
+    # d = 9 and d = 64 go through reduceat past STRIDED_MAX_WIDTH; the powers multiply in order too
     spec = Deterministic(d)
     mu1 = solve_mu1(Pgf(spec))
     forest = _sample_forest(spec, depth, reps, derive(31, d))
@@ -221,10 +219,30 @@ def test_width_forest_pulls_up_as_materialised_levels(d, depth, reps):
 
 @pytest.mark.parametrize("d", [2, 3, 9, 64, 2**20 + 3])
 def test_width_level_power_matches_the_materialised_table(d):
-    # 2**20 + 3 spans several POWER_CHUNK chunks and ends in a partial one
+    # 2**20 + 3 spans several chunks and ends in a partial one
     for v in (GOLDEN, 1.0 - 1e-7, 0.3):
         table = 1.0 - np.cumprod(np.r_[1.0, np.full(d, v)])
         assert _pull_up([d], v) == table[d]
+
+
+def test_sampled_level_powers_past_a_chunk_match_the_materialised_boundary(monkeypatch):
+    # sizes below, at and past a 16-value chunk, repeated, out of order, and infinite; by 2000
+    # factors the powers of 0.3 reach 0 and those of GOLDEN the least subnormal, where the walk stops
+    monkeypatch.setattr(simulate, "CHUNK", 16)
+    sizes = np.array([3, 40, INF_SENTINEL, 16, 17, 2017, 40, 1, 100, 33, INF_SENTINEL, 2000, 17], dtype=np.int64)
+    for v in (GOLDEN, 1.0 - 1e-7, 0.3):
+        want = _pull_up([sizes], np.full(int(sizes.sum()), v))
+        assert _pull_up([sizes], v).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("spec", [GEO, MIXED, Thinned(DET2, 0.3)], ids=["geometric", "finite", "thinned-table"])
+def test_forest_does_not_depend_on_chunk_size(monkeypatch, spec):
+    # levels past 64 nodes are drawn in several chunks, the last one partial
+    want = _sample_forest(spec, 5, 40, derive(34, 0))
+    monkeypatch.setattr(simulate, "CHUNK", 64)
+    got = _sample_forest(spec, 5, 40, derive(34, 0))
+    assert max(level.size for level in got.fams) > 64
+    assert [level.tolist() for level in got.fams] == [level.tolist() for level in want.fams]
 
 
 def test_deterministic_forest_holds_no_level_array(address_space_gib):
