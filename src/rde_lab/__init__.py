@@ -11,7 +11,6 @@ from .errors import (
     SpecValidationError,
 )
 from .pgf import (
-    INFINITY,
     Deterministic,
     FinitePmf,
     Geometric,
@@ -27,14 +26,12 @@ from .analysis import (
     FixedPointReport,
     MomentKind,
     MomentSequence,
-    PerronReport,
     TwoCycle,
     basin_of_mean,
     build_fixed_point_report,
     find_two_cycles,
     iterated_mu2_plus,
     moment_sequence,
-    perron_rho,
     solve_mu1,
     solve_mu2,
     solve_mu_star,
@@ -46,7 +43,6 @@ from .distiter import (
     apply_T,
     basin_test,
     finite_depth_moments,
-    iterate_T,
     mean_matched_uniform,
     moment_map,
     point_mass,

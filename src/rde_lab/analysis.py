@@ -29,7 +29,7 @@ from math import comb, isfinite
 import numpy as np
 
 from .errors import FeasibilityError
-from .pgf import Pgf, ess_sup, require_analysis_assumptions
+from .pgf import Pgf, require_analysis_assumptions
 
 DEFAULT_TOL = 1e-12
 CRITICAL_TOL = 1e-9
@@ -306,30 +306,6 @@ def iterated_mu2_plus(pgf: Pgf, cycle: TwoCycle) -> IteratedSecondMoment:
     if big_g(t_min) > 0.0:
         return IteratedSecondMoment(value=mu_plus, degenerate=False)
     return IteratedSecondMoment(value=_bisect(big_g, t_lo, t_min), degenerate=False)
-
-
-@dataclass(frozen=True)
-class PerronReport:
-    rho: float
-    n_star: int
-    d_rho: float
-
-
-def perron_rho(pgf: Pgf, n: int) -> PerronReport:
-    """Endogeny quantity for the truncated recursion min(n, N).
-
-    Embedding the truncated tree in the N*-ary tree (N* = ess sup min(n,N))
-    gives an antidiagonal 2x2 off-diagonal transition matrix whose
-    Perron-Frobenius eigenvalue is rho = H_n'(mu1_n) / N*; the truncated
-    solution is endogenous iff d_rho = N* rho = H_n'(mu1_n) <= 1.
-    """
-    if n < 1:
-        raise ValueError("truncation level must be >= 1")
-    trunc = pgf.truncated(n)
-    n_star = int(ess_sup(trunc.spec))
-    mu1_n = solve_mu1(trunc)
-    d_rho = trunc.deriv(mu1_n)
-    return PerronReport(rho=d_rho / n_star, n_star=n_star, d_rho=d_rho)
 
 
 @dataclass(frozen=True)

@@ -283,8 +283,8 @@ def iterate(ctx):
 
     def body(config, spec):
         seed = _require_seed(config)
-        nu0 = _initial_dist(config)
-        report = distiter.basin_test(nu0, spec, _int(config, "steps"), seed=seed)
+        # no local keeps the start sample, so basin_test can let it go
+        report = distiter.basin_test(_initial_dist(config), spec, _int(config, "steps"), seed=seed)
         start = report.records[0]
         rows = [[rec.k, rec.m1, rec.m2] for rec in report.records]
         _write_csv(_out_dir(config) / "trajectory.csv", ["k", "m1", "m2"], rows)
@@ -292,7 +292,7 @@ def iterate(ctx):
             verdict={"analytic": report.analytic, "empirical": report.empirical},
             mu1=report.mu1,
             mu2=report.mu2,
-            initial={"mean": start.m1, "m2": start.m2, "size": nu0.size},
+            initial={"mean": start.m1, "m2": start.m2, "size": report.size},
             final={"m1": report.records[-1].m1, "m2": report.records[-1].m2},
         )
 

@@ -17,6 +17,7 @@ oracle for the empirical trajectories.
 
 Each point of T nu is formed by simulate.one_minus_prod, the kernel of the
 tree pull-up, or by its running_product for a family wider than a chunk.
+basin_test runs the iteration and lets each sample go once its image is drawn.
 """
 
 from __future__ import annotations
@@ -174,28 +175,6 @@ def _draw(points: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     return points[rng.integers(0, points.size, n)]
 
 
-def iterate_T(
-    nu: EmpiricalDist,
-    spec: OffspringSpec,
-    steps: int,
-    rng: np.random.Generator,
-) -> list[TrajectoryRecord]:
-    """Repeated application of the map, recording per-step moments.
-
-    The k=0 record describes the initial sample.  Each sample is let go
-    once its image is drawn, so the loop itself holds no more than two; a
-    caller that keeps the start sample keeps a third.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    records = []
-    for k in range(steps + 1):
-        records.append(TrajectoryRecord(k=k, m1=nu.mean(), m2=nu.second_moment()))
-        if k < steps:
-            nu = apply_T(nu, spec, rng)
-    return records
-
-
 def moment_map(pgf: Pgf, m) -> np.ndarray:
     """Moments m_0..m_K of T nu from the moments m_0..m_K of nu.
 
@@ -230,6 +209,7 @@ class BasinTestReport:
     records: tuple[TrajectoryRecord, ...]
     mu1: float
     mu2: float
+    size: int  # M, the size of every sample on the trajectory
 
 
 def basin_test(
@@ -239,7 +219,7 @@ def basin_test(
     seed: int = 0,
 ) -> BasinTestReport:
     """Analytic basin membership for the endogenous law, plus the observed
-    empirical trajectory.
+    empirical trajectory of ``steps`` applications of the map.
 
     Unstable case (H'(mu1) > 1): membership requires the exact mean mu1 and
     a sample that is not concentrated on {0,1}; means within [BASIN_TOL,
@@ -247,10 +227,17 @@ def basin_test(
     witness an exact mean.  Stable case: membership follows the basin of the
     mean map.  The empirical verdict is reported separately and never
     overrides the analytic one.
+
+    The trajectory runs on the stream derive(seed, 0) from its k = 0 record,
+    ``nu0``.  The loop rebinds ``nu0`` to each image, so the start sample
+    is let go like any other, and a step holds two samples.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     pgf = Pgf(spec)
     fp = analysis.build_fixed_point_report(pgf)
     mu1, mu2 = fp.mu1, fp.mu2
+    size = nu0.size
     mean0 = nu0.mean()
     if fp.endogeny is analysis.Endogeny.NON_ENDOGENOUS:
         if is_two_point_concentrated(nu0):
@@ -271,8 +258,13 @@ def basin_test(
         else:
             verdict = "NotInBasin"
 
-    records = iterate_T(nu0, spec, steps, derive(seed, 0))
-    band = max(5.0 / np.sqrt(nu0.size), EMPIRICAL_BAND_FLOOR)
+    rng = derive(seed, 0)
+    records = []
+    for k in range(steps + 1):
+        records.append(TrajectoryRecord(k=k, m1=nu0.mean(), m2=nu0.second_moment()))
+        if k < steps:
+            nu0 = apply_T(nu0, spec, rng)
+    band = max(5.0 / np.sqrt(size), EMPIRICAL_BAND_FLOOR)
     last = records[-1]
     prev = records[-2]
     if abs(last.m1 - mu1) < band and abs(last.m2 - mu2) < band:
@@ -287,4 +279,5 @@ def basin_test(
         records=tuple(records),
         mu1=mu1,
         mu2=mu2,
+        size=size,
     )

@@ -39,7 +39,6 @@ pruning process instead, and only there a draw that explores more than
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -48,8 +47,6 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import DomainError, SpecValidationError
-
-INFINITY = math.inf
 
 # an infinite family in integer sample arrays: it stores no children, and every finite N is >= 1
 INF_SENTINEL = 0
@@ -154,20 +151,6 @@ def require_analysis_assumptions(spec: OffspringSpec) -> None:
     if isinstance(base, FinitePmf) and not any(k >= 2 and w > 0.0 for k, w in base.weights.items()):
         what = "finite pmf" if base is spec else "base pmf of the thinned spec"
         raise SpecValidationError(f"P(2 <= N < infinity) > 0 is required: {what} has no finite mass at k >= 2")
-
-
-def ess_sup(spec: OffspringSpec) -> float:
-    """Essential supremum of N (may be INFINITY)."""
-    if isinstance(spec, Deterministic):
-        return float(spec.d)
-    if isinstance(spec, Geometric):
-        return INFINITY
-    if isinstance(spec, FinitePmf):
-        if spec.infinity_mass > 0.0:
-            return INFINITY
-        return float(max(k for k, w in spec.weights.items() if w > 0.0))
-    # a thinned family can collect any number of cut lines
-    return INFINITY
 
 
 # ---------------------------------------------------------------------------

@@ -61,14 +61,15 @@ class _Forest:
 def _segment_sums(values: np.ndarray, seg_counts: np.ndarray) -> np.ndarray:
     """Sum of ``values`` over consecutive segments of the given lengths.
 
-    Cumsum-based so zero-length segments are handled (unlike reduceat);
-    the running sums go straight into one buffer with a leading 0.
+    One reduceat over the starts of the non-empty segments, so nothing as
+    long as ``values`` is built; an empty segment sums to 0.
     """
-    cs = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=cs[1:])
-    offs = np.zeros(seg_counts.size + 1, dtype=np.int64)
-    np.cumsum(seg_counts, out=offs[1:])
-    return cs[offs[1:]] - cs[offs[:-1]]
+    sums = np.zeros(seg_counts.size, dtype=np.int64)
+    if values.size:
+        nonempty = seg_counts > 0
+        starts = np.cumsum(seg_counts) - seg_counts
+        sums[nonempty] = np.add.reduceat(values, starts[nonempty])
+    return sums
 
 
 def _sample_forest(

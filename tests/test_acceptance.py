@@ -16,7 +16,7 @@ from rde_lab.analysis import (
 )
 from rde_lab.distiter import (
     apply_T,
-    iterate_T,
+    basin_test,
     mean_matched_uniform,
     moment_map,
     point_mass,
@@ -197,7 +197,7 @@ def test_criterion_8_basin_dichotomy():
         assert closest < 4e-3
 
         # (b) wrong mean: the (0,1) two-cycle appears in m1 by step 30
-        recs = iterate_T(point_mass(0.5, 100_000), DET2, 30, derive(7, 0))
+        recs = basin_test(point_mass(0.5, 100_000), DET2, 30, seed=7).records
         tail = [rec.m1 for rec in recs[-6:]]
         assert all(min(v, 1.0 - v) < 0.02 for v in tail)
         assert any(v < 0.5 for v in tail) and any(v > 0.5 for v in tail)
@@ -210,7 +210,7 @@ def test_criterion_8_basin_dichotomy():
         for _ in range(60):
             analytic_s = moment_map(pgf_s, analytic_s)
         assert abs(analytic_s[1] - mu1_s) < 1e-3
-        emp = iterate_T(point_mass(0.2, 100_000), STABLE, 60, derive(8, 0))
+        emp = basin_test(point_mass(0.2, 100_000), STABLE, 60, seed=8).records
         se = emp[-1].m1 * (1 - emp[-1].m1)
         se = math.sqrt(max(se, 0.01)) / math.sqrt(100_000)
         assert abs(emp[-1].m1 - mu1_s) < 4.0 * se

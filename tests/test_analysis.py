@@ -17,7 +17,6 @@ from rde_lab.analysis import (
     iterated_mu2_plus,
     make_two_cycle,
     moment_sequence,
-    perron_rho,
     solve_mu1,
     solve_mu2,
     solve_mu_star,
@@ -269,26 +268,20 @@ def test_iterated_mu2_plus_cases():
     assert got_pair.value == pytest.approx(0.2, abs=1e-12)  # stable: constant sequence
 
 
-# -------------------------------------------------------------------- perron
+# ---------------------------------------------------------------- truncation
 
-def test_perron_examples():
-    rep = perron_rho(DET2, 2)
-    assert rep.rho == pytest.approx(GOLDEN, abs=1e-10)
-    assert rep.n_star == 2
-    assert rep.d_rho == pytest.approx(2.0 * GOLDEN, abs=1e-10)
-    rep1 = perron_rho(GEO, 1)
-    assert (rep1.rho, rep1.n_star, rep1.d_rho) == (pytest.approx(1.0), 1, pytest.approx(1.0))
-    # bounded spec: truncation above the bound keeps N* at the bound
-    rep5 = perron_rho(DET2, 5)
-    assert rep5.n_star == 2 and rep5.d_rho == pytest.approx(2.0 * GOLDEN, abs=1e-10)
+def test_truncation_endogeny_examples():
+    # min(n, N) is endogenous iff H_n'(mu1_n) <= 1, the report's h_prime_mu1
+    assert build_fixed_point_report(DET2.truncated(2)).h_prime_mu1 == pytest.approx(2.0 * GOLDEN, abs=1e-10)
+    # a bounded spec truncated above its bound is itself
+    assert build_fixed_point_report(DET2.truncated(5)).h_prime_mu1 == pytest.approx(2.0 * GOLDEN, abs=1e-10)
 
 
-def test_perron_internal_consistency():
+def test_truncation_endogeny_is_h_prime_at_the_truncated_mu1():
     for pgf, n in ((DET2, 2), (GEO, 4), (GEO, 9), (FIN, 3), (TH05, 4)):
-        rep = perron_rho(pgf, n)
-        assert rep.d_rho == pytest.approx(rep.rho * rep.n_star, abs=1e-12)
         trunc = pgf.truncated(n)
-        assert rep.d_rho == pytest.approx(trunc.deriv(solve_mu1(trunc)), abs=1e-12)
+        got = build_fixed_point_report(trunc).h_prime_mu1
+        assert got == pytest.approx(trunc.deriv(solve_mu1(trunc)), abs=1e-12)
 
 
 def test_truncation_mu1_monotone_to_limit():

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import re
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import rde_lab.analysis as analysis
+import rde_lab.distiter as distiter
 import rde_lab.simulate as simulate
 from rde_lab.cli import main
 
@@ -200,6 +203,28 @@ def test_iterate_sample_size_is_initial_size_only(tmp_path):
     assert result.exit_code == 0
     payload = json.loads((out / "verdict.json").read_text())
     assert payload["initial"]["size"] == 100_000
+
+
+def test_iterate_lets_the_start_sample_go(tmp_path, monkeypatch):
+    # neither the command nor basin_test keeps the start sample past its
+    # image, so each later step holds two samples, not three
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "finite", "pmf": {"2": 0.5}, "infinity_mass": 0.5}, "seed": 5,
+                               "steps": 3, "initial": {"kind": "point_mass", "value": 0.2, "size": 1000}}))
+    apply_T = distiter.apply_T
+    start, alive = [], []
+
+    def spy(nu, spec, rng):
+        if start:
+            gc.collect()
+            alive.append(start[0]() is not None)
+        else:
+            start.append(weakref.ref(nu.points))
+        return apply_T(nu, spec, rng)
+
+    monkeypatch.setattr(distiter, "apply_T", spy)
+    main(["--config", str(cfg), "--out", str(tmp_path / "out"), "iterate"], standalone_mode=False)
+    assert alive == [False, False]
 
 
 def test_iterate_from_points_csv(tmp_path):

@@ -15,7 +15,6 @@ from rde_lab.distiter import (
     bernoulli_two_point,
     finite_depth_moments,
     is_two_point_concentrated,
-    iterate_T,
     mean_matched_uniform,
     moment_map,
     point_mass,
@@ -279,7 +278,7 @@ def test_finite_depth_moments_confirm_the_root_selection_rule(spec, depth):
 
 def test_iterate_records():
     nu0 = point_mass(0.3, 5_000)
-    recs = iterate_T(nu0, FIN, 5, derive(5, 0))
+    recs = basin_test(nu0, FIN, 5, seed=5).records
     assert len(recs) == 6
     assert recs[0].k == 0
     assert all(rec.m2 <= rec.m1 + 1e-12 for rec in recs)
@@ -289,7 +288,7 @@ def test_iterate_matches_analytic_recursion_stable_spec():
     pgf = Pgf(FIN)
     mu1 = solve_mu1(pgf)
     nu0 = point_mass(0.2, 20_000)
-    recs = iterate_T(nu0, FIN, 12, derive(6, 0))
+    recs = basin_test(nu0, FIN, 12, seed=6).records
     for emp, (_, m1, m2) in zip(recs, _moment_orbit(pgf, (1.0, 0.2, 0.04), 12)):
         se1 = max(emp.m1 * (1.0 - emp.m1), 1e-4) ** 0.5 / math.sqrt(20_000)
         assert abs(emp.m1 - m1) < 4.0 * se1 + 1e-6
@@ -300,7 +299,7 @@ def test_iterate_matches_analytic_recursion_neutral_spec():
     pgf = Pgf(GEO)
     mu1 = solve_mu1(pgf)
     nu0 = point_mass(0.3, 50_000)
-    recs = iterate_T(nu0, GEO, 6, derive(7, 0))
+    recs = basin_test(nu0, GEO, 6, seed=7).records
     analytic = _moment_orbit(pgf, (1.0, 0.3, 0.09), 6)
     for emp, exact in zip(recs, analytic):
         assert abs(emp.m1 - exact[1]) < 0.02

@@ -9,13 +9,11 @@ import rde_lab.pgf as pgf_module
 from rde_lab.errors import DomainError, SpecValidationError
 from rde_lab.pgf import (
     INF_SENTINEL,
-    INFINITY,
     Deterministic,
     FinitePmf,
     Geometric,
     Pgf,
     Thinned,
-    ess_sup,
     require_analysis_assumptions,
     sample_family_sizes,
     spec_from_json,
@@ -217,7 +215,7 @@ def test_deriv_singularity_raises_domain_error():
 
 
 def test_deriv_or_inf_gives_inf_only_at_the_singularity():
-    assert Pgf(TH05).deriv_or_inf(1.0) == INFINITY
+    assert Pgf(TH05).deriv_or_inf(1.0) == math.inf
     assert Pgf(DET2).deriv_or_inf(0.5) == 1.0
 
 
@@ -305,14 +303,6 @@ def test_thinned_pmf_prefix_series_matches_eval(spec):
 def test_thinned_pmf_prefix_below_smallest_family():
     prefix, tail = Pgf(Thinned(Deterministic(3), 0.4)).pmf_prefix(3)
     assert not prefix.any() and tail == 1.0
-
-
-def test_ess_sup():
-    assert ess_sup(DET2) == 2
-    assert ess_sup(GEO) == INFINITY
-    assert ess_sup(FIN) == INFINITY
-    assert ess_sup(FinitePmf({1: 0.5, 4: 0.5})) == 4
-    assert ess_sup(TH05) == INFINITY
 
 
 # ---------------------------------------------------------------- JSON forms

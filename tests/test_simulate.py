@@ -186,6 +186,22 @@ def test_one_minus_prod_matches_loop(sizes):
     assert got.tolist() == _one_minus_prod_loop(values, sizes.tolist())
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [[0, 2, 3], [2, 0, 3], [2, 3, 0], [0, 0, 4, 0, 1, 0, 0], [1, 1, 1], [0, 0, 0], []],
+    ids=["empty-first", "empty-middle", "empty-last", "empty-runs", "no-empty", "no-nodes", "no-segments"],
+)
+def test_segment_sums_match_loop(counts):
+    counts = np.array(counts, dtype=np.int64)
+    values = derive(17, 0).integers(1, 10**6, int(counts.sum()))
+    want, start = [], 0
+    for c in counts.tolist():
+        want.append(sum(values[start:start + c].tolist()))
+        start += c
+    got = simulate._segment_sums(values, counts)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     width=st.integers(1, 40) | st.sampled_from([64, 100, 1000]),
