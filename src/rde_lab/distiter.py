@@ -17,18 +17,30 @@ oracle for the empirical trajectories.
 
 Each point of T nu is formed by simulate.one_minus_prod, the kernel of the
 tree pull-up, or by its running_product for a family wider than a chunk.
-basin_test runs the iteration and lets each sample go once its image is drawn.
+The M family sizes of a step enter only through how many families have
+each size, and those counts are one Multinomial(M, pmf) draw, not M size
+draws.  basin_test runs the iteration and lets each sample go once its
+image is drawn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, exp, log, log1p
 
 import numpy as np
 
 from .errors import ResourceError, SpecValidationError
-from .pgf import INF_SENTINEL, OffspringSpec, Pgf, sample_family_sizes, validate_spec
+from .pgf import (
+    INF_SENTINEL,
+    Deterministic,
+    Geometric,
+    OffspringSpec,
+    Pgf,
+    _inverse_cdf_table,
+    sample_family_sizes,
+    validate_spec,
+)
 from . import analysis, simulate
 from .streams import derive
 
@@ -119,15 +131,17 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     """Push the sample through one application of the map.
 
     Each of the nu.size output points is 1 - prod of N resampled input
-    points; an infinite family yields the point 1 exactly.  The family
-    sizes are drawn first, and the output is grouped by them: the infinite
+    points; an infinite family yields the point 1 exactly.  The count c_k
+    of each family size k is drawn first, as one multinomial (see
+    _family_size_tally), and the output is grouped by size: the infinite
     families come first, then each finite size k in ascending order, whose
     c_k families draw their c_k * k child indices one family after
     another.  The order of the points carries no meaning, since the next
-    step resamples them uniformly.  Sizes and indices are drawn
-    simulate.CHUNK at a time, which gives the values of one draw, so a step
-    holds its input, its output and scratch of a chunk's size.  Raises
-    ResourceError when the step needs more than MAX_CHILD_DRAWS children.
+    step resamples them uniformly.  Indices, and the sizes that are still
+    drawn one per family, are drawn simulate.CHUNK at a time, which gives
+    the values of one draw, so a step holds its input, its output and
+    scratch of a chunk's size.  Raises ResourceError when the step needs
+    more than MAX_CHILD_DRAWS children.
     """
     validate_spec(spec)
     tally = _family_size_tally(spec, nu.size, rng)
@@ -159,8 +173,45 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
 
 
 def _family_size_tally(spec: OffspringSpec, n: int, rng: np.random.Generator) -> dict[int, int]:
-    """Count of each family size among n draws of N, the sizes drawn
-    simulate.CHUNK at a time; a Deterministic(d) spec gives {d: n}."""
+    """Count of each family size among n iid draws of N, keyed by Python int.
+
+    The counts are one Multinomial(n, pmf) draw over the classes that
+    sample_family_sizes draws from.  Deterministic(d) gives
+    {d: n} with no draw.  A table spec's classes are its table's values,
+    each with the mass of the uniforms that draw it; the mass past the end
+    of a thinned table is the infinite family.  Geometric(alpha) has the
+    classes 1..K in closed form, K the least size whose tail (1-alpha)^K
+    leaves fewer than one of the n families, at most min(n, simulate.CHUNK);
+    a family past K is K + a Geometric(alpha) draw, as N is memoryless.  The
+    draws that remain, a thinned spec without a table, a table with more
+    classes than n and the geometric tail, go through _drawn_tally.
+    """
+    if isinstance(spec, Deterministic):
+        return {spec.d: n}
+    if isinstance(spec, Geometric):
+        log_tail = log1p(-spec.alpha)  # log P(N > k) = k * log_tail
+        cap = min(n, simulate.CHUNK)
+        big_k = min(cap, int(min(cap, log(n) / -log_tail)) + 1)
+        sizes = np.arange(1, big_k + 1)
+        probs = np.append(spec.alpha * np.exp((sizes - 1) * log_tail), exp(big_k * log_tail))
+        counts = rng.multinomial(n, probs)
+        tally = _nonzero_counts(sizes, counts[:-1])
+        # Python ints: a huge draw plus K must not wrap
+        tally.update((big_k + k, c) for k, c in _drawn_tally(spec, int(counts[-1]), rng).items())
+        return tally
+    table = _inverse_cdf_table(spec)
+    if table is None or table[1].size > n:
+        return _drawn_tally(spec, n, rng)
+    cdf, values = table
+    # a uniform u draws values[i] for cdf[i-1] <= u < cdf[i], and values[cdf.size], if there is one, past cdf[-1]
+    probs = np.diff(np.r_[0.0, np.minimum(cdf, 1.0), 1.0])[:values.size]
+    # leaving out the empty classes keeps the multinomial's conditional probabilities off 0/0
+    keep = np.flatnonzero(probs)
+    return _nonzero_counts(values[keep], rng.multinomial(n, probs[keep]))
+
+
+def _drawn_tally(spec: OffspringSpec, n: int, rng: np.random.Generator) -> dict[int, int]:
+    """The counts of n family sizes drawn simulate.CHUNK at a time."""
     tally: dict[int, int] = {}
     for start in range(0, n, simulate.CHUNK):
         sizes = sample_family_sizes(spec, min(simulate.CHUNK, n - start), rng)
@@ -168,6 +219,11 @@ def _family_size_tally(spec: OffspringSpec, n: int, rng: np.random.Generator) ->
         for k, c in zip(classes.tolist(), counts.tolist()):
             tally[k] = tally.get(k, 0) + c
     return tally
+
+
+def _nonzero_counts(classes: np.ndarray, counts: np.ndarray) -> dict[int, int]:
+    drawn = counts > 0
+    return dict(zip(classes[drawn].tolist(), counts[drawn].tolist()))
 
 
 def _draw(points: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

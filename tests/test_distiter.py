@@ -1,9 +1,12 @@
+import bisect
 import itertools
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import rde_lab.distiter as distiter
 import rde_lab.simulate as simulate
@@ -73,22 +76,28 @@ def test_mean_transport_law():
 
 
 @pytest.mark.parametrize(
-    "spec, classes, power",
+    "spec, pmf, power",
     [
-        (Deterministic(3), {3}, 1.0),
-        (FIN, {INF_SENTINEL, 2}, 1.0),
+        (Deterministic(3), {3: 1.0}, 1.0),
+        (FIN, {2: 0.5, INF_SENTINEL: 0.5}, 1.0),
         # points near 1, so that a product of 2**20 of them does not underflow
-        (FinitePmf({1: 0.975, 2**20: 0.005}, infinity_mass=0.02), {INF_SENTINEL, 1, 2**20}, 2.0**-20),
+        (
+            FinitePmf({1: 0.975, 2**20: 0.005}, infinity_mass=0.02),
+            {1: 0.975, 2**20: 0.005, INF_SENTINEL: 0.02},
+            2.0**-20,
+        ),
     ],
     ids=["det3", "finite-inf", "sizes-1-2**20-inf"],
 )
-def test_apply_matches_per_point_loop(spec, classes, power):
-    # replay apply_T's draws: the family sizes, then the child indices of
-    # each size class in ascending order, which is also the output's order
+def test_apply_matches_per_point_loop(spec, pmf, power):
+    # replay apply_T's draws: the count of each family size, one multinomial
+    # over the sizes in ascending order with the infinite family last (one
+    # class draws nothing), then the child indices of each size class in
+    # ascending order, which is also the output's order
     points = derive(5, 0).random(400) ** power
     out = apply_T(EmpiricalDist(points), spec, derive(5, 1))
     rng = derive(5, 1)
-    sizes = np.sort(sample_family_sizes(spec, 400, rng))
+    sizes = np.sort(np.repeat(list(pmf), rng.multinomial(400, list(pmf.values()))))
     idx = iter(rng.integers(0, points.size, int(sizes.sum())).tolist())
     points = points.tolist()
     want = []
@@ -99,15 +108,22 @@ def test_apply_matches_per_point_loop(spec, classes, power):
         want.append(1.0 if n == INF_SENTINEL else 1.0 - prod)
     assert next(idx, None) is None
     assert out.points.tolist() == want
-    assert set(sizes.tolist()) == classes
+    assert set(sizes.tolist()) == set(pmf)
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [DET2, GEO, FinitePmf({1: 0.4, 5: 0.2, 1000: 0.2}, infinity_mass=0.2), Thinned(DET2, 0.3)],
-    ids=["det2", "geometric", "sizes-1-5-1000-inf", "thinned-table"],
+    "spec, drawn",
+    [
+        (DET2, []),
+        # the multinomial leaves 2 of the 3000 families past K = 28, and only they are drawn
+        (GEO, [2]),
+        (FinitePmf({1: 0.4, 5: 0.2, 1000: 0.2}, infinity_mass=0.2), []),
+        (Thinned(DET2, 0.3), []),
+        (Thinned(DET2, 0.5), [300] * 10),
+    ],
+    ids=["det2", "geometric", "sizes-1-5-1000-inf", "thinned-table", "thinned-pruning"],
 )
-def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec):
+def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec, drawn):
     # a family of 1000 is wider than a 300-child chunk, so its product runs
     # across chunks; points near 1 keep such a product from underflowing
     nu = EmpiricalDist(derive(6, 0).random(3000) ** 1e-3)
@@ -120,9 +136,94 @@ def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec):
         return sample_family_sizes(spec, n, rng)
 
     monkeypatch.setattr(distiter, "sample_family_sizes", sample_family_sizes_spy)
-    assert apply_T(nu, spec, derive(6, 1)).points.tolist() == want.tolist()
-    # the 3000 family sizes come in ten chunks, so the sizes' stream is chunked too
-    assert draws == [300] * 10
+    got = apply_T(nu, spec, derive(6, 1)).points
+    assert draws == drawn
+    # where the 3000 sizes are drawn in ten chunks, by the pruning process,
+    # the chunked draws are new draws from the same law
+    if drawn != [300] * 10:
+        assert got.tolist() == want.tolist()
+
+
+def _chi_square_quantile(df: int, q: float) -> float:
+    """Wilson-Hilferty approximation to the q-quantile of chi-square(df)."""
+    z = NormalDist().inv_cdf(q)
+    return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
+
+
+@pytest.mark.parametrize(
+    "spec, length",
+    [
+        (FIN, 4),
+        (GEO, 64),
+        # K is capped at n = 20000, where a share e**-2 of the families lies past it
+        (Geometric(1e-4), 2**17),
+        (Thinned(DET2, 0.3), 256),
+        # the mass past the table's end is the infinite family, 5/9 of it
+        (Thinned(DET2, 0.6), 1024),
+        (Thinned(DET2, 0.5), 512),
+    ],
+    ids=["finite-inf", "geometric", "geometric-tail", "thinned-table", "thinned-table-inf", "thinned-pruning"],
+)
+def test_family_size_tally_follows_the_size_law(spec, length):
+    n = 20_000
+    tally = distiter._family_size_tally(spec, n, derive(9, 0))
+    assert sum(tally.values()) == n
+    # bins of consecutive sizes, each with mass >= 1/50, the last running on
+    # to every finite size; the infinite family has a bin of its own where
+    # its mass is that large, and elsewhere the rare draw that the pruning
+    # budget calls infinite (ROADMAP D7) pools with the sizes it stands for
+    p, tail = Pgf(spec).pmf_prefix(length)
+    defect = Pgf(spec).defect()
+    edges, mass, acc = [], [], 0.0
+    for k in range(1, length):
+        acc += p[k]
+        if acc >= 1.0 / 50:
+            edges.append(k + 1)
+            mass.append(acc)
+            acc = 0.0
+    own_bin = defect >= 1.0 / 50
+    mass[-1] += acc + tail - defect * own_bin
+    last = len(mass) - 1
+    if own_bin:
+        mass.append(defect)
+    observed = np.zeros(len(mass))
+    for k, c in tally.items():
+        observed[len(mass) - 1 if k == INF_SENTINEL else min(bisect.bisect_right(edges, k), last)] += c
+    expected = n * np.array(mass)
+    chi_square = float(((observed - expected) ** 2 / expected).sum())
+    assert chi_square < _chi_square_quantile(len(mass) - 1, 0.999)
+
+
+@st.composite
+def tiny_mass_pmfs(draw):
+    support = draw(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=8, unique=True))
+    masses = st.one_of(st.just(0.0), st.floats(min_value=-17.0, max_value=0.0).map(lambda e: 10.0**e))
+    ws = [draw(masses) for _ in support]
+    w_inf = draw(masses)
+    total = sum(ws) + w_inf
+    assume(total > 0.0)
+    return FinitePmf({k: w / total for k, w in zip(support, ws)}, infinity_mass=w_inf / total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_mass_pmfs(), st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=2**32))
+def test_family_size_tally_counts_tiny_masses(spec, n, seed):
+    tally = distiter._family_size_tally(spec, n, np.random.default_rng(seed))
+    assert all(c >= 0 for c in tally.values())
+    assert sum(tally.values()) == n
+
+
+def test_apply_keeps_huge_geometric_sizes_exact():
+    # rng.geometric(1e-300) reads 2**63 - 1; K plus it must not wrap in int64
+    with pytest.raises(ResourceError, match=r"needs [1-9]\d* child draws"):
+        apply_T(point_mass(0.5, 10), Geometric(1e-300), derive(10, 0))
+
+
+def test_deterministic_tally_draws_nothing():
+    rng = derive(10, 1)
+    state = rng.bit_generator.state
+    assert distiter._family_size_tally(Deterministic(3), 1000, rng) == {3: 1000}
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("spec", [DET2, GEO, FIN], ids=["det2", "geometric", "finite-inf"])
