@@ -181,17 +181,16 @@ def _family_size_tally(spec: OffspringSpec, n: int, rng: np.random.Generator) ->
     each with the mass of the uniforms that draw it; the mass past the end
     of a thinned table is the infinite family.  Geometric(alpha) has the
     classes 1..K in closed form, K the least size whose tail (1-alpha)^K
-    leaves fewer than one of the n families, at most min(n, simulate.CHUNK);
-    a family past K is K + a Geometric(alpha) draw, as N is memoryless.  The
-    draws that remain, a thinned spec without a table, a table with more
-    classes than n and the geometric tail, go through _drawn_tally.
+    leaves fewer than one of the n families, at most simulate.CHUNK; a
+    family past K is K + a Geometric(alpha) draw, as N is memoryless.  The
+    draws that remain, a thinned spec without a table and the geometric
+    tail, go through _drawn_tally.
     """
     if isinstance(spec, Deterministic):
         return {spec.d: n}
     if isinstance(spec, Geometric):
         log_tail = log1p(-spec.alpha)  # log P(N > k) = k * log_tail
-        cap = min(n, simulate.CHUNK)
-        big_k = min(cap, int(min(cap, log(n) / -log_tail)) + 1)
+        big_k = int(min(simulate.CHUNK - 1, log(n) / -log_tail)) + 1
         sizes = np.arange(1, big_k + 1)
         probs = np.append(spec.alpha * np.exp((sizes - 1) * log_tail), exp(big_k * log_tail))
         counts = rng.multinomial(n, probs)
@@ -200,7 +199,7 @@ def _family_size_tally(spec: OffspringSpec, n: int, rng: np.random.Generator) ->
         tally.update((big_k + k, c) for k, c in _drawn_tally(spec, int(counts[-1]), rng).items())
         return tally
     table = _inverse_cdf_table(spec)
-    if table is None or table[1].size > n:
+    if table is None:
         return _drawn_tally(spec, n, rng)
     cdf, values = table
     # a uniform u draws values[i] for cdf[i-1] <= u < cdf[i], and values[cdf.size], if there is one, past cdf[-1]

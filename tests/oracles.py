@@ -114,3 +114,19 @@ def thinned_deterministic_pmf(d: int, p: float, n: int) -> np.ndarray:
         out[(d - 1) * t + 1] = math.exp(log_c + (t - 1) * math.log(p) + (d * t - t + 1) * math.log(q)) / t
         t += 1
     return out
+
+
+def chi_square_ok(counts: np.ndarray, probs: np.ndarray) -> bool:
+    """No draws in cells of probability 0, and Pearson's statistic over the
+    others below its 0.999 quantile (Wilson-Hilferty); cells expecting
+    fewer than 5 draws are pooled into one."""
+    n = counts.sum()
+    if counts[probs == 0.0].any():
+        return False
+    big = probs * n >= 5.0
+    small = ~big & (probs > 0.0)
+    obs = np.r_[counts[big], counts[small].sum()] if small.any() else counts[big]
+    exp = (np.r_[probs[big], probs[small].sum()] if small.any() else probs[big]) * n
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    df = obs.size - 1
+    return stat < df * (1.0 - 2.0 / (9.0 * df) + 3.09 * math.sqrt(2.0 / (9.0 * df))) ** 3

@@ -1,8 +1,6 @@
-import bisect
 import itertools
 import math
 import tracemalloc
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from rde_lab.errors import DomainError, ResourceError, SpecValidationError
 from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned, sample_family_sizes
 from rde_lab.streams import derive
 
-from oracles import conditional_root
+from oracles import chi_square_ok, conditional_root
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DET2 = Deterministic(2)
@@ -144,19 +142,13 @@ def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec, drawn):
         assert got.tolist() == want.tolist()
 
 
-def _chi_square_quantile(df: int, q: float) -> float:
-    """Wilson-Hilferty approximation to the q-quantile of chi-square(df)."""
-    z = NormalDist().inv_cdf(q)
-    return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
-
-
 @pytest.mark.parametrize(
     "spec, length",
     [
         (FIN, 4),
         (GEO, 64),
-        # K is capped at n = 20000, where a share e**-2 of the families lies past it
-        (Geometric(1e-4), 2**17),
+        # K is capped at the chunk, 64, where a share 0.98**64 = 0.27 of the families lies past it
+        (Geometric(0.02), 256),
         (Thinned(DET2, 0.3), 256),
         # the mass past the table's end is the infinite family, 5/9 of it
         (Thinned(DET2, 0.6), 1024),
@@ -164,34 +156,20 @@ def _chi_square_quantile(df: int, q: float) -> float:
     ],
     ids=["finite-inf", "geometric", "geometric-tail", "thinned-table", "thinned-table-inf", "thinned-pruning"],
 )
-def test_family_size_tally_follows_the_size_law(spec, length):
+def test_family_size_tally_follows_the_size_law(monkeypatch, spec, length):
+    monkeypatch.setattr(simulate, "CHUNK", 64)
     n = 20_000
     tally = distiter._family_size_tally(spec, n, derive(9, 0))
     assert sum(tally.values()) == n
-    # bins of consecutive sizes, each with mass >= 1/50, the last running on
-    # to every finite size; the infinite family has a bin of its own where
-    # its mass is that large, and elsewhere the rare draw that the pruning
-    # budget calls infinite (ROADMAP D7) pools with the sizes it stands for
-    p, tail = Pgf(spec).pmf_prefix(length)
-    defect = Pgf(spec).defect()
-    edges, mass, acc = [], [], 0.0
-    for k in range(1, length):
-        acc += p[k]
-        if acc >= 1.0 / 50:
-            edges.append(k + 1)
-            mass.append(acc)
-            acc = 0.0
-    own_bin = defect >= 1.0 / 50
-    mass[-1] += acc + tail - defect * own_bin
-    last = len(mass) - 1
-    if own_bin:
-        mass.append(defect)
-    observed = np.zeros(len(mass))
+    # cells: each size below length, then the finite sizes >= length and the
+    # infinite family together, which also holds the rare draw that the
+    # pruning budget calls infinite (ROADMAP D7)
+    probs, tail = Pgf(spec).pmf_prefix(length)
+    probs[INF_SENTINEL] = tail
+    counts = np.zeros(length)
     for k, c in tally.items():
-        observed[len(mass) - 1 if k == INF_SENTINEL else min(bisect.bisect_right(edges, k), last)] += c
-    expected = n * np.array(mass)
-    chi_square = float(((observed - expected) ** 2 / expected).sum())
-    assert chi_square < _chi_square_quantile(len(mass) - 1, 0.999)
+        counts[k if k < length else INF_SENTINEL] += c
+    assert chi_square_ok(counts, probs)
 
 
 @st.composite

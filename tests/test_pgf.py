@@ -22,7 +22,7 @@ from rde_lab.pgf import (
 )
 from rde_lab.streams import derive
 
-from oracles import centered_fd, thinned_binary_closed_form, thinned_deterministic_pmf
+from oracles import centered_fd, chi_square_ok, thinned_binary_closed_form, thinned_deterministic_pmf
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -406,22 +406,6 @@ def test_finite_draws_match_rng_choice_in_both_branches(monkeypatch, spec):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _chi_square_ok(counts: np.ndarray, probs: np.ndarray) -> bool:
-    """No draws in cells of probability 0, and Pearson's statistic over the
-    others below its 0.999 quantile (Wilson-Hilferty); cells expecting
-    fewer than 5 draws are pooled into one."""
-    n = counts.sum()
-    if counts[probs == 0.0].any():
-        return False
-    big = probs * n >= 5.0
-    small = ~big & (probs > 0.0)
-    obs = np.r_[counts[big], counts[small].sum()] if small.any() else counts[big]
-    exp = (np.r_[probs[big], probs[small].sum()] if small.any() else probs[big]) * n
-    stat = float(((obs - exp) ** 2 / exp).sum())
-    df = obs.size - 1
-    return stat < df * (1.0 - 2.0 / (9.0 * df) + 3.09 * math.sqrt(2.0 / (9.0 * df))) ** 3
-
-
 @pytest.mark.parametrize("d, p", [(2, 0.3), (3, 0.4)])
 def test_thinned_table_draws_follow_the_total_progeny_law(d, p):
     spec = Thinned(Deterministic(d), p)
@@ -433,7 +417,7 @@ def test_thinned_table_draws_follow_the_total_progeny_law(d, p):
     # cells: each size below n, then the finite sizes >= n and the infinite family together
     counts[INF_SENTINEL] = draws.size - counts[1:].sum()
     exact[INF_SENTINEL] = 1.0 - exact[1:].sum()
-    assert _chi_square_ok(counts, exact)
+    assert chi_square_ok(counts, exact)
 
 
 def test_thinned_table_infinite_fraction_is_the_defect():
