@@ -18,13 +18,15 @@ of the moment equation that lies left of mu_star at every order.
 
 All scalar roots are found by bisection: the convexity/monotonicity facts
 above guarantee the brackets, so no derivative-based solver is needed.
+f∘f is increasing, so the one scan of find_two_cycles also tells
+basin_of_mean where each orbit of the mean map goes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .pgf import Pgf, require_analysis_assumptions
 DEFAULT_TOL = 1e-12
 CRITICAL_TOL = 1e-9
 NEUTRAL_SUP_TOL = 1e-9
-MEAN_BASIN_TOL = 1e-9  # an orbit this close to mu1, or to a two-cycle, has reached it
+ROOT_SEP = 1e-8  # roots of f∘f(t) - t this close are one root; a root this close to f(root) is fixed
 SCAN_GRID = 1001
 _ENDPOINT_FD_STEP = 1e-6
 
@@ -117,21 +119,14 @@ def solve_mu1(pgf: Pgf) -> float:
 
 
 def solve_mu_star(pgf: Pgf) -> float:
-    """Argmin of g(x) = H(x) - x on [0,1]: 1 if H'(1-) <= 1, else H'(x)=1."""
-    d1 = pgf.deriv_or_inf(1.0)
-    if d1 <= 1.0:
+    """Argmin of g(x) = H(x) - x on [0,1]: 1 if H'(1-) <= 1, else H'(x)=1.
+
+    H' is increasing, and a square-root singularity at 1 reads +inf there,
+    above 1, so one bisection on [0, 1] finds the crossing.
+    """
+    if pgf.deriv_or_inf(1.0) <= 1.0:
         return 1.0
-    hi = 1.0
-    if not isfinite(d1):
-        hi = 1.0 - 1e-9
-        while pgf.deriv_or_inf(hi) <= 1.0:
-            # singular slope at 1 means H' crosses 1 strictly inside
-            hi = 0.5 * (1.0 + hi)
-            if 1.0 - hi < 1e-15:
-                return 1.0
-    if pgf.deriv(0.0) >= 1.0:
-        return 0.0
-    return _bisect(lambda x: pgf.deriv(x) - 1.0, 0.0, hi)
+    return _bisect(lambda x: pgf.deriv_or_inf(x) - 1.0, 0.0, 1.0)
 
 
 def solve_mu2(pgf: Pgf, mu1: float, mu_star: float, endogeny: Endogeny) -> float:
@@ -201,39 +196,28 @@ def make_two_cycle(pgf: Pgf, mu_plus: float, mu_minus: float) -> TwoCycle:
     return TwoCycle(mu_plus=mu_plus, mu_minus=mu_minus, stability_product=prod, stable=prod <= 1.0)
 
 
-def _ff_scan(pgf: Pgf, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """(ts, lo, hi, neutral) for d(t) = f(f(t)) - t on an even grid of [0,1].
-
-    H is increasing and known only to its bracket [H_lo, H_hi], so
-    lo = 1 - H_hi(1 - H_lo(t)) - t <= d(t) <= 1 - H_lo(1 - H_hi(t)) - t = hi.
-    The scan is a neutral continuum (f∘f = id) when every interval meets
-    the open band |d| < NEUTRAL_SUP_TOL.
-    """
-    ts = np.linspace(0.0, 1.0, grid)
-    h_lo, h_hi = pgf.eval_bounds(ts)
-    lo = 1.0 - pgf.eval_bounds(1.0 - h_lo)[1] - ts
-    hi = 1.0 - pgf.eval_bounds(1.0 - h_hi)[0] - ts
-    neutral = bool(np.all((lo < NEUTRAL_SUP_TOL) & (hi > -NEUTRAL_SUP_TOL)))
-    return ts, lo, hi, neutral
-
-
 def find_two_cycles(pgf: Pgf, grid: int = SCAN_GRID) -> CycleScan:
     """All fixed points and two-cycles of the mean map f(t) = 1 - H(t).
 
-    f∘f is increasing, so roots of d(t) = f(f(t)) - t are grid points whose
-    d-interval contains 0 plus sign changes between grid points whose
-    intervals both exclude 0, bisected.  If every interval meets the
-    NEUTRAL_SUP_TOL band the scan returns the neutral-continuum marker
-    instead (every point then belongs to a neutral two-cycle).
+    H is increasing and known only to its bracket [H_lo, H_hi], so on an
+    even grid of [0,1], d(t) = f(f(t)) - t lies in [lo, hi] =
+    [1 - H_hi(1 - H_lo(t)) - t, 1 - H_lo(1 - H_hi(t)) - t].  The roots of d
+    are grid points whose interval contains 0 plus sign changes between
+    intervals that exclude 0, bisected.  If every interval meets the open
+    band |d| < NEUTRAL_SUP_TOL the scan returns the neutral-continuum
+    marker instead (f∘f = id: every point is on a neutral two-cycle).
     """
     if grid < 100:
         raise ValueError("grid must be >= 100")
     require_analysis_assumptions(pgf.spec)
     f = lambda t: 1.0 - pgf.eval(t)
     d = lambda t: f(f(t)) - t
-    ts, lo, hi, neutral = _ff_scan(pgf, grid)
+    ts = np.linspace(0.0, 1.0, grid)
+    h_lo, h_hi = pgf.eval_bounds(ts)
+    lo = 1.0 - pgf.eval_bounds(1.0 - h_lo)[1] - ts
+    hi = 1.0 - pgf.eval_bounds(1.0 - h_hi)[0] - ts
     resolution = float(np.max(hi - lo))
-    if neutral:
+    if np.all((lo < NEUTRAL_SUP_TOL) & (hi > -NEUTRAL_SUP_TOL)):
         return CycleScan((), (), neutral_continuum=True, resolution=resolution)
     sign = np.where(lo > 0.0, 1, np.where(hi < 0.0, -1, 0))
     roots: list[float] = [float(t) for t in ts[sign == 0]]
@@ -242,14 +226,14 @@ def find_two_cycles(pgf: Pgf, grid: int = SCAN_GRID) -> CycleScan:
     roots.sort()
     deduped: list[float] = []
     for r in roots:
-        if not deduped or r - deduped[-1] > 1e-8:
+        if not deduped or r - deduped[-1] > ROOT_SEP:
             deduped.append(r)
     fixed_points: list[float] = []
     cycles: list[TwoCycle] = []
     seen: set[tuple[float, float]] = set()
     for r in deduped:
         partner = f(r)
-        if abs(partner - r) <= 1e-8:
+        if abs(partner - r) <= ROOT_SEP:
             fixed_points.append(r)
             continue
         key = (round(min(r, partner), 9), round(max(r, partner), 9))
@@ -310,41 +294,37 @@ def iterated_mu2_plus(pgf: Pgf, cycle: TwoCycle) -> IteratedSecondMoment:
 
 @dataclass(frozen=True)
 class MeanBasinResult:
-    kind: str  # ToMu1 | ToCycle | Neutral | Inconclusive
+    kind: str  # ToMu1 | ToCycle | Neutral
     mu_plus: float | None = None
     mu_minus: float | None = None
 
 
-def basin_of_mean(pgf: Pgf, mu1: float, m0: float, max_iter: int = 400) -> MeanBasinResult:
-    """Classify the orbit of m0 under the mean map f(t) = 1 - H(t), whose
-    fixed point is mu1.
+def basin_of_mean(pgf: Pgf, m0: float) -> MeanBasinResult:
+    """Where the orbit of m0 under the mean map f(t) = 1 - H(t) goes.
 
-    ToMu1 when the orbit lands within MEAN_BASIN_TOL of mu1; ToCycle when
-    the even and odd subsequences settle on distinct limits; Neutral when
-    f∘f is the identity on the scan grid of find_two_cycles (the
-    geometric-family involution, the thinned binary tree at p = 1/2);
-    Inconclusive when max_iter passes without a verdict.
+    Neutral when find_two_cycles finds a neutral continuum (the geometric
+    family, the thinned binary tree at p = 1/2).  Otherwise the orbit of m0
+    under the increasing map f∘f is monotone: it ends at the scan's root r
+    of d(t) = f(f(t)) - t within ROOT_SEP of m0, else at the nearest root
+    on the side d(m0) points to, which exists as d(0) >= 0 >= d(1).
+    ToMu1 when r is the fixed point, else ToCycle on r's cycle.
     """
     if not (0.0 <= m0 <= 1.0):
         raise ValueError("m0 must lie in [0,1]")
-    f = lambda t: 1.0 - pgf.eval(t)
-    if _ff_scan(pgf, SCAN_GRID)[3]:
+    scan = find_two_cycles(pgf)
+    if scan.neutral_continuum:
         return MeanBasinResult(kind="Neutral")
-    history: list[float] = [m0]
-    t = m0
-    for k in range(1, max_iter + 1):
-        t = f(t)
-        history.append(t)
-        if abs(t - mu1) < MEAN_BASIN_TOL:
-            return MeanBasinResult(kind="ToMu1")
-        if k >= 4:
-            even_gap = abs(history[-1] - history[-3])
-            odd_gap = abs(history[-2] - history[-4])
-            settled = even_gap < MEAN_BASIN_TOL and odd_gap < MEAN_BASIN_TOL
-            if settled and abs(history[-1] - history[-2]) > 10.0 * MEAN_BASIN_TOL:
-                a, b = history[-1], history[-2]
-                return MeanBasinResult(kind="ToCycle", mu_plus=max(a, b), mu_minus=min(a, b))
-    return MeanBasinResult(kind="Inconclusive")
+    # each root of d, with the cycle it belongs to (None for the fixed point)
+    roots = dict.fromkeys(scan.fixed_points) | {x: c for c in scan.cycles for x in (c.mu_plus, c.mu_minus)}
+    r = min(roots, key=lambda x: abs(x - m0))
+    if abs(r - m0) > ROOT_SEP:
+        f = lambda t: 1.0 - pgf.eval(t)
+        up = f(f(m0)) > m0
+        r = min((x for x in roots if (x > m0) == up), key=lambda x: abs(x - m0))
+    cycle = roots[r]
+    if cycle is None:
+        return MeanBasinResult(kind="ToMu1")
+    return MeanBasinResult(kind="ToCycle", mu_plus=cycle.mu_plus, mu_minus=cycle.mu_minus)
 
 
 def build_fixed_point_report(pgf: Pgf) -> FixedPointReport:

@@ -130,3 +130,17 @@ def chi_square_ok(counts: np.ndarray, probs: np.ndarray) -> bool:
     stat = float(((obs - exp) ** 2 / exp).sum())
     df = obs.size - 1
     return stat < df * (1.0 - 2.0 / (9.0 * df) + 3.09 * math.sqrt(2.0 / (9.0 * df))) ** 3
+
+
+def mean_orbit_limit(h, m0: float, max_steps: int = 100_000) -> float:
+    """Where the orbit of m0 under f∘f ends, f(t) = 1 - h(t) being the mean
+    map: plain iteration until a step moves less than 1e-14.  f∘f is
+    increasing, so the orbit is monotone and stops at a root of
+    f(f(t)) = t; a start on a root, stable or not, stays there."""
+    t = m0
+    for _ in range(max_steps):
+        nxt = 1.0 - h(1.0 - h(t))
+        if abs(nxt - t) < 1e-14:
+            return nxt
+        t = nxt
+    raise AssertionError(f"the orbit of {m0} still moves after {max_steps} steps")

@@ -25,7 +25,7 @@ from rde_lab.analysis import (
 from rde_lab.errors import SpecValidationError
 from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, Thinned
 
-from oracles import completely_monotone_violation
+from oracles import completely_monotone_violation, mean_orbit_limit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,6 +50,16 @@ def test_solve_mu_star_examples():
     assert solve_mu_star(DET2) == pytest.approx(0.5, abs=1e-10)
     assert solve_mu_star(FIN) == 1.0
     assert solve_mu_star(GEO) == pytest.approx(2.0 / 3.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.6])
+def test_solve_mu_star_thinned_binary_closed_form(p):
+    # H'(z) = q / sqrt(1 - 4pqz) is 1 at z = (1 + q) / (4q); at p = 1/2, H'(1) = +inf
+    q = 1.0 - p
+    pgf = Pgf(Thinned(Deterministic(2), p))
+    if p == 0.5:
+        assert pgf.deriv_or_inf(1.0) == math.inf
+    assert solve_mu_star(pgf) == pytest.approx((1.0 + q) / (4.0 * q), abs=1e-9)
 
 
 def test_solve_mu2_examples():
@@ -301,14 +311,44 @@ def test_truncation_mu1_monotone_to_limit():
 
 def test_basin_of_mean_examples():
     mu1 = solve_mu1(DET2)
-    assert basin_of_mean(DET2, mu1, mu1).kind == "ToMu1"
-    res = basin_of_mean(DET2, mu1, 0.5)
+    assert basin_of_mean(DET2, mu1).kind == "ToMu1"
+    res = basin_of_mean(DET2, 0.5)
     assert res.kind == "ToCycle"
     assert (res.mu_plus, res.mu_minus) == (pytest.approx(1.0, abs=1e-6), pytest.approx(0.0, abs=1e-6))
-    assert basin_of_mean(FIN, solve_mu1(FIN), 0.2).kind == "ToMu1"
-    assert basin_of_mean(GEO, solve_mu1(GEO), 0.3).kind == "Neutral"
+    assert basin_of_mean(FIN, 0.2).kind == "ToMu1"
+    assert basin_of_mean(GEO, 0.3).kind == "Neutral"
     # f∘f = id exactly, and the neutral test respects H's sqrt(eps) bracket
-    assert basin_of_mean(TH05, solve_mu1(TH05), 0.3).kind == "Neutral"
+    assert basin_of_mean(TH05, 0.3).kind == "Neutral"
+    with pytest.raises(ValueError):
+        basin_of_mean(DET2, 1.5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Deterministic(2),
+        FinitePmf({2: 0.5}, infinity_mass=0.5),
+        FinitePmf({2: 0.9}, infinity_mass=0.1),  # a stable interior cycle (0.986, 0.125)
+        Thinned(Deterministic(2), 0.3),
+        Thinned(Deterministic(2), 0.6),
+        Thinned(Deterministic(3), 0.4),
+    ],
+    ids=["det2", "finite-inf", "finite-interior-cycle", "thinned-0.3", "thinned-0.6", "ternary-thinned-0.4"],
+)
+def test_basin_of_mean_matches_the_orbit(spec):
+    pgf = Pgf(spec)
+    mu1 = solve_mu1(pgf)
+    f = lambda t: 1.0 - pgf.eval(t)
+    cycles = find_two_cycles(pgf).cycles
+    for m0 in (0.0, 1.0, mu1, 0.3, *(x for c in cycles for x in (c.mu_plus, c.mu_minus))):
+        limit = mean_orbit_limit(pgf.eval, m0)
+        res = basin_of_mean(pgf, m0)
+        if abs(limit - mu1) < 1e-6:
+            assert res.kind == "ToMu1", m0
+        else:
+            assert res.kind == "ToCycle", m0
+            want = (max(limit, f(limit)), min(limit, f(limit)))
+            assert (res.mu_plus, res.mu_minus) == pytest.approx(want, abs=1e-6), m0
 
 
 # ------------------------------------------------------------ property tests

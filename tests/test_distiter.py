@@ -441,3 +441,14 @@ def test_basin_neutral_family_is_mean_fixed_point_only():
     mu1 = solve_mu1(Pgf(GEO))
     rep2 = basin_test(point_mass(mu1, 10_000), GEO, steps=6, seed=7)
     assert rep2.analytic == "InBasin"
+
+
+@pytest.mark.parametrize(
+    "spec, m0",
+    [(Thinned(Deterministic(3), 0.4), 0.3), (Thinned(Deterministic(2), 0.51), 0.2)],
+    ids=["ternary-thinned-0.4", "thinned-0.51"],
+)
+def test_basin_slow_orbit_still_reaches_mu1(spec, m0):
+    # H'(mu1) is 0.927 and 0.979: the mean orbit reaches mu1 only after
+    # hundreds of steps, and no two-cycle lies inside (0, 1)
+    assert basin_test(point_mass(m0, 10_000), spec, 1, seed=1).analytic == "InBasin"
