@@ -19,8 +19,13 @@ Each point of T nu is formed by simulate.one_minus_prod, the kernel of the
 tree pull-up, or by its running_product for a family wider than a chunk.
 The M family sizes of a step enter only through how many families have
 each size, and those counts are one Multinomial(M, pmf) draw, not M size
-draws.  basin_test runs the iteration and lets each sample go once its
-image is drawn.
+draws.  A child at 0 or 1 acts through its value alone (a 0 makes the
+point 1, a 1 leaves the product as it is), so the leading runs of 1s and
+then 0s in a sample enter a step as counts, and only the other children
+are drawn by index.  The map lays out its image as 1s, then 0s, then the
+rest, so a law that the iteration drives onto {0,1} keeps its atoms in
+those runs.  basin_test runs the iteration and lets each sample go once
+its image is drawn.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .streams import derive
 DEFAULT_SAMPLE_SIZE = 100_000
 BASIN_TOL = 1e-6  # a start whose mean lies this close to mu1 counts as having mean mu1
 EMPIRICAL_BAND_FLOOR = 1e-3  # least half-width of the band that a converged trajectory ends in
-MAX_CHILD_DRAWS = 2**27  # per step of the map: it bounds the time; simulate.CHUNK bounds the memory
+MAX_CHILD_DRAWS = 2**27  # children one step of the map draws by index: it bounds the time; simulate.CHUNK the memory
 
 # a sample counts as the two-point law only if essentially no interior mass
 DELTA_INTERIOR_EPS = 1e-9
@@ -116,8 +121,9 @@ def point_mass(value: float, size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalDist:
 
 
 def is_two_point_concentrated(nu: EmpiricalDist) -> bool:
-    interior = np.minimum(nu.points, 1.0 - nu.points) > DELTA_INTERIOR_EPS
-    return float(interior.mean()) <= DELTA_INTERIOR_FRACTION
+    chunks = (nu.points[s:s + simulate.CHUNK] for s in range(0, nu.size, simulate.CHUNK))
+    interior = sum(int(np.count_nonzero(np.minimum(x, 1.0 - x) > DELTA_INTERIOR_EPS)) for x in chunks)
+    return interior / nu.size <= DELTA_INTERIOR_FRACTION
 
 
 @dataclass(frozen=True)
@@ -133,43 +139,107 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     Each of the nu.size output points is 1 - prod of N resampled input
     points; an infinite family yields the point 1 exactly.  The count c_k
     of each family size k is drawn first, as one multinomial (see
-    _family_size_tally), and the output is grouped by size: the infinite
-    families come first, then each finite size k in ascending order, whose
-    c_k families draw their c_k * k child indices one family after
-    another.  The order of the points carries no meaning, since the next
-    step resamples them uniformly.  Indices, and the sizes that are still
-    drawn one per family, are drawn simulate.CHUNK at a time, which gives
-    the values of one draw, so a step holds its input, its output and
-    scratch of a chunk's size.  Raises ResourceError when the step needs
-    more than MAX_CHILD_DRAWS children.
+    _family_size_tally).  The input's leading run of 1s and the run of 0s
+    after it enter as counts, and the children drawn by index come from
+    the rest of the sample, a view of it.  Where there are such runs, the
+    c_k families of each size k up to simulate.CHUNK are split by
+    _atom_split, in ascending k, into those with a 0 child, which give 1,
+    those whose children are all 1, which give 0, and those with j >= 1
+    children from the rest, which join the width-j class.  A family wider
+    than a chunk draws all its children from the whole sample, so no split
+    is as long as it.  With no leading runs nothing is split.
+
+    The output holds the 1s (infinite and vetoed families), then the 0s,
+    then each width class in ascending order, whose families draw their
+    child indices one family after another.  The order of the points
+    carries no meaning, since the next step resamples them uniformly; a
+    point of the rest that equals 0 or 1 is drawn by index like any other.
+    Indices, and the sizes that are still drawn one per family, are drawn
+    simulate.CHUNK at a time, which gives the values of one draw, so a step
+    holds its input, its output and scratch of a chunk's size.  Raises
+    ResourceError when the step needs more than MAX_CHILD_DRAWS children
+    drawn by index.
     """
     validate_spec(spec)
+    points, chunk = nu.points, simulate.CHUNK
+    ones = _run_length(points, 1.0, 0)
+    zeros = _run_length(points, 0.0, ones)
+    rest = points[ones + zeros:]
     tally = _family_size_tally(spec, nu.size, rng)
-    children = sum(k * c for k, c in tally.items())
+    vetoed = tally.pop(INF_SENTINEL, 0)  # an infinite family gives 1, as a 0 child does
+    widths: dict[int, int] = {}
+    for k, c in sorted(tally.items()):
+        if k > chunk or not ones + zeros:
+            widths[k] = c
+            continue
+        veto, js, counts = _atom_split(k, c, zeros, ones, rest.size, rng)
+        vetoed += veto
+        for j, n in zip(js.tolist(), counts.tolist()):
+            widths[j] = widths.get(j, 0) + n
+    all_ones = widths.pop(0, 0)  # no child from the rest: 1 - the empty product
+    children = sum(k * c for k, c in widths.items())
     if children > MAX_CHILD_DRAWS:
         raise ResourceError(
             f"one step of the map needs {children} child draws, more than the limit {MAX_CHILD_DRAWS}"
         )
     out = np.empty(nu.size)
-    end = 0
-    chunk = simulate.CHUNK
-    for k, c in sorted(tally.items()):
+    out[:vetoed] = 1.0
+    out[vetoed:vetoed + all_ones] = 0.0
+    end = vetoed + all_ones
+    for k, c in sorted(widths.items()):
         block = out[end:end + c]
         end += c
-        if k == INF_SENTINEL:
-            block.fill(1.0)
-        elif k <= chunk:
+        if k <= chunk:
             step = chunk // k
             for f in range(0, c, step):
                 part = block[f:f + step]
-                simulate.one_minus_prod(_draw(nu.points, part.size * k, rng), k, part)
+                simulate.one_minus_prod(_draw(rest, part.size * k, rng), k, part)
         else:
             # a family wider than a chunk: its product runs on across chunks, in order
             for f in range(c):
-                draws = (_draw(nu.points, min(chunk, k - s), rng) for s in range(0, k, chunk))
+                draws = (_draw(points, min(chunk, k - s), rng) for s in range(0, k, chunk))
                 block[f] = 1.0 - simulate.running_product(draws)
     # each point is 1 - a product of points in [0,1], so it lies in [0,1]
     return EmpiricalDist._unchecked(out)
+
+
+def _run_length(points: np.ndarray, value: float, start: int) -> int:
+    """Length of the run of ``value`` that begins at points[start], scanned a chunk at a time."""
+    for s in range(start, points.size, simulate.CHUNK):
+        differs = np.flatnonzero(points[s:s + simulate.CHUNK] != value)
+        if differs.size:
+            return s + int(differs[0]) - start
+    return points.size - start
+
+
+def _atom_split(
+    k: int, c: int, zeros: int, ones: int, rest: int, rng: np.random.Generator
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Split c families of k children, each child a 0, a 1 or a point of the
+    rest with chances in proportion to zeros, ones and rest.
+
+    Returns the count of families with a 0 child, and, for the others, the
+    numbers j in 0..k of children from the rest that occur with their
+    counts.  Together these are one Multinomial(c, .) draw, with chances
+    1 - (1 - p0)^k and C(k, j) pr^j p1^(k-j), drawn as a binomial for the
+    families with no 0 child, then a Binomial(k, pr / (p1 + pr)) j for each
+    of them: one draw each where they are at most k, else one multinomial
+    over j.  So the work is at most min(c, k) draws and no array is longer
+    than a family.
+    """
+    keep = int(rng.binomial(c, ((ones + rest) / (zeros + ones + rest)) ** k))
+    if not ones or not rest:  # every child that is not 0 is from the rest, or none is
+        return c - keep, np.array([k if rest else 0]), np.array([keep])
+    q = rest / (ones + rest)
+    if keep <= k:
+        counts = np.bincount(rng.binomial(k, q, keep), minlength=1)
+        return c - keep, np.arange(counts.size), counts
+    # the binomial(k, q) law, from log j! as a cumulative sum
+    j = np.arange(k + 1)
+    log_fact = np.r_[0.0, np.cumsum(np.log(j[1:]))]
+    log_pmf = log_fact[k] - log_fact - log_fact[::-1] + j * log(q) + (k - j) * log1p(-q)
+    pmf = np.exp(log_pmf - log_pmf.max())
+    return c - keep, j, rng.multinomial(keep, pmf / pmf.sum())
 
 
 def _family_size_tally(spec: OffspringSpec, n: int, rng: np.random.Generator) -> dict[int, int]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,103 @@ def test_apply_bounds_the_child_draws(monkeypatch):
     assert apply_T(point_mass(0.5, 500), DET2, derive(2, 0)).size == 500
     with pytest.raises(ResourceError, match="needs 1500 child draws"):
         apply_T(point_mass(0.5, 500), Deterministic(3), derive(2, 0))
+    # children at 0 and 1 are counted, not drawn: a {0,1} sample draws none
+    assert apply_T(bernoulli_two_point(0.6, 500), Deterministic(3), derive(2, 1)).size == 500
+    # a family wider than a chunk draws its children from the whole sample
+    with pytest.raises(ResourceError, match=r"needs [1-9]\d* child draws"):
+        apply_T(bernoulli_two_point(0.6, 10), Geometric(1e-300), derive(2, 2))
+
+
+def _atoms_first(zeros, ones, interior, seed):
+    """A sample of ``ones`` 1s, then ``zeros`` 0s, then ``interior`` points
+    uniform on [0.5, 0.9], so that 1 - a product rounds to 1 only for
+    families of 53 or more children."""
+    return np.r_[np.ones(ones), np.zeros(zeros), 0.5 + 0.4 * derive(seed, 0).random(interior)]
+
+
+@pytest.mark.parametrize("order", ["atoms-first", "shuffled", "zero-one"])
+@pytest.mark.parametrize(
+    "spec",
+    [DET2, Deterministic(3), GEO, FIN, Thinned(DET2, 0.3)],
+    ids=["det2", "det3", "geometric", "finite-inf", "thinned-table"],
+)
+def test_apply_one_step_laws_with_atoms(spec, order):
+    # given the input sample, the output points are iid: 0 when every child
+    # is 1, 1 when some child is 0 or the family is infinite, and
+    # E[out^j] follows from H at the input's moments
+    m = 40_000
+    points = _atoms_first(12_000, 16_000, 12_000, 11) if order != "zero-one" else _atoms_first(16_000, 24_000, 0, 11)
+    if order == "shuffled":
+        derive(11, 1).shuffle(points)
+    h = Pgf(spec).eval
+    p0, p1 = float((points == 0.0).mean()), float((points == 1.0).mean())
+    m1, m2 = float(points.mean()), float((points**2).mean())
+    out = apply_T(EmpiricalDist(points), spec, derive(11, 2)).points
+    for obs, want in [
+        (out == 0.0, h(p1)),
+        (out == 1.0, 1.0 - h(1.0 - p0)),
+        (out, 1.0 - h(m1)),
+        (out**2, 1.0 - 2.0 * h(m1) + h(m2)),
+    ]:
+        se = max(float(obs.std()), 1.0 / m) / math.sqrt(m)
+        assert abs(float(obs.mean()) - want) < 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "k, c, calls, zeros, ones, rest",
+    [
+        (1, 200_000, 1, 3, 4, 3),
+        (5, 200_000, 1, 3, 4, 3),
+        (5, 200_000, 1, 0, 6, 4),
+        (4, 200_000, 1, 2, 0, 8),
+        (60, 200_000, 1, 1, 59, 40),
+        # at most k families without a 0 child: one binomial draw each
+        (60, 50, 4000, 1, 59, 40),
+    ],
+    ids=["width1", "width5", "no-zeros", "no-ones", "width60", "width60-few-families"],
+)
+def test_atom_split_follows_the_binomial_law(k, c, calls, zeros, ones, rest):
+    # cells: a 0 child, then j = 0..k children from the rest and the others 1
+    rng = derive(12, k)
+    cells = np.zeros(k + 2, dtype=np.int64)
+    for _ in range(calls):
+        veto, js, counts = distiter._atom_split(k, c, zeros, ones, rest, rng)
+        assert veto + int(counts.sum()) == c
+        cells[0] += veto
+        np.add.at(cells, js + 1, counts)
+    m = zeros + ones + rest
+    p0, p1, pr = (Fraction(n, m) for n in (zeros, ones, rest))
+    probs = [1 - (1 - p0) ** k] + [math.comb(k, j) * pr**j * p1 ** (k - j) for j in range(k + 1)]
+    assert sum(probs) == 1
+    assert chi_square_ok(cells, np.array([float(p) for p in probs]))
+
+
+def test_apply_replays_an_atoms_first_input():
+    # replay apply_T's draws: the count of each family size, then, in
+    # ascending size, each size's split by distiter._atom_split, then the
+    # child indices of each width class j >= 1 from the rest, in ascending j;
+    # the output holds the 1s, then the 0s, then the width classes
+    spec = FinitePmf({1: 0.3, 3: 0.4, 6: 0.1}, infinity_mass=0.2)
+    pmf = {1: 0.3, 3: 0.4, 6: 0.1, INF_SENTINEL: 0.2}
+    points = _atoms_first(80, 120, 200, 5)
+    out = apply_T(EmpiricalDist(points), spec, derive(5, 1))
+    rng = derive(5, 1)
+    tally = dict(zip(pmf, rng.multinomial(400, list(pmf.values())).tolist()))
+    ones, widths = tally.pop(INF_SENTINEL), {}
+    for k, c in sorted(tally.items()):
+        veto, js, counts = distiter._atom_split(k, c, 80, 120, 200, rng)
+        ones += veto
+        for j, n in zip(js.tolist(), counts.tolist()):
+            widths[j] = widths.get(j, 0) + n
+    zeros = widths.pop(0)  # the families whose children are all 1
+    rest = points[200:].tolist()
+    want = [1.0] * ones + [0.0] * zeros
+    for j, n in sorted(widths.items()):
+        if n:
+            idx = iter(rng.integers(0, len(rest), n * j).tolist())
+            want += [1.0 - math.prod(rest[next(idx)] for _ in range(j)) for _ in range(n)]
+    assert out.points.tolist() == want
+    assert ones > 0 and zeros > 0
 
 
 def test_mean_transport_law():
@@ -110,21 +208,28 @@ def test_apply_matches_per_point_loop(spec, pmf, power):
 
 
 @pytest.mark.parametrize(
-    "spec, drawn",
+    "spec, drawn, atoms",
     [
-        (DET2, []),
+        (DET2, [], False),
         # the multinomial leaves 2 of the 3000 families past K = 28, and only they are drawn
-        (GEO, [2]),
-        (FinitePmf({1: 0.4, 5: 0.2, 1000: 0.2}, infinity_mass=0.2), []),
-        (Thinned(DET2, 0.3), []),
-        (Thinned(DET2, 0.5), [300] * 10),
+        (GEO, [2], False),
+        (FinitePmf({1: 0.4, 5: 0.2, 1000: 0.2}, infinity_mass=0.2), [], False),
+        (Thinned(DET2, 0.3), [], False),
+        (Thinned(DET2, 0.5), [300] * 10, False),
+        # sizes 1 and 5 are split by their children at 0 and 1 at either chunk
+        # size; a 70000-child family is wider than either, so it draws from the
+        # whole sample at both
+        (FinitePmf({1: 0.4, 5: 0.3, 70_000: 0.01}, infinity_mass=0.29), [], True),
     ],
-    ids=["det2", "geometric", "sizes-1-5-1000-inf", "thinned-table", "thinned-pruning"],
+    ids=["det2", "geometric", "sizes-1-5-1000-inf", "thinned-table", "thinned-pruning", "sizes-1-5-70000-inf-atoms"],
 )
-def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec, drawn):
+def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec, drawn, atoms):
     # a family of 1000 is wider than a 300-child chunk, so its product runs
     # across chunks; points near 1 keep such a product from underflowing
-    nu = EmpiricalDist(derive(6, 0).random(3000) ** 1e-3)
+    points = derive(6, 0).random(3000) ** 1e-3
+    if atoms:
+        points[:1203] = np.repeat([1.0, 0.0], [1200, 3])
+    nu = EmpiricalDist(points)
     want = apply_T(nu, spec, derive(6, 1)).points
     monkeypatch.setattr(simulate, "CHUNK", 300)
     draws = []
@@ -204,10 +309,18 @@ def test_deterministic_tally_draws_nothing():
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("spec", [DET2, GEO, FIN], ids=["det2", "geometric", "finite-inf"])
-def test_apply_working_memory_is_the_output_and_a_chunk(spec):
-    # at M = 1e6 an M-long array of family sizes, or any copy of it, is 8 MB
-    nu = EmpiricalDist(derive(7, 0).random(1_000_000))
+@pytest.mark.parametrize(
+    "spec, atoms",
+    [(DET2, False), (GEO, False), (FIN, False), (DET2, True), (GEO, True), (FIN, True)],
+    ids=["det2", "geometric", "finite-inf", "det2-atoms", "geometric-atoms", "finite-inf-atoms"],
+)
+def test_apply_working_memory_is_the_output_and_a_chunk(spec, atoms):
+    # at M = 1e6 an M-long array of family sizes, or any copy of it, is 8 MB;
+    # so is a copy of the points that are not leading atoms
+    points = derive(7, 0).random(1_000_000)
+    if atoms:
+        points[:700_000] = np.repeat([1.0, 0.0], [400_000, 300_000])
+    nu = EmpiricalDist(points)
     apply_T(nu, spec, derive(7, 1))  # builds the spec's cached tables
     tracemalloc.start()
     try:
@@ -227,6 +340,17 @@ def test_apply_preserves_two_point_laws():
         assert set(np.unique(cur.points)) <= {0.0, 1.0}
         assert cur.second_moment() == cur.mean()
     assert abs(cur.mean() - mu1) < 0.05
+
+
+def test_two_point_test_counts_interior_points_by_chunk(monkeypatch):
+    monkeypatch.setattr(simulate, "CHUNK", 7)
+    points = np.zeros(10_000)
+    points[:5_000] = 1.0
+    points[5_000:5_007] = [1e-10, 1.0 - 1e-10, 0.5, 0.3, 0.9, 1e-8, 1.0 - 1e-8]  # 5 interior points
+    nu = EmpiricalDist(points)
+    assert is_two_point_concentrated(nu)
+    nu.points[-6:] = 0.5  # 11 of 10000, past the fraction 1e-3
+    assert not is_two_point_concentrated(nu)
 
 
 def test_empirical_dist_validation():
