@@ -209,6 +209,14 @@ def analyze(ctx):
     _run(ctx, "analyze", "analysis.json", body)
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each value, formed once per distinct value: the repr of the
+    list of distinct values, split at its separators."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    names = np.array(repr(distinct.tolist())[1:-1].split(", "), dtype=object)
+    return names[inverse].tolist()
+
+
 @main.command(name="simulate")
 @click.pass_context
 def simulate_cmd(ctx):
@@ -224,8 +232,8 @@ def simulate_cmd(ctx):
             spec, mu1, depth, _int(config, "reps"), seed + 1, node_cap=_int(config, "node_cap")
         )
         if config.get("traces", False):
-            pairs = enumerate(zip(c_roots.tolist(), s_roots.tolist()))
-            rows = [f"{r},{c!r},{s!r},{depth}" for r, (c, s) in pairs]
+            pairs = enumerate(zip(_reprs(c_roots), _reprs(s_roots)))
+            rows = [f"{r},{c},{s},{depth}" for r, (c, s) in pairs]
             (_out_dir(config) / "traces.csv").write_text("\n".join(["rep,root_C,root_S,depth", *rows]) + "\n")
         # the exact second moment of C at the simulated depth
         m2 = float(distiter.finite_depth_moments(pgf, mu1, depth, 2)[2])

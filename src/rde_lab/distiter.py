@@ -15,17 +15,19 @@ The conditional solution at depth n has law T^n delta_mu1, so iterating
 this map from m_k = mu1^k gives its exact moments; they double as an
 oracle for the empirical trajectories.
 
-Each point of T nu is formed by simulate.one_minus_prod, the kernel of the
-tree pull-up, or by its running_product for a family wider than a chunk.
-The M family sizes of a step enter only through how many families have
-each size, and those counts are one Multinomial(M, pmf) draw, not M size
+A sample is held as a count of 1s, a count of 0s and a float array of the
+rest (EmpiricalDist), so a law that the iteration drives onto {0,1}, as it
+does in the endogenous class, costs two integers, not M floats.  Each point
+of T nu is formed by simulate.one_minus_prod, the kernel of the tree
+pull-up, or by its running_product for a family wider than a chunk.  The
+M family sizes of a step enter only through how many families have each
+size, and those counts are one Multinomial(M, pmf) draw, not M size
 draws.  A child at 0 or 1 acts through its value alone (a 0 makes the
-point 1, a 1 leaves the product as it is), so the leading runs of 1s and
-then 0s in a sample enter a step as counts, and only the other children
-are drawn by index.  The map lays out its image as 1s, then 0s, then the
-rest, so a law that the iteration drives onto {0,1} keeps its atoms in
-those runs.  basin_test runs the iteration and lets each sample go once
-its image is drawn.
+point 1, a 1 leaves the product as it is), so the counted 1s and 0s enter
+a step as counts, and only the children from the rest are drawn by index.
+The map counts the 1s and 0s of its image and writes only the rest.
+basin_test runs the iteration and lets each sample go once its image is
+drawn.
 """
 
 from __future__ import annotations
@@ -59,69 +61,121 @@ DELTA_INTERIOR_EPS = 1e-9
 DELTA_INTERIOR_FRACTION = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EmpiricalDist:
-    """Equally-weighted sample on [0,1]."""
+    """Equally-weighted sample on [0,1], held as ``ones`` points at 1, then
+    ``zeros`` points at 0, then the float array ``rest``.
 
-    points: np.ndarray
+    ``EmpiricalDist(points)`` checks and clips a 1-d sample, reads its
+    leading run of 1s and the run of 0s after it as the two counts, and
+    keeps the remainder as ``rest``, a view of the clipped sample.  A point
+    of ``rest`` may itself be 0 or 1.  ``points`` builds the whole layout
+    as one array, for callers that want it; nothing in the library does.
+    """
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 1:
-            raise SpecValidationError("empirical distribution needs a 1-d sample with M >= 1")
+    ones: int
+    zeros: int
+    rest: np.ndarray
+
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 1:
+            raise SpecValidationError("empirical distribution needs a 1-d sample")
         # phrased so that NaN fails the test
         if not np.all((pts >= -1e-12) & (pts <= 1.0 + 1e-12)):
             raise SpecValidationError("sample points must lie in [0,1]")
-        object.__setattr__(self, "points", np.clip(pts, 0.0, 1.0))
+        self._assign(*_layout(np.clip(pts, 0.0, 1.0)))
+
+    def _assign(self, rest: np.ndarray, ones: int, zeros: int) -> None:
+        if ones + zeros + rest.size < 1:
+            raise SpecValidationError("empirical distribution needs M >= 1 points")
+        object.__setattr__(self, "ones", ones)
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "rest", rest)
 
     @classmethod
-    def _unchecked(cls, points: np.ndarray) -> EmpiricalDist:
-        """A sample the map built, each point already in [0,1]: neither
-        checked nor copied."""
+    def _unchecked(cls, rest: np.ndarray, ones: int = 0, zeros: int = 0) -> EmpiricalDist:
+        """A sample built in the library, each point of ``rest`` already in
+        [0,1]: its points are neither checked nor copied."""
         nu = object.__new__(cls)
-        object.__setattr__(nu, "points", points)
+        nu._assign(rest, ones, zeros)
         return nu
 
     @property
     def size(self) -> int:
-        return int(self.points.size)
+        return self.ones + self.zeros + self.rest.size
+
+    @property
+    def points(self) -> np.ndarray:
+        """The whole sample as a new array: the 1s, then the 0s, then ``rest``."""
+        return np.concatenate((np.ones(self.ones), np.zeros(self.zeros), self.rest))
 
     def mean(self) -> float:
-        return float(self.points.mean())
+        return float((self.ones + self.rest.sum()) / self.size)
 
     def second_moment(self) -> float:
-        return float((self.points ** 2).mean())
+        return float((self.ones + (self.rest ** 2).sum()) / self.size)
+
+
+def _layout(points: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """``points``, each in [0,1], as (rest, ones, zeros): the lengths of its
+    leading run of 1s and of the run of 0s after it, and a view of the remainder."""
+    ones = _run_length(points, 1.0, 0)
+    zeros = _run_length(points, 0.0, ones)
+    return points[ones + zeros:], ones, zeros
+
+
+def _run_length(points: np.ndarray, value: float, start: int) -> int:
+    """Length of the run of ``value`` that begins at points[start], scanned a chunk at a time."""
+    for s in range(start, points.size, simulate.CHUNK):
+        differs = np.flatnonzero(points[s:s + simulate.CHUNK] != value)
+        if differs.size:
+            return s + int(differs[0]) - start
+    return points.size - start
 
 
 def mean_matched_uniform(mean: float, size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalDist:
     """Deterministic uniform-quantile sample on [max(0,2m-1), min(1,2m)].
 
     The interval is centred so the sample mean equals ``mean`` to float
-    precision without any random draws.
+    precision without any random draws.  The quantiles are built in one
+    array, in place.
     """
     if not 0.0 <= mean <= 1.0:
         raise SpecValidationError("mean must lie in [0,1]")
     a, b = max(0.0, 2.0 * mean - 1.0), min(1.0, 2.0 * mean)
-    pts = a + (b - a) * (np.arange(size) + 0.5) / size
-    return EmpiricalDist(pts)
+    pts = np.arange(size, dtype=float)
+    pts += 0.5
+    pts *= b - a
+    pts /= size
+    pts += a
+    return EmpiricalDist._unchecked(*_layout(np.clip(pts, 0.0, 1.0, out=pts)))
 
 
 def bernoulli_two_point(mean: float, size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalDist:
-    """Deterministic {0,1} sample whose mean matches ``mean`` to 1/(2M)."""
+    """Deterministic {0,1} sample whose mean matches ``mean`` to 1/(2M): two counts, no array."""
     if not 0.0 <= mean <= 1.0:
         raise SpecValidationError("mean must lie in [0,1]")
     ones = int(round(mean * size))
-    pts = np.zeros(size)
-    pts[:ones] = 1.0
-    return EmpiricalDist(pts)
+    return EmpiricalDist._unchecked(np.empty(0), ones, size - ones)
 
 
 def point_mass(value: float, size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalDist:
-    return EmpiricalDist(np.full(size, float(value)))
+    """``size`` points at ``value``: a count at 0 or 1, else one array."""
+    v = float(value)
+    if not -1e-12 <= v <= 1.0 + 1e-12:  # phrased so that NaN fails the test
+        raise SpecValidationError("sample points must lie in [0,1]")
+    v = min(max(v, 0.0), 1.0)
+    if v == 1.0:
+        return EmpiricalDist._unchecked(np.empty(0), ones=size)
+    if v == 0.0:
+        return EmpiricalDist._unchecked(np.empty(0), zeros=size)
+    return EmpiricalDist._unchecked(np.full(size, v))
 
 
 def is_two_point_concentrated(nu: EmpiricalDist) -> bool:
-    chunks = (nu.points[s:s + simulate.CHUNK] for s in range(0, nu.size, simulate.CHUNK))
+    rest = nu.rest
+    chunks = (rest[s:s + simulate.CHUNK] for s in range(0, rest.size, simulate.CHUNK))
     interior = sum(int(np.count_nonzero(np.minimum(x, 1.0 - x) > DELTA_INTERIOR_EPS)) for x in chunks)
     return interior / nu.size <= DELTA_INTERIOR_FRACTION
 
@@ -139,32 +193,29 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     Each of the nu.size output points is 1 - prod of N resampled input
     points; an infinite family yields the point 1 exactly.  The count c_k
     of each family size k is drawn first, as one multinomial (see
-    _family_size_tally).  The input's leading run of 1s and the run of 0s
-    after it enter as counts, and the children drawn by index come from
-    the rest of the sample, a view of it.  Where there are such runs, the
-    c_k families of each size k up to simulate.CHUNK are split by
-    _atom_split, in ascending k, into those with a 0 child, which give 1,
-    those whose children are all 1, which give 0, and those with j >= 1
-    children from the rest, which join the width-j class.  A family wider
-    than a chunk draws all its children from the whole sample, so no split
-    is as long as it.  With no leading runs nothing is split.
+    _family_size_tally).  The input's counts of 1s and 0s enter as counts,
+    and the children drawn by index come from nu.rest.  Where there are
+    such counts, the c_k families of each size k up to simulate.CHUNK are
+    split by _atom_split, in ascending k, into those with a 0 child, which
+    give 1, those whose children are all 1, which give 0, and those with
+    j >= 1 children from the rest, which join the width-j class.  A family
+    wider than a chunk draws all its children by index from the whole
+    sample, its 1s, then its 0s, then its rest, so no split is as long as
+    it.  With no 0s or 1s counted nothing is split.
 
-    The output holds the 1s (infinite and vetoed families), then the 0s,
-    then each width class in ascending order, whose families draw their
-    child indices one family after another.  The order of the points
-    carries no meaning, since the next step resamples them uniformly; a
-    point of the rest that equals 0 or 1 is drawn by index like any other.
-    Indices, and the sizes that are still drawn one per family, are drawn
-    simulate.CHUNK at a time, which gives the values of one draw, so a step
-    holds its input, its output and scratch of a chunk's size.  Raises
-    ResourceError when the step needs more than MAX_CHILD_DRAWS children
-    drawn by index.
+    The output counts its 1s (infinite and vetoed families) and its 0s,
+    and only its rest, each width class in ascending order, is an array;
+    the families of a class draw their child indices one family after
+    another.  The order of the points carries no meaning, since the next
+    step resamples them uniformly; a point of the rest that equals 0 or 1
+    is drawn by index like any other.  Indices, and the sizes that are
+    still drawn one per family, are drawn simulate.CHUNK at a time, which
+    gives the values of one draw, so a step holds its input, its output's
+    rest and scratch of a chunk's size.  Raises ResourceError when the
+    step needs more than MAX_CHILD_DRAWS children drawn by index.
     """
     validate_spec(spec)
-    points, chunk = nu.points, simulate.CHUNK
-    ones = _run_length(points, 1.0, 0)
-    zeros = _run_length(points, 0.0, ones)
-    rest = points[ones + zeros:]
+    ones, zeros, rest, chunk = nu.ones, nu.zeros, nu.rest, simulate.CHUNK
     tally = _family_size_tally(spec, nu.size, rng)
     vetoed = tally.pop(INF_SENTINEL, 0)  # an infinite family gives 1, as a 0 child does
     widths: dict[int, int] = {}
@@ -182,10 +233,8 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
         raise ResourceError(
             f"one step of the map needs {children} child draws, more than the limit {MAX_CHILD_DRAWS}"
         )
-    out = np.empty(nu.size)
-    out[:vetoed] = 1.0
-    out[vetoed:vetoed + all_ones] = 0.0
-    end = vetoed + all_ones
+    out = np.empty(nu.size - vetoed - all_ones)
+    end = 0
     for k, c in sorted(widths.items()):
         block = out[end:end + c]
         end += c
@@ -197,19 +246,10 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
         else:
             # a family wider than a chunk: its product runs on across chunks, in order
             for f in range(c):
-                draws = (_draw(points, min(chunk, k - s), rng) for s in range(0, k, chunk))
+                draws = (_draw_whole(nu, min(chunk, k - s), rng) for s in range(0, k, chunk))
                 block[f] = 1.0 - simulate.running_product(draws)
     # each point is 1 - a product of points in [0,1], so it lies in [0,1]
-    return EmpiricalDist._unchecked(out)
-
-
-def _run_length(points: np.ndarray, value: float, start: int) -> int:
-    """Length of the run of ``value`` that begins at points[start], scanned a chunk at a time."""
-    for s in range(start, points.size, simulate.CHUNK):
-        differs = np.flatnonzero(points[s:s + simulate.CHUNK] != value)
-        if differs.size:
-            return s + int(differs[0]) - start
-    return points.size - start
+    return EmpiricalDist._unchecked(out, vetoed, all_ones)
 
 
 def _atom_split(
@@ -298,6 +338,17 @@ def _nonzero_counts(classes: np.ndarray, counts: np.ndarray) -> dict[int, int]:
 def _draw(points: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """n points resampled uniformly with replacement."""
     return points[rng.integers(0, points.size, n)]
+
+
+def _draw_whole(nu: EmpiricalDist, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n points resampled uniformly with replacement from the whole sample,
+    its index running over the 1s, then the 0s, then the rest."""
+    idx = rng.integers(0, nu.size, n)
+    atoms = nu.ones + nu.zeros
+    values = (idx < nu.ones).astype(float)
+    in_rest = idx >= atoms
+    values[in_rest] = nu.rest[idx[in_rest] - atoms]
+    return values
 
 
 def moment_map(pgf: Pgf, m) -> np.ndarray:

@@ -13,6 +13,7 @@ import rde_lab.analysis as analysis
 import rde_lab.distiter as distiter
 import rde_lab.simulate as simulate
 from rde_lab.cli import main
+from rde_lab.pgf import Pgf, spec_from_json
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -155,6 +156,31 @@ THINNED_03 = {"kind": "thinned", "p": 0.3, "base": {"kind": "deterministic", "d"
 
 
 @pytest.mark.parametrize(
+    "spec, depth, distinct",
+    [
+        # mu1 at the leaves is the root's value at every depth
+        ({"kind": "deterministic", "d": 2}, 6, (1, 1)),
+        (THINNED_03, 2, (100, 2000)),
+        (THINNED_03, 5, (3000, 3000)),
+    ],
+    ids=["det2-constant-root", "thinned-p0.3-repeated-roots", "thinned-p0.3-distinct-roots"],
+)
+def test_simulate_traces_are_the_repr_of_each_root(tmp_path, spec, depth, distinct):
+    # the file is the rows f"{r},{c!r},{s!r},{depth}" of the roots that the
+    # forest draws, byte for byte, however the reprs are formed
+    cfg = {"spec": spec, "depth": depth, "reps": 3000, "seed": 4, "traces": True}
+    result, out = run_cli(tmp_path, cfg, "simulate")
+    assert result.exit_code == 0
+    pgf_spec = spec_from_json(spec)
+    mu1 = analysis.build_fixed_point_report(Pgf(pgf_spec)).mu1
+    # the command draws its forest from seed + 1
+    _, _, c_roots, s_roots = simulate.endogeny_diagnostic(pgf_spec, mu1, depth, 3000, 5)
+    rows = [f"{r},{c!r},{s!r},{depth}" for r, (c, s) in enumerate(zip(c_roots.tolist(), s_roots.tolist()))]
+    assert (out / "traces.csv").read_bytes() == ("\n".join(["rep,root_C,root_S,depth", *rows]) + "\n").encode()
+    assert distinct[0] <= len(set(c_roots.tolist())) <= distinct[1]
+
+
+@pytest.mark.parametrize(
     "spec, depth, m2",
     [(FINITE_INF, 10, 0.52275), (THINNED_03, 5, 0.51538)],
     ids=["finite-inf-depth10", "thinned-p0.3-depth5"],
@@ -219,7 +245,7 @@ def test_iterate_lets_the_start_sample_go(tmp_path, monkeypatch):
             gc.collect()
             alive.append(start[0]() is not None)
         else:
-            start.append(weakref.ref(nu.points))
+            start.append(weakref.ref(nu.rest))
         return apply_T(nu, spec, rng)
 
     monkeypatch.setattr(distiter, "apply_T", spy)

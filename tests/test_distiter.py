@@ -158,6 +158,42 @@ def test_apply_replays_an_atoms_first_input():
     assert ones > 0 and zeros > 0
 
 
+def test_apply_replays_wide_families_over_the_whole_sample(monkeypatch):
+    # a family wider than a chunk is not split: it draws its child indices
+    # over the whole sample, the 1s, then the 0s, then the rest, a chunk at
+    # a time, which gives the indices of one draw; the families up to a
+    # chunk are split and drawn from the rest as in the replay above
+    monkeypatch.setattr(simulate, "CHUNK", 300)
+    spec = FinitePmf({1: 0.3, 3: 0.3, 700: 0.2}, infinity_mass=0.2)
+    pmf = {1: 0.3, 3: 0.3, 700: 0.2, INF_SENTINEL: 0.2}
+    # one 0 among 400 points leaves a 700-child family a chance of 0.17 of no 0 child
+    points = np.r_[np.ones(120), 0.0, derive(14, 0).random(279) ** 1e-3]
+    out = apply_T(EmpiricalDist(points), spec, derive(14, 1))
+    rng = derive(14, 1)
+    tally = dict(zip(pmf, rng.multinomial(400, list(pmf.values())).tolist()))
+    ones, widths = tally.pop(INF_SENTINEL), {}
+    for k, c in sorted(tally.items()):
+        if k > 300:
+            widths[k] = c
+            continue
+        veto, js, counts = distiter._atom_split(k, c, 1, 120, 279, rng)
+        ones += veto
+        for j, n in zip(js.tolist(), counts.tolist()):
+            widths[j] = widths.get(j, 0) + n
+    zeros = widths.pop(0)
+    whole, rest = points.tolist(), points[121:].tolist()
+    want = []
+    for j, n in sorted(widths.items()):
+        for _ in range(n):
+            pool = rest if j <= 300 else whole
+            idx = rng.integers(0, len(pool), j).tolist()
+            want.append(1.0 - math.prod(pool[i] for i in idx))
+    assert (out.ones, out.zeros) == (ones, zeros)
+    assert out.rest.tolist() == want
+    wide = want[-widths[700]:]
+    assert any(w < 1.0 for w in wide) and any(w == 1.0 for w in wide)
+
+
 def test_mean_transport_law():
     from rde_lab.pgf import Thinned
 
@@ -311,16 +347,17 @@ def test_deterministic_tally_draws_nothing():
 
 @pytest.mark.parametrize(
     "spec, atoms",
-    [(DET2, False), (GEO, False), (FIN, False), (DET2, True), (GEO, True), (FIN, True)],
-    ids=["det2", "geometric", "finite-inf", "det2-atoms", "geometric-atoms", "finite-inf-atoms"],
+    [(DET2, None), (GEO, None), (FIN, None), (DET2, "some"), (GEO, "some"), (FIN, "some"), (GEO, "all")],
+    ids=["det2", "geometric", "finite-inf", "det2-atoms", "geometric-atoms", "finite-inf-atoms", "geometric-zero-one"],
 )
 def test_apply_working_memory_is_the_output_and_a_chunk(spec, atoms):
     # at M = 1e6 an M-long array of family sizes, or any copy of it, is 8 MB;
-    # so is a copy of the points that are not leading atoms
+    # so is a copy of the points that are not atoms; a {0,1} sample's image
+    # has no rest, so its step allocates no sample at all
     points = derive(7, 0).random(1_000_000)
-    if atoms:
+    if atoms == "some":
         points[:700_000] = np.repeat([1.0, 0.0], [400_000, 300_000])
-    nu = EmpiricalDist(points)
+    nu = bernoulli_two_point(0.3, 1_000_000) if atoms == "all" else EmpiricalDist(points)
     apply_T(nu, spec, derive(7, 1))  # builds the spec's cached tables
     tracemalloc.start()
     try:
@@ -328,7 +365,43 @@ def test_apply_working_memory_is_the_output_and_a_chunk(spec, atoms):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= out.points.nbytes + 2 * 2**20
+    assert peak <= out.rest.nbytes + 2 * 2**20
+
+
+def _peak_bytes(make):
+    tracemalloc.start()
+    try:
+        make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_start_samples_hold_their_atoms_as_counts():
+    # a {0,1} start is two counts; any other start is one M-long array and
+    # nothing beside it (8 MB at M = 1e6)
+    m, mib = 10**6, 2**20
+    assert _peak_bytes(lambda: bernoulli_two_point(0.3, m)) < mib
+    assert _peak_bytes(lambda: point_mass(1.0, m)) < mib
+    assert _peak_bytes(lambda: point_mass(0.2, m)) <= 8 * m + mib
+    mu1 = solve_mu1(Pgf(DET2))
+    assert _peak_bytes(lambda: mean_matched_uniform(mu1, m)) <= 8 * m + mib
+    tp, one, zero = bernoulli_two_point(0.3, m), point_mass(1.0, m), point_mass(-1e-13, m)
+    assert (tp.ones, tp.zeros, tp.rest.size) == (300_000, 700_000, 0)
+    assert (one.ones, one.zeros, zero.ones, zero.zeros) == (m, 0, 0, m)
+
+
+def test_moments_add_the_ones_to_the_rest():
+    points = _atoms_first(300, 200, 500, 13)
+    nu = EmpiricalDist(points)
+    assert (nu.ones, nu.zeros, nu.size) == (200, 300, 1000)
+    assert nu.rest.base is not None  # a view, not a copy
+    assert nu.mean() == pytest.approx(points.mean(), rel=1e-14)
+    assert nu.second_moment() == pytest.approx((points**2).mean(), rel=1e-14)
+    # with no leading atoms the moments are numpy's, bit for bit
+    plain = EmpiricalDist(points[500:])
+    assert plain.mean() == float(points[500:].mean())
+    assert plain.second_moment() == float((points[500:] ** 2).mean())
 
 
 def test_apply_preserves_two_point_laws():
@@ -347,10 +420,9 @@ def test_two_point_test_counts_interior_points_by_chunk(monkeypatch):
     points = np.zeros(10_000)
     points[:5_000] = 1.0
     points[5_000:5_007] = [1e-10, 1.0 - 1e-10, 0.5, 0.3, 0.9, 1e-8, 1.0 - 1e-8]  # 5 interior points
-    nu = EmpiricalDist(points)
-    assert is_two_point_concentrated(nu)
-    nu.points[-6:] = 0.5  # 11 of 10000, past the fraction 1e-3
-    assert not is_two_point_concentrated(nu)
+    assert is_two_point_concentrated(EmpiricalDist(points))
+    points[-6:] = 0.5  # 11 of 10000, past the fraction 1e-3
+    assert not is_two_point_concentrated(EmpiricalDist(points))
 
 
 def test_empirical_dist_validation():
@@ -373,6 +445,28 @@ def test_initial_constructors():
     for mean in (1.5, -0.5, math.nan):
         with pytest.raises(SpecValidationError):
             bernoulli_two_point(mean, 100)
+    # each start builds the layout that EmpiricalDist makes of its points
+    a = 2.0 * mu1 - 1.0
+    starts = [
+        (bernoulli_two_point(mu1, 1000), np.repeat([1.0, 0.0], [618, 382])),
+        (point_mass(0.2, 1000), np.full(1000, 0.2)),
+        (point_mass(1.0 + 1e-13, 1000), np.ones(1000)),
+        (point_mass(0.0, 1000), np.zeros(1000)),
+        (mean_matched_uniform(mu1, 1000), a + (1.0 - a) * (np.arange(1000) + 0.5) / 1000),
+        (mean_matched_uniform(1.0, 1000), np.ones(1000)),
+        (mean_matched_uniform(0.0, 1000), np.zeros(1000)),
+    ]
+    for nu, points in starts:
+        want = EmpiricalDist(points)
+        assert (nu.ones, nu.zeros) == (want.ones, want.zeros)
+        assert nu.rest.tobytes() == want.rest.tobytes()
+        assert nu.points.tolist() == points.tolist()
+    for make in (bernoulli_two_point, point_mass, mean_matched_uniform):
+        with pytest.raises(SpecValidationError):
+            make(0.5, 0)
+    for value in (1.5, -0.5, math.nan):
+        with pytest.raises(SpecValidationError):
+            point_mass(value, 10)
 
 
 # ---------------------------------------------------------- moment recursion
