@@ -16,17 +16,18 @@ H'(mu1) <= 1 (the critical case H'(mu1) = 1 counts as endogenous).  When
 H'(mu1) > 1 a second moment sequence appears, generated by picking the root
 of the moment equation that lies left of mu_star at every order.
 
-All scalar roots are found by bisection: the convexity/monotonicity facts
-above guarantee the brackets, so no derivative-based solver is needed.
-f∘f is increasing, so the one scan of find_two_cycles also tells
-basin_of_mean where each orbit of the mean map goes.
+All scalar roots are bisected.  Each lesser root (the moments from mu2 on,
+each cycle's mu2_plus) solves an equation convex or monotone on its bracket,
+which _least_root bisects left of a golden-section probe at or below 0, so
+no derivative-based solver is needed.  f∘f is increasing, so the one scan
+of find_two_cycles also tells basin_of_mean where each orbit goes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -73,6 +74,10 @@ class TwoCycle:
     mu_minus: float
     stability_product: float
     stable: bool
+
+    @property
+    def degenerate(self) -> bool:  # mu_plus is 0 or 1, and C+ that constant
+        return _at_endpoint(self.mu_plus)
 
 
 @dataclass(frozen=True)
@@ -129,15 +134,47 @@ def solve_mu_star(pgf: Pgf) -> float:
     return _bisect(lambda x: pgf.deriv_or_inf(x) - 1.0, 0.0, 1.0)
 
 
+def _least_root(phi, lo: float, hi: float) -> float | None:
+    """Least root on [lo, hi] of phi, convex or monotone there, or None:
+    lo if phi(lo) = 0, else a bisection of ends of opposite sign or, if both
+    are positive, left of the first golden-section probe of the minimum
+    that reads phi <= 0."""
+    flo, fhi = phi(lo), phi(hi)
+    if flo == 0.0:
+        return lo
+    if min(flo, fhi) < 0.0:  # a sign change, or no root below both ends
+        return _bisect(phi, lo, hi) if max(flo, fhi) >= 0.0 else None
+    c, a, b = (sqrt(5.0) - 1.0) / 2.0, lo, hi
+    x1, x2 = b - c * (b - a), a + c * (b - a)
+    f1, f2 = phi(x1), phi(x2)
+    for _ in range(80):  # c**80 < 1e-16
+        if min(f1, f2) <= 0.0:
+            return _bisect(phi, lo, x1 if f1 <= 0.0 else x2)
+        if f1 <= f2:  # the minimum is left of x2
+            b, x2, f2, x1 = x2, x1, f1, x2 - c * (x2 - a)
+            f1 = phi(x1)
+        else:
+            a, x1, f1, x2 = x1, x2, f2, x1 + c * (b - x1)
+            f2 = phi(x2)
+    return None
+
+
+def _moment_root(pgf: Pgf, m: list[float], mu_star: float) -> float:
+    """m_n for n = len(m): the least root of H(x) - (-1)^n x = sum_{k<n} C(n,k)
+    (-1)^k m_k on [0, min(mu_star, m_{n-1})]; FeasibilityError(n) if none."""
+    n = len(m)
+    rhs = sum(comb(n, k) * (-1) ** k * m[k] for k in range(n))
+    sign = -1.0 if n % 2 else 1.0
+    root = _least_root(lambda x: pgf.eval(x) - sign * x - rhs, 0.0, min(mu_star, m[-1]))
+    if root is None:
+        raise FeasibilityError(n)
+    return root
+
+
 def solve_mu2(pgf: Pgf, mu1: float, mu_star: float, endogeny: Endogeny) -> float:
     """Second moment of the endogenous solution: mu1 in the endogenous
-    class, else the lesser root of g(x) = 1 - 2*mu1 on [0, mu_star]."""
-    if endogeny is Endogeny.ENDOGENOUS:
-        return mu1
-    target = 1.0 - 2.0 * mu1
-    g = lambda x: pgf.eval(x) - x - target
-    # g decreases from g(0) = 2*mu1 - 1 > 0 to its minimum at mu_star < mu1
-    return _bisect(g, 0.0, mu_star)
+    class, else order 2 of the moment root, on [0, mu_star] as mu_star < mu1."""
+    return mu1 if endogeny is Endogeny.ENDOGENOUS else _moment_root(pgf, [1.0, mu1], mu_star)
 
 
 def moment_sequence(pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int) -> MomentSequence:
@@ -145,30 +182,16 @@ def moment_sequence(pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int) ->
 
     Discrete: (1, mu1, mu1, ...), and so is Endogenous in the endogenous
     class, where C = S is {0,1}-valued.  Otherwise Endogenous: (1, mu1, mu2,
-    ...), then for each n >= 3 solve H(m_n) - (-1)^n m_n = sum_{k<n} C(n,k)
-    (-1)^k m_k for the root left of mu_star, bracketing in [0, min(mu_star,
-    m_{n-1})].  Raises FeasibilityError naming the order at which no root exists.
+    ...), then m_n for each n >= 3 is the moment root of order n, as mu2 is
+    of order 2.  Raises FeasibilityError naming the first order with no root.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if kind is MomentKind.DISCRETE or fp.endogeny is Endogeny.ENDOGENOUS:
         return MomentSequence(kind, (1.0,) + (fp.mu1,) * K)
     values = [1.0, fp.mu1, fp.mu2][:K + 1]
-    for n in range(3, K + 1):
-        rhs = sum(comb(n, k) * (-1) ** k * values[k] for k in range(n))
-        sign = -1.0 if n % 2 else 1.0  # H(m) - (-1)^n m
-        phi = lambda x: pgf.eval(x) - sign * x - rhs
-        hi = min(fp.mu_star, values[n - 1])
-        lo_val, hi_val = phi(0.0), phi(hi)
-        if abs(hi_val) <= DEFAULT_TOL:
-            root = hi
-        elif abs(lo_val) <= DEFAULT_TOL:
-            root = 0.0
-        elif lo_val * hi_val > 0.0:
-            raise FeasibilityError(n)
-        else:
-            root = _bisect(phi, 0.0, hi)
-        values.append(root)
+    for _ in range(3, K + 1):
+        values.append(_moment_root(pgf, values, fp.mu_star))
     return MomentSequence(kind, tuple(values))
 
 
@@ -180,15 +203,14 @@ def _endpoint_deriv(pgf: Pgf, s: float) -> float:
     return (pgf.eval(s) - pgf.eval(s - h)) / h
 
 
-def _cycle_slope(pgf: Pgf, s: float) -> float:
-    if s < 1e-12 or s > 1.0 - 1e-12:
-        return _endpoint_deriv(pgf, s)
-    return pgf.deriv(s)
+def _at_endpoint(s: float) -> bool:  # s is 0 or 1 up to 1e-12: H' is taken one-sided there
+    return s < 1e-12 or s > 1.0 - 1e-12
 
 
 def stability_product(pgf: Pgf, mu_plus: float, mu_minus: float) -> float:
     """H'(mu_plus) * H'(mu_minus) with one-sided differences at 0 and 1."""
-    return _cycle_slope(pgf, mu_plus) * _cycle_slope(pgf, mu_minus)
+    slope = lambda s: _endpoint_deriv(pgf, s) if _at_endpoint(s) else pgf.deriv(s)
+    return slope(mu_plus) * slope(mu_minus)
 
 
 def make_two_cycle(pgf: Pgf, mu_plus: float, mu_minus: float) -> TwoCycle:
@@ -244,52 +266,23 @@ def find_two_cycles(pgf: Pgf, grid: int = SCAN_GRID) -> CycleScan:
     return CycleScan(tuple(fixed_points), tuple(cycles), neutral_continuum=False, resolution=resolution)
 
 
-@dataclass(frozen=True)
-class IteratedSecondMoment:
-    value: float
-    degenerate: bool
-
-
-def iterated_mu2_plus(pgf: Pgf, cycle: TwoCycle) -> IteratedSecondMoment:
+def iterated_mu2_plus(pgf: Pgf, cycle: TwoCycle) -> float:
     """Second moment of the endogenous solution of the once-iterated
-    recursion with mean mu_plus.
-
-    Stable cycles carry the constant moment sequence (value mu_plus); for
-    an unstable cycle the value is the lesser root of
-    H(1 - 2 H(mu_plus) + H(t)) = 1 - 2 mu_plus + t.  Cycle members at 0 or
-    1 are degenerate constants, flagged as such.
-    """
+    recursion with mean mu_plus: 0 or 1 on a degenerate cycle, mu_plus on a
+    stable one, else the least root of the convex G(t) = H(1 - 2 H(mu_plus)
+    + H(t)) - (1 - 2 mu_plus + t) on [t_lo, mu_plus], from where H's
+    argument is >= 0 (mu_plus, itself a root, if none lies left of it)."""
     mu_plus = cycle.mu_plus
-    if mu_plus <= 1e-12 or mu_plus >= 1.0 - 1e-12:
-        return IteratedSecondMoment(value=float(round(mu_plus)), degenerate=True)
+    if cycle.degenerate:
+        return float(round(mu_plus))
     if cycle.stable:
-        return IteratedSecondMoment(value=mu_plus, degenerate=False)
-    h_plus = pgf.eval(mu_plus)
-    shift = 1.0 - 2.0 * h_plus
-
-    def w(t: float) -> float:
-        return shift + pgf.eval(t)
-
-    def big_g(t: float) -> float:
-        return pgf.eval(min(1.0, max(0.0, w(t)))) - (1.0 - 2.0 * mu_plus + t)
-
-    # leftmost admissible t keeps the inner argument of H non-negative
-    if shift >= 0.0:
-        t_lo = 0.0
-    else:
-        t_lo = _bisect(lambda t: pgf.eval(t) + shift, 0.0, mu_plus)
-    # big_g is convex with a root at mu_plus; the lesser root sits left of
-    # the slope-zero point, located by bisecting the increasing slope proxy
-    def slope(t: float) -> float:
-        wt = min(1.0, max(0.0, w(t)))
-        return pgf.deriv_or_inf(wt) * pgf.deriv_or_inf(t) - 1.0
-
-    if slope(t_lo) >= 0.0 or big_g(t_lo) < 0.0:
-        return IteratedSecondMoment(value=mu_plus, degenerate=False)
-    t_min = _bisect(slope, t_lo, mu_plus)
-    if big_g(t_min) > 0.0:
-        return IteratedSecondMoment(value=mu_plus, degenerate=False)
-    return IteratedSecondMoment(value=_bisect(big_g, t_lo, t_min), degenerate=False)
+        return mu_plus
+    shift = 1.0 - 2.0 * pgf.eval(mu_plus)
+    # H(0) = 0 and H(mu_plus) <= 1, so for shift < 0 the ends straddle t_lo
+    t_lo = 0.0 if shift >= 0.0 else _least_root(lambda t: pgf.eval(t) + shift, 0.0, mu_plus)
+    big_g = lambda t: pgf.eval(min(1.0, max(0.0, shift + pgf.eval(t)))) - (1.0 - 2.0 * mu_plus + t)
+    root = _least_root(big_g, t_lo, mu_plus)
+    return mu_plus if root is None else root
 
 
 @dataclass(frozen=True)

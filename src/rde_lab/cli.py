@@ -253,6 +253,25 @@ def simulate_cmd(ctx):
     _run(ctx, "simulate", "simulate.json", body)
 
 
+def _read_points(path: str) -> np.ndarray:
+    """A points file's whitespace-separated reals, parsed a chunk of lines at a time."""
+    most, count, chunks = INT_FIELDS["size"][1], 0, []
+    try:
+        with open(path) as f:
+            while lines := f.readlines(1 << 20):
+                tokens = "".join(lines).split()
+                count += len(tokens)
+                if count <= most:
+                    chunks.append(np.array(tokens, dtype=float))
+    except OSError as exc:
+        raise ConfigError(f"cannot read points file: {exc}") from exc
+    except ValueError as exc:  # a token that is not a real, or bytes that are not text
+        raise ConfigError(f"config field 'initial.path' must name a file of reals: {exc}") from exc
+    if count > most:
+        raise ConfigError(f"config field 'initial.path' names a file of {count} points, more than {most}")
+    return np.concatenate(chunks or [np.empty(0)])
+
+
 def _initial_dist(config: dict) -> distiter.EmpiricalDist:
     init = config.get("initial")
     if not isinstance(init, dict) or "kind" not in init:
@@ -262,15 +281,7 @@ def _initial_dist(config: dict) -> distiter.EmpiricalDist:
     if kind == "points_csv":
         if not isinstance(init.get("path"), str):
             raise ConfigError("config field 'initial.path' must be a string")
-        try:
-            text = Path(init["path"]).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read points file: {exc}") from exc
-        try:
-            pts = np.array([float(line) for line in text.split() if line.strip()])
-        except ValueError as exc:
-            raise ConfigError(f"points file must hold one real per line: {exc}") from exc
-        key, make, args = "path", distiter.EmpiricalDist, (pts,)
+        key, make, args = "path", distiter.EmpiricalDist, (_read_points(init["path"]),)
     elif kind in ("point_mass", "mean_matched_uniform", "bernoulli"):
         key = "value" if kind == "point_mass" else "mean"
         make = {"point_mass": distiter.point_mass, "mean_matched_uniform": distiter.mean_matched_uniform,
@@ -344,18 +355,12 @@ def cycles(ctx):
     def body(config, spec):
         pgf = Pgf(spec)
         scan = analysis.find_two_cycles(pgf, _int(config, "grid"))
-        cycles_json = []
-        for cyc in scan.cycles:
-            m2p = analysis.iterated_mu2_plus(pgf, cyc)
-            entry = asdict(cyc)
-            entry["mu2_plus"] = m2p.value
-            entry["degenerate"] = m2p.degenerate
-            cycles_json.append(entry)
         return dict(
             neutral_continuum=scan.neutral_continuum,
             resolution=scan.resolution,
             fixed_points=list(scan.fixed_points),
-            cycles=cycles_json,
+            cycles=[asdict(c) | {"mu2_plus": analysis.iterated_mu2_plus(pgf, c), "degenerate": c.degenerate}
+                    for c in scan.cycles],
         )
 
     _run(ctx, "cycles", "cycles.json", body)

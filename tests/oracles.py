@@ -7,6 +7,7 @@ finite differences for derivatives, and closed forms where one exists.
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -144,3 +145,83 @@ def mean_orbit_limit(h, m0: float, max_steps: int = 100_000) -> float:
             return nxt
         t = nxt
     raise AssertionError(f"the orbit of {m0} still moves after {max_steps} steps")
+
+
+DIGITS = 60  # working precision of the Decimal oracles
+
+
+def decimal_bisect(fn, lo: Decimal, hi: Decimal, steps: int = 220) -> Decimal:
+    """A root of fn on [lo, hi], whose ends fn gives opposite signs, by
+    plain bisection; 220 halvings leave a bracket below 1e-66."""
+    lo_positive = fn(lo) > 0
+    assert (fn(hi) > 0) != lo_positive, "the ends do not straddle a root"
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if (fn(mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def decimal_moment_sequence(h, dh, K: int) -> list[Decimal]:
+    """m_0..m_K of the endogenous invariant law, to DIGITS digits, for a
+    non-endogenous spec whose PGF and its derivative are given as Decimal
+    functions: mu1 solves H(x) + x = 1, mu_star solves H'(x) = 1, and m_n
+    is the root of H(x) - (-1)^n x = sum_{k<n} C(n,k) (-1)^k m_k on
+    [0, min(mu_star, m_{n-1})], where the left side is monotone."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        one = Decimal(1)
+        m = [one, decimal_bisect(lambda x: h(x) + x - 1, Decimal(0), one)]
+        mu_star = decimal_bisect(lambda x: dh(x) - 1, Decimal(0), one)
+        for n in range(2, K + 1):
+            rhs = sum(math.comb(n, k) * (-1) ** k * m[k] for k in range(n))
+            sign = (-1) ** n
+            m.append(decimal_bisect(lambda x: h(x) - sign * x - rhs, Decimal(0), min(mu_star, m[-1])))
+        return m
+
+
+def decimal_thinned_binary(p: float):
+    """H and H' of the thinned binary tree as Decimal functions:
+    H(z) = y^2 with y = (1 - sqrt(1 - 4pqz)) / (2p), and y' = q / sqrt(1 - 4pqz)."""
+    p = Decimal(p)
+    q = 1 - p
+
+    def h(z):
+        return ((1 - (1 - 4 * p * q * z).sqrt()) / (2 * p)) ** 2
+
+    def dh(z):
+        s = (1 - 4 * p * q * z).sqrt()
+        return 2 * (1 - s) / (2 * p) * q / s
+
+    return h, dh
+
+
+def decimal_pmf(pmf: dict[int, float]):
+    """H and H' of a finite pmf as Decimal functions, with the pmf's float
+    weights taken exactly."""
+    w = {k: Decimal(v) for k, v in pmf.items()}
+    return (lambda z: sum(c * z ** k for k, c in w.items()),
+            lambda z: sum(k * c * z ** (k - 1) for k, c in w.items()))
+
+
+def decimal_iterated_mu2_plus(h, dh, near: float) -> Decimal:
+    """The lesser root t of G(t) = H(1 - 2H(mu_plus) + H(t)) - (1 - 2 mu_plus + t)
+    for the two-cycle member mu_plus within 1e-9 of ``near``, to DIGITS digits.
+
+    mu_plus is the root of f(f(t)) - t, f(t) = 1 - H(t), bisected from
+    near -+ 1e-9.  G is convex with a root at mu_plus; its derivative
+    H'(w(t)) H'(t) - 1, w(t) = 1 - 2H(mu_plus) + H(t), is bisected for the
+    minimum, and G left of it for the root, on [t_lo, mu_plus] where
+    t_lo keeps w(t) >= 0."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        f = lambda t: 1 - h(t)
+        eps = Decimal("1e-9")
+        mu_plus = decimal_bisect(lambda t: f(f(t)) - t, Decimal(near) - eps, Decimal(near) + eps)
+        shift = 1 - 2 * h(mu_plus)
+        w = lambda t: shift + h(t)
+        t_lo = Decimal(0) if shift >= 0 else decimal_bisect(w, Decimal(0), mu_plus)
+        t_min = decimal_bisect(lambda t: dh(w(t)) * dh(t) - 1, t_lo, mu_plus)
+        return decimal_bisect(lambda t: h(w(t)) - (1 - 2 * mu_plus + t), t_lo, t_min)

@@ -25,7 +25,14 @@ from rde_lab.analysis import (
 from rde_lab.errors import SpecValidationError
 from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, Thinned
 
-from oracles import completely_monotone_violation, mean_orbit_limit
+from oracles import (
+    completely_monotone_violation,
+    decimal_iterated_mu2_plus,
+    decimal_moment_sequence,
+    decimal_pmf,
+    decimal_thinned_binary,
+    mean_orbit_limit,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -170,6 +177,43 @@ def test_moment_sequence_requires_convexity():
         moment_sequence(pgf, build_fixed_point_report(pgf), MomentKind.DISCRETE, 4)
 
 
+def test_near_critical_moments_match_the_decimal_oracle():
+    # thinned binary just below p = 1/2: H'(mu1) = 1 + 2e-6, so m_n and
+    # m_{n-1} are close and each order's root sits near its bracket's end
+    p = 0.499999
+    pgf = Pgf(Thinned(Deterministic(2), p))
+    got = moment_sequence(pgf, build_fixed_point_report(pgf), MomentKind.ENDOGENOUS, 8).values
+    exact = decimal_moment_sequence(*decimal_thinned_binary(p), 8)
+    assert max(abs(g - float(e)) for g, e in zip(got, exact)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        pytest.param(lambda x: (x - 0.5) ** 2 + 1e-3, id="convex-positive"),
+        pytest.param(lambda x: 1.5 - x, id="decreasing-positive"),
+        pytest.param(lambda x: x + 0.5, id="increasing-positive"),
+        pytest.param(lambda x: x - 2.0, id="negative-ends"),
+        pytest.param(lambda x: -((x - 0.5) ** 2) - 1.0, id="concave-negative"),
+    ],
+)
+def test_least_root_returns_none_without_a_root(phi):
+    assert analysis._least_root(phi, 0.0, 1.0) is None
+
+
+@pytest.mark.parametrize(
+    "phi, lo, root",
+    [
+        pytest.param(lambda x: x - 0.25, 0.25, 0.25, id="root-at-lo"),
+        pytest.param(lambda x: 0.3 - x, 0.0, 0.3, id="opposite-ends"),
+        pytest.param(lambda x: (x - 0.3) * (x - 0.7), 0.0, 0.3, id="convex-positive-ends"),
+        pytest.param(lambda x: (x - 0.3) * (x - 1.0), 0.0, 0.3, id="convex-root-at-hi"),
+    ],
+)
+def test_least_root_finds_the_least_root(phi, lo, root):
+    assert analysis._least_root(phi, lo, 1.0) == pytest.approx(root, abs=1e-12)
+
+
 # ----------------------------------------------------------------- 2-cycles
 
 def test_two_cycles_binary():
@@ -268,14 +312,25 @@ def test_iterated_mu2_plus_cases():
     mu1 = solve_mu1(DET2)
     deg = make_two_cycle(DET2, mu1, mu1)
     got = iterated_mu2_plus(DET2, deg)
-    assert got.value == pytest.approx(build_fixed_point_report(DET2).mu2, abs=1e-9)
-    assert not got.degenerate
+    assert got == pytest.approx(build_fixed_point_report(DET2).mu2, abs=1e-9)
+    assert not deg.degenerate
     cyc01 = make_two_cycle(DET2, 1.0, 0.0)
-    got01 = iterated_mu2_plus(DET2, cyc01)
-    assert got01.value == 1.0 and got01.degenerate
+    assert iterated_mu2_plus(DET2, cyc01) == 1.0 and cyc01.degenerate
     pair = make_two_cycle(GEO, 0.2, 16.0 / 17.0)
     got_pair = iterated_mu2_plus(GEO, pair)
-    assert got_pair.value == pytest.approx(0.2, abs=1e-12)  # stable: constant sequence
+    assert got_pair == pytest.approx(0.2, abs=1e-12)  # stable: constant sequence
+
+
+def test_iterated_mu2_plus_on_an_unstable_interior_cycle():
+    # the lesser root of H(1 - 2H(mu_plus) + H(t)) = 1 - 2mu_plus + t
+    # against a 60-digit Decimal bisection of the same equation
+    pmf = {1: 0.3085, 2: 0.5171, 9: 0.1744}
+    pgf = Pgf(FinitePmf(pmf))
+    [cyc] = [c for c in find_two_cycles(pgf).cycles if not c.stable]
+    assert 0.0 < cyc.mu_minus < cyc.mu_plus < 1.0 and not cyc.degenerate
+    exact = decimal_iterated_mu2_plus(*decimal_pmf(pmf), cyc.mu_plus)
+    assert abs(iterated_mu2_plus(pgf, cyc) - float(exact)) < 1e-14
+    assert float(exact) < cyc.mu_plus
 
 
 # ---------------------------------------------------------------- truncation

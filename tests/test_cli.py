@@ -6,10 +6,12 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import rde_lab.analysis as analysis
+import rde_lab.cli as cli
 import rde_lab.distiter as distiter
 import rde_lab.simulate as simulate
 from rde_lab.cli import main
@@ -268,6 +270,35 @@ def test_iterate_from_points_csv(tmp_path):
     assert payload["verdict"]["analytic"] == "InBasin"
 
 
+def test_points_file_is_read_across_chunks(tmp_path):
+    # 150k reals, three to a line and about 3 MB, span several 1 MiB chunks
+    pts = np.random.default_rng(3).random(150_000)
+    path = tmp_path / "pts.txt"
+    path.write_text("\n".join(" ".join(map(repr, row)) for row in pts.reshape(-1, 3).tolist()) + "\n")
+    got = cli._read_points(str(path))
+    assert got.dtype == np.float64 and np.array_equal(got, pts)
+
+
+@pytest.mark.parametrize("content, named", [(b"0.5\n0.25 0.75\nhalf\n", "'half'"), (b"\xff\xfe0.5\n", "utf-8")])
+def test_points_file_with_a_bad_token_exits_2(tmp_path, content, named):
+    pts = tmp_path / "pts.txt"
+    pts.write_bytes(content)
+    result, _ = run_cli(tmp_path, _iterate_cfg({"kind": "points_csv", "path": str(pts)}), "iterate")
+    assert result.exit_code == 2
+    assert "'initial.path'" in result.output and named in result.output
+
+
+@pytest.mark.parametrize("lines, code", [(10, 0), (11, 2)])
+def test_points_file_past_the_size_cap_exits_2(tmp_path, monkeypatch, lines, code):
+    monkeypatch.setitem(cli.INT_FIELDS, "size", (1, 10, 10))
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.5\n" * lines)
+    result, _ = run_cli(tmp_path, _iterate_cfg({"kind": "points_csv", "path": str(pts)}), "iterate")
+    assert result.exit_code == code
+    if code:
+        assert "'initial.path'" in result.output and "file of 11 points" in result.output
+
+
 def test_transform_defect_table(tmp_path):
     for p, defect in ((0.4, 0.0), (0.6, 5.0 / 9.0)):
         cfg = {"spec": {"kind": "thinned", "p": p, "base": {"kind": "deterministic", "d": 2}}}
@@ -315,6 +346,26 @@ def test_cycles_report(tmp_path):
     assert cyc["stable"] is True and cyc["degenerate"] is True
     assert cyc["mu2_plus"] == 1.0
     assert payload["resolution"] == 0.0  # H of a deterministic spec is exact
+
+
+def test_cycles_exits_0_on_a_tiny_geometric_alpha(tmp_path):
+    # f∘f is the identity for every geometric spec; at alpha = 1e-9 the scan
+    # reports rounding-level cycles near 1, and the lesser-root solve of an
+    # unstable one must not raise on them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "geometric", "alpha": 1e-9}}))
+    main(["--config", str(cfg), "--out", str(tmp_path / "out"), "cycles"], standalone_mode=False)
+    payload = json.loads((tmp_path / "out" / "cycles.json").read_text())
+    assert all(c["degenerate"] or 0.0 <= c["mu2_plus"] <= c["mu_plus"] for c in payload["cycles"])
+
+
+def test_analyze_names_the_first_infeasible_moment_order(tmp_path):
+    # float64 moment roots of det2 run out before order 32 (exactly mu1^n)
+    result, out = run_cli(tmp_path, dict(DET2_CFG, K=32), "analyze")
+    assert result.exit_code == 0
+    endo = json.loads((out / "analysis.json").read_text())["moment_sequences"]["endogenous"]
+    assert set(endo) == {"infeasible_at"}
+    assert type(endo["infeasible_at"]) is int and endo["infeasible_at"] >= 3
 
 
 def test_exit_code_on_invalid_spec(tmp_path):
