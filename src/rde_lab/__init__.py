@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     DomainError,
-    FeasibilityError,
     RdeLabError,
     ResourceError,
     SpecValidationError,
@@ -30,7 +29,9 @@ from .analysis import (
     basin_of_mean,
     build_fixed_point_report,
     find_two_cycles,
+    finite_depth_moments,
     iterated_mu2_plus,
+    moment_map,
     moment_sequence,
     solve_mu1,
     solve_mu2,
@@ -42,8 +43,6 @@ from .distiter import (
     TrajectoryRecord,
     apply_T,
     basin_test,
-    finite_depth_moments,
     mean_matched_uniform,
-    moment_map,
     point_mass,
 )

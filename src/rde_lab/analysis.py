@@ -21,6 +21,19 @@ each cycle's mu2_plus) solves an equation convex or monotone on its bracket,
 which _least_root bisects left of a golden-section probe at or below 0, so
 no derivative-based solver is needed.  f∘f is increasing, so the one scan
 of find_two_cycles also tells basin_of_mean where each orbit goes.
+
+One application of the map T sends a law nu on [0,1] to the law of
+1 - prod_{i=1}^N x_i with the x_i iid from nu.  Its moments m_j = E[x^j]
+map exactly: E[(prod x_i)^j] = H(m_j) for j >= 1 (an infinite family gives
+the product 0), so T nu has moments
+
+    m_k' = sum_{j=0}^k C(k,j) (-1)^j H(m_j),   the j = 0 term being 1.
+
+moment_map is this map.  The conditional solution at depth n has law
+T^n delta_mu1, so iterating it from m_k = mu1^k gives its exact moments
+(finite_depth_moments); they double as an oracle for the empirical
+trajectories of distiter.  A fixed point of coordinate n, the lower
+moments held, is the moment root of order n.
 """
 
 from __future__ import annotations
@@ -31,7 +44,6 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .errors import FeasibilityError
 from .pgf import Pgf, require_analysis_assumptions
 
 DEFAULT_TOL = 1e-12
@@ -159,22 +171,26 @@ def _least_root(phi, lo: float, hi: float) -> float | None:
     return None
 
 
-def _moment_root(pgf: Pgf, m: list[float], mu_star: float) -> float:
+def _moment_root(pgf: Pgf, m: list[float], mu_star: float) -> float | None:
     """m_n for n = len(m): the least root of H(x) - (-1)^n x = sum_{k<n} C(n,k)
-    (-1)^k m_k on [0, min(mu_star, m_{n-1})]; FeasibilityError(n) if none."""
+    (-1)^k m_k on [0, min(mu_star, m_{n-1})], or None if it holds no float root."""
     n = len(m)
     rhs = sum(comb(n, k) * (-1) ** k * m[k] for k in range(n))
     sign = -1.0 if n % 2 else 1.0
-    root = _least_root(lambda x: pgf.eval(x) - sign * x - rhs, 0.0, min(mu_star, m[-1]))
-    if root is None:
-        raise FeasibilityError(n)
-    return root
+    return _least_root(lambda x: pgf.eval(x) - sign * x - rhs, 0.0, min(mu_star, m[-1]))
 
 
 def solve_mu2(pgf: Pgf, mu1: float, mu_star: float, endogeny: Endogeny) -> float:
     """Second moment of the endogenous solution: mu1 in the endogenous
-    class, else order 2 of the moment root, on [0, mu_star] as mu_star < mu1."""
-    return mu1 if endogeny is Endogeny.ENDOGENOUS else _moment_root(pgf, [1.0, mu1], mu_star)
+    class, else order 2 of the moment root.  Its phi(x) = H(x) - x -
+    (1 - 2 mu1) is convex with its minimum at mu_star and its greater root
+    at mu1, so a bracket with no float root means the two roots lie within
+    rounding of each other: mu2 is then the reflection 2 mu_star - mu1,
+    clamped into the bracket."""
+    if endogeny is Endogeny.ENDOGENOUS:
+        return mu1
+    root = _moment_root(pgf, [1.0, mu1], mu_star)
+    return min(max(2.0 * mu_star - mu1, 0.0), mu_star, mu1) if root is None else root
 
 
 def moment_sequence(pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int) -> MomentSequence:
@@ -183,16 +199,43 @@ def moment_sequence(pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int) ->
     Discrete: (1, mu1, mu1, ...), and so is Endogenous in the endogenous
     class, where C = S is {0,1}-valued.  Otherwise Endogenous: (1, mu1, mu2,
     ...), then m_n for each n >= 3 is the moment root of order n, as mu2 is
-    of order 2.  Raises FeasibilityError naming the first order with no root.
+    of order 2.  The sequence ends before the first order with no float root.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if kind is MomentKind.DISCRETE or fp.endogeny is Endogeny.ENDOGENOUS:
         return MomentSequence(kind, (1.0,) + (fp.mu1,) * K)
     values = [1.0, fp.mu1, fp.mu2][:K + 1]
-    for _ in range(3, K + 1):
-        values.append(_moment_root(pgf, values, fp.mu_star))
+    while len(values) <= K and (m := _moment_root(pgf, values, fp.mu_star)) is not None:
+        values.append(m)
     return MomentSequence(kind, tuple(values))
+
+
+def moment_map(pgf: Pgf, m) -> np.ndarray:
+    """Moments m_0..m_K of T nu from the moments m_0..m_K of nu.
+
+    One vector evaluation of H on m_1..m_K and one signed-binomial product;
+    a moment outside [0,1] raises DomainError through Pgf.eval.
+    """
+    m = np.asarray(m, dtype=float)
+    k = range(m.size)
+    signed_binomial = np.array([[comb(i, j) * (-1) ** j for j in k] for i in k], dtype=float)
+    return signed_binomial @ np.concatenate(([1.0], pgf.eval(m[1:])))
+
+
+def finite_depth_moments(pgf: Pgf, mu1: float, depth: int, K: int) -> np.ndarray:
+    """E[C_n^k] for k = 0..K, n = depth: the moments of T^n delta_mu1.
+
+    E[C_n] = mu1 exactly, so m_1 is reset to mu1 after each step; left
+    free, its rounding would grow by H'(mu1) per step.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    m = mu1 ** np.arange(K + 1.0)
+    for _ in range(depth):
+        m = moment_map(pgf, m)
+        m[1] = mu1
+    return m
 
 
 def _endpoint_deriv(pgf: Pgf, s: float) -> float:

@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import __version__, analysis, distiter, simulate
-from .errors import FeasibilityError, ResourceError, SpecValidationError
+from .errors import ResourceError, SpecValidationError
 from .pgf import Pgf, Thinned, spec_from_json, spec_to_json
 
 EXIT_VALIDATION = 2
@@ -185,16 +185,12 @@ def analyze(ctx):
         order = _int(config, "K")
         report = analysis.build_fixed_point_report(pgf)
         discrete = analysis.moment_sequence(pgf, report, analysis.MomentKind.DISCRETE, order)
-        try:
-            endogenous = analysis.moment_sequence(pgf, report, analysis.MomentKind.ENDOGENOUS, order)
-            endo_json = asdict(endogenous)
-        except FeasibilityError as exc:
-            endo_json = {"infeasible_at": exc.n}
+        endogenous = analysis.moment_sequence(pgf, report, analysis.MomentKind.ENDOGENOUS, order)
         scan = analysis.find_two_cycles(pgf, _int(config, "grid"))
         mu1 = report.mu1
         return dict(
             fixed_point=asdict(report),
-            moment_sequences={"discrete": asdict(discrete), "endogenous": endo_json},
+            moment_sequences={"discrete": asdict(discrete), "endogenous": asdict(endogenous)},
             two_cycles=asdict(scan),
             residuals={
                 "mean_equation": abs(pgf.eval(mu1) + mu1 - 1.0),
@@ -236,7 +232,7 @@ def simulate_cmd(ctx):
             rows = [f"{r},{c},{s},{depth}" for r, (c, s) in pairs]
             (_out_dir(config) / "traces.csv").write_text("\n".join(["rep,root_C,root_S,depth", *rows]) + "\n")
         # the exact second moment of C at the simulated depth
-        m2 = float(distiter.finite_depth_moments(pgf, mu1, depth, 2)[2])
+        m2 = float(analysis.finite_depth_moments(pgf, mu1, depth, 2)[2])
         gap = mu1 - m2
         return dict(
             analytic={"mu1": mu1, "mu2": mu2, "mu1_minus_mu2": mu1 - mu2},

@@ -6,14 +6,8 @@ size.  Distributions are carried as equally-weighted samples because the
 map has no closed-form density action; pushing a sample through the map is
 the faithful finite-M approximation.
 
-The moments m_j = E[x^j] of nu map exactly: E[(prod x_i)^j] = H(m_j) for
-j >= 1 (an infinite family gives the product 0), so T nu has moments
-
-    m_k' = sum_{j=0}^k C(k,j) (-1)^j H(m_j),   the j = 0 term being 1.
-
-The conditional solution at depth n has law T^n delta_mu1, so iterating
-this map from m_k = mu1^k gives its exact moments; they double as an
-oracle for the empirical trajectories.
+The exact moments of T nu, and of the conditional solution at each depth,
+are analysis.moment_map and analysis.finite_depth_moments.
 
 A sample is held as a count of 1s, a count of 0s and a float array of the
 rest (EmpiricalDist), so a law that the iteration drives onto {0,1}, as it
@@ -33,7 +27,7 @@ drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, log, log1p
+from math import exp, log, log1p
 
 import numpy as np
 
@@ -68,9 +62,10 @@ class EmpiricalDist:
 
     ``EmpiricalDist(points)`` checks and clips a 1-d sample, reads its
     leading run of 1s and the run of 0s after it as the two counts, and
-    keeps the remainder as ``rest``, a view of the clipped sample.  A point
-    of ``rest`` may itself be 0 or 1.  ``points`` builds the whole layout
-    as one array, for callers that want it; nothing in the library does.
+    keeps the remainder as ``rest``, a view of the sample, or of a clipped
+    copy if a point lies outside [0,1].  A point of ``rest`` may itself be
+    0 or 1.  ``points`` builds the whole layout as one array, for callers
+    that want it; nothing in the library does.
     """
 
     ones: int
@@ -81,10 +76,11 @@ class EmpiricalDist:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 1:
             raise SpecValidationError("empirical distribution needs a 1-d sample")
-        # phrased so that NaN fails the test
-        if not np.all((pts >= -1e-12) & (pts <= 1.0 + 1e-12)):
+        lo, hi = (pts.min(), pts.max()) if pts.size else (0.0, 1.0)
+        if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):  # phrased so that NaN fails the test
             raise SpecValidationError("sample points must lie in [0,1]")
-        self._assign(*_layout(np.clip(pts, 0.0, 1.0)))
+        # a new array only when a point needs clipping: the caller's is never written
+        self._assign(*_layout(np.clip(pts, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else pts))
 
     def _assign(self, rest: np.ndarray, ones: int, zeros: int) -> None:
         if ones + zeros + rest.size < 1:
@@ -349,33 +345,6 @@ def _draw_whole(nu: EmpiricalDist, n: int, rng: np.random.Generator) -> np.ndarr
     in_rest = idx >= atoms
     values[in_rest] = nu.rest[idx[in_rest] - atoms]
     return values
-
-
-def moment_map(pgf: Pgf, m) -> np.ndarray:
-    """Moments m_0..m_K of T nu from the moments m_0..m_K of nu.
-
-    One vector evaluation of H on m_1..m_K and one signed-binomial product;
-    a moment outside [0,1] raises DomainError through Pgf.eval.
-    """
-    m = np.asarray(m, dtype=float)
-    k = range(m.size)
-    signed_binomial = np.array([[comb(i, j) * (-1) ** j for j in k] for i in k], dtype=float)
-    return signed_binomial @ np.concatenate(([1.0], pgf.eval(m[1:])))
-
-
-def finite_depth_moments(pgf: Pgf, mu1: float, depth: int, K: int) -> np.ndarray:
-    """E[C_n^k] for k = 0..K, n = depth: the moments of T^n delta_mu1.
-
-    E[C_n] = mu1 exactly, so m_1 is reset to mu1 after each step; left
-    free, its rounding would grow by H'(mu1) per step.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    m = mu1 ** np.arange(K + 1.0)
-    for _ in range(depth):
-        m = moment_map(pgf, m)
-        m[1] = mu1
-    return m
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,6 @@ class DomainError(RdeLabError):
     (e.g. a generating-function derivative at a square-root singularity)."""
 
 
-class FeasibilityError(RdeLabError):
-    """A moment equation has no root in its admissible bracket.
-
-    Carries the order ``n`` at which the recursion became infeasible,
-    signalling that only the constant moment sequence exists.
-    """
-
-    def __init__(self, n: int, message: str | None = None):
-        self.n = n
-        super().__init__(message or f"no feasible moment root at order n={n}")
-
-
 class ResourceError(RdeLabError):
     """A sampled tree exceeded the configured node cap, the forest of a
     batch of trees would store more than ``simulate.MAX_FOREST_DRAWS``

@@ -11,6 +11,7 @@ from rde_lab.analysis import (
     MomentKind,
     build_fixed_point_report,
     Endogeny,
+    moment_map,
     moment_sequence,
     solve_mu1,
 )
@@ -18,7 +19,6 @@ from rde_lab.distiter import (
     apply_T,
     basin_test,
     mean_matched_uniform,
-    moment_map,
     point_mass,
 )
 from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, Thinned

@@ -187,6 +187,34 @@ def test_near_critical_moments_match_the_decimal_oracle():
     assert max(abs(g - float(e)) for g, e in zip(got, exact)) < 1e-9
 
 
+def test_moment_sequence_ends_at_its_last_resolved_order():
+    # det2's float moment roots run out before order 64; a shorter K gives
+    # the leading entries of the longer sequence
+    fp = build_fixed_point_report(DET2)
+    full = moment_sequence(DET2, fp, MomentKind.ENDOGENOUS, 64).values
+    assert 3 < len(full) < 65
+    for K in (1, 2, 5, len(full) - 1, 40):
+        assert moment_sequence(DET2, fp, MomentKind.ENDOGENOUS, K).values == full[:K + 1]
+
+
+@pytest.mark.parametrize("p", [0.499999999, 0.4999999971057339])
+def test_mu2_within_rounding_of_mu1_matches_the_decimal_oracle(p):
+    # mu1 - mu_star is about 1e-9, so phi = H(x) - x - (1 - 2 mu1) reads no
+    # float value below 0 on [0, mu_star]: mu2 is the reflection of mu1
+    # about the minimum
+    fp = build_fixed_point_report(Pgf(Thinned(Deterministic(2), p)))
+    assert fp.endogeny is Endogeny.NON_ENDOGENOUS
+    assert abs(fp.mu2 - float(decimal_moment_sequence(*decimal_thinned_binary(p), 2)[2])) < 1e-14
+
+
+def test_fixed_point_report_never_raises_near_the_endogeny_boundary():
+    specs = [Thinned(Deterministic(2), 0.5 - 10.0**-k) for k in np.arange(3.0, 12.25, 0.5)]
+    specs += [Geometric(float(alpha)) for alpha in np.logspace(-16, -1, 60)]
+    for spec in specs:
+        fp = build_fixed_point_report(Pgf(spec))
+        assert fp.mu2 <= fp.mu1, spec
+
+
 @pytest.mark.parametrize(
     "phi",
     [

@@ -359,13 +359,36 @@ def test_cycles_exits_0_on_a_tiny_geometric_alpha(tmp_path):
     assert all(c["degenerate"] or 0.0 <= c["mu2_plus"] <= c["mu_plus"] for c in payload["cycles"])
 
 
-def test_analyze_names_the_first_infeasible_moment_order(tmp_path):
+def test_analyze_ends_the_endogenous_sequence_at_its_last_resolved_order(tmp_path):
     # float64 moment roots of det2 run out before order 32 (exactly mu1^n)
     result, out = run_cli(tmp_path, dict(DET2_CFG, K=32), "analyze")
     assert result.exit_code == 0
     endo = json.loads((out / "analysis.json").read_text())["moment_sequences"]["endogenous"]
-    assert set(endo) == {"infeasible_at"}
-    assert type(endo["infeasible_at"]) is int and endo["infeasible_at"] >= 3
+    assert set(endo) == {"kind", "values"}
+    assert 3 <= len(endo["values"]) <= 32
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "thinned", "base": {"kind": "deterministic", "d": 2}, "p": 0.499999999},
+        {"kind": "thinned", "base": {"kind": "deterministic", "d": 2}, "p": 0.4999999971057339},
+        {"kind": "geometric", "alpha": 1.9414919457438815e-14},
+    ],
+    ids=["thinned-1e-9", "thinned-2.9e-9", "geometric-1.9e-14"],
+)
+@pytest.mark.parametrize("command", ["analyze", "simulate", "iterate"])
+def test_commands_exit_0_or_3_where_mu2_is_within_rounding_of_mu1(tmp_path, spec, command):
+    # mu2's bracket holds no float root of its equation here
+    cfg = tmp_path / "cfg.json"
+    init = {"kind": "mean_matched_uniform", "mean": 0.75, "size": 1000}
+    cfg.write_text(json.dumps({"spec": spec, "seed": 3, "depth": 4, "reps": 100, "steps": 2, "initial": init}))
+    try:
+        main(["--config", str(cfg), "--out", str(tmp_path / "out"), command], standalone_mode=False)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 3)
 
 
 def test_exit_code_on_invalid_spec(tmp_path):

@@ -9,16 +9,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 import rde_lab.distiter as distiter
 import rde_lab.simulate as simulate
-from rde_lab.analysis import MomentKind, build_fixed_point_report, moment_sequence, solve_mu1
+from rde_lab.analysis import (
+    MomentKind,
+    build_fixed_point_report,
+    finite_depth_moments,
+    moment_map,
+    moment_sequence,
+    solve_mu1,
+)
 from rde_lab.distiter import (
     EmpiricalDist,
     apply_T,
     basin_test,
     bernoulli_two_point,
-    finite_depth_moments,
     is_two_point_concentrated,
     mean_matched_uniform,
-    moment_map,
     point_mass,
 )
 from rde_lab.errors import DomainError, ResourceError, SpecValidationError
@@ -432,6 +437,17 @@ def test_empirical_dist_validation():
         EmpiricalDist(np.array([]))
     with pytest.raises(SpecValidationError):
         EmpiricalDist(np.array([0.5, math.nan]))
+
+
+def test_empirical_dist_copies_only_a_sample_that_needs_clipping():
+    # an in-range sample is checked by its min and max and kept as a view:
+    # no mask and no clipped copy (8 MB each at M = 1e6)
+    points = derive(8, 0).random(10**6)
+    assert _peak_bytes(lambda: EmpiricalDist(points)) < 2**20
+    assert np.shares_memory(EmpiricalDist(points).rest, points)
+    points[3] = -1e-13
+    nu = EmpiricalDist(points)
+    assert nu.rest[3] == 0.0 and points[3] == -1e-13
 
 
 def test_initial_constructors():
