@@ -7,27 +7,33 @@ for trajectories and tables.  Outputs are deterministic: identical
 (config, seed) pairs produce byte-identical files, and every report embeds
 the config hash and library version.
 
-Exit codes: 0 success, 2 config or spec validation failure, 3 resource
-limit (a tree too large, or a step of the map with too many child draws).
-Statistical disagreement between estimates and analytic values never fails
-the process; it is the experiment's output.
+Exit codes: 0 success, 2 a usage error or a config or spec validation
+failure, 3 resource limit (a tree too large, or a step of the map with too
+many child draws).  Statistical disagreement between estimates and analytic
+values never fails the process; it is the experiment's output.  The config
+digest comes from the builtin _sha256, as in random.py: hashlib would map
+OpenSSL into every process.
 """
 
 from __future__ import annotations
 
-import hashlib
+import argparse
 import json
 import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__, analysis, distiter, simulate
 from .errors import ResourceError, SpecValidationError
-from .pgf import Pgf, Thinned, spec_from_json, spec_to_json
+from .pgf import OffspringSpec, Pgf, Thinned, spec_from_json, spec_to_json
+
+try:
+    from _sha256 import sha256
+except ImportError:  # a Python built without the module
+    from hashlib import sha256
 
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
@@ -55,7 +61,7 @@ def _config_hash(config: dict) -> str:
     # output location is not part of the experiment identity
     scrubbed = {k: v for k, v in config.items() if k != "out"}
     canon = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def _is_int(v) -> bool:
@@ -146,63 +152,28 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-@click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON run configuration.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.pass_context
-def main(ctx, config_path, seed, out):
-    """Analyze and simulate the recursion X = 1 - prod(X_i) on random trees."""
-    ctx.ensure_object(dict)
-    ctx.obj.update(config_path=config_path, seed=seed, out=out)
-
-
-def _run(ctx, command: str, filename: str, body) -> None:
-    """Load the config, parse the spec, and write out/filename: the envelope,
-    the spec echo and the fields that body(config, spec) returns."""
-    o = ctx.obj
-    try:
-        config = _load_config(o["config_path"], o["seed"], o["out"])
-        spec = spec_from_json(config["spec"])
-        payload = _envelope(config, command)
-        payload.update(body(config, spec), spec=spec_to_json(spec))
-        _write_json(_out_dir(config) / filename, payload)
-    except SpecValidationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    except ResourceError as exc:
-        click.echo(f"resource error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-
-
-@main.command()
-@click.pass_context
-def analyze(ctx):
+def analyze(config: dict, spec: OffspringSpec) -> dict:
     """Fixed points, endogeny class, moment sequences and two-cycles."""
-
-    def body(config, spec):
-        pgf = Pgf(spec)
-        order = _int(config, "K")
-        report = analysis.build_fixed_point_report(pgf)
-        discrete = analysis.moment_sequence(pgf, report, analysis.MomentKind.DISCRETE, order)
-        endogenous = analysis.moment_sequence(pgf, report, analysis.MomentKind.ENDOGENOUS, order)
-        scan = analysis.find_two_cycles(pgf, _int(config, "grid"))
-        mu1 = report.mu1
-        return dict(
-            fixed_point=asdict(report),
-            moment_sequences={"discrete": asdict(discrete), "endogenous": asdict(endogenous)},
-            two_cycles=asdict(scan),
-            residuals={
-                "mean_equation": abs(pgf.eval(mu1) + mu1 - 1.0),
-                "mu2_equation": abs((pgf.eval(report.mu2) - report.mu2) - (1.0 - 2.0 * mu1)),
-                "cycle_map": max(
-                    (abs((1.0 - pgf.eval(c.mu_plus)) - c.mu_minus) for c in scan.cycles),
-                    default=0.0,
-                ),
-            },
-        )
-
-    _run(ctx, "analyze", "analysis.json", body)
+    pgf = Pgf(spec)
+    order = _int(config, "K")
+    report = analysis.build_fixed_point_report(pgf)
+    discrete = analysis.moment_sequence(pgf, report, analysis.MomentKind.DISCRETE, order)
+    endogenous = analysis.moment_sequence(pgf, report, analysis.MomentKind.ENDOGENOUS, order)
+    scan = analysis.find_two_cycles(pgf, _int(config, "grid"))
+    mu1 = report.mu1
+    return dict(
+        fixed_point=asdict(report),
+        moment_sequences={"discrete": asdict(discrete), "endogenous": asdict(endogenous)},
+        two_cycles=asdict(scan),
+        residuals={
+            "mean_equation": abs(pgf.eval(mu1) + mu1 - 1.0),
+            "mu2_equation": abs((pgf.eval(report.mu2) - report.mu2) - (1.0 - 2.0 * mu1)),
+            "cycle_map": max(
+                (abs((1.0 - pgf.eval(c.mu_plus)) - c.mu_minus) for c in scan.cycles),
+                default=0.0,
+            ),
+        },
+    )
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -213,40 +184,34 @@ def _reprs(values: np.ndarray) -> list[str]:
     return names[inverse].tolist()
 
 
-@main.command(name="simulate")
-@click.pass_context
-def simulate_cmd(ctx):
+def simulate_cmd(config: dict, spec: OffspringSpec) -> dict:
     """Monte Carlo moments of C plus the endogeny diagnostic."""
-
-    def body(config, spec):
-        seed = _require_seed(config)
-        depth = _int(config, "depth")
-        pgf = Pgf(spec)
-        report = analysis.build_fixed_point_report(pgf)
-        mu1, mu2 = report.mu1, report.mu2
-        mc, diag, c_roots, s_roots = simulate.endogeny_diagnostic(
-            spec, mu1, depth, _int(config, "reps"), seed + 1, node_cap=_int(config, "node_cap")
-        )
-        if config.get("traces", False):
-            pairs = enumerate(zip(_reprs(c_roots), _reprs(s_roots)))
-            rows = [f"{r},{c},{s},{depth}" for r, (c, s) in pairs]
-            (_out_dir(config) / "traces.csv").write_text("\n".join(["rep,root_C,root_S,depth", *rows]) + "\n")
-        # the exact second moment of C at the simulated depth
-        m2 = float(analysis.finite_depth_moments(pgf, mu1, depth, 2)[2])
-        gap = mu1 - m2
-        return dict(
-            analytic={"mu1": mu1, "mu2": mu2, "mu1_minus_mu2": mu1 - mu2},
-            finite_depth={"m2": m2, "e_c_one_minus_c": gap, "p_disagree": 2.0 * gap},
-            mc_moments=asdict(mc),
-            endogeny_diagnostic=asdict(diag),
-            flags={
-                "mean_within_3se": bool(abs(mc.mean_C - mu1) <= 3.0 * mc.se_mean + 1e-9),
-                "m2_within_3se": bool(abs(mc.m2_C - m2) <= 3.0 * mc.se_m2 + 1e-9),
-                "diagnostic_within_3se": bool(abs(diag.e_c_one_minus_c - gap) <= 3.0 * diag.se_e + 1e-9),
-            },
-        )
-
-    _run(ctx, "simulate", "simulate.json", body)
+    seed = _require_seed(config)
+    depth = _int(config, "depth")
+    pgf = Pgf(spec)
+    report = analysis.build_fixed_point_report(pgf)
+    mu1, mu2 = report.mu1, report.mu2
+    mc, diag, c_roots, s_roots = simulate.endogeny_diagnostic(
+        spec, mu1, depth, _int(config, "reps"), seed + 1, node_cap=_int(config, "node_cap")
+    )
+    if config.get("traces", False):
+        pairs = enumerate(zip(_reprs(c_roots), _reprs(s_roots)))
+        rows = [f"{r},{c},{s},{depth}" for r, (c, s) in pairs]
+        (_out_dir(config) / "traces.csv").write_text("\n".join(["rep,root_C,root_S,depth", *rows]) + "\n")
+    # the exact second moment of C at the simulated depth
+    m2 = float(analysis.finite_depth_moments(pgf, mu1, depth, 2)[2])
+    gap = mu1 - m2
+    return dict(
+        analytic={"mu1": mu1, "mu2": mu2, "mu1_minus_mu2": mu1 - mu2},
+        finite_depth={"m2": m2, "e_c_one_minus_c": gap, "p_disagree": 2.0 * gap},
+        mc_moments=asdict(mc),
+        endogeny_diagnostic=asdict(diag),
+        flags={
+            "mean_within_3se": bool(abs(mc.mean_C - mu1) <= 3.0 * mc.se_mean + 1e-9),
+            "m2_within_3se": bool(abs(mc.m2_C - m2) <= 3.0 * mc.se_m2 + 1e-9),
+            "diagnostic_within_3se": bool(abs(diag.e_c_one_minus_c - gap) <= 3.0 * diag.se_e + 1e-9),
+        },
+    )
 
 
 def _read_points(path: str) -> np.ndarray:
@@ -291,75 +256,104 @@ def _initial_dist(config: dict) -> distiter.EmpiricalDist:
         raise ConfigError(f"config field 'initial.{key}': {exc}") from exc
 
 
-@main.command()
-@click.pass_context
-def iterate(ctx):
+def iterate(config: dict, spec: OffspringSpec) -> dict:
     """Basin verdict and trajectory of the distributional map."""
-
-    def body(config, spec):
-        seed = _require_seed(config)
-        # no local keeps the start sample, so basin_test can let it go
-        report = distiter.basin_test(_initial_dist(config), spec, _int(config, "steps"), seed=seed)
-        start = report.records[0]
-        rows = [[rec.k, rec.m1, rec.m2] for rec in report.records]
-        _write_csv(_out_dir(config) / "trajectory.csv", ["k", "m1", "m2"], rows)
-        return dict(
-            verdict={"analytic": report.analytic, "empirical": report.empirical},
-            mu1=report.mu1,
-            mu2=report.mu2,
-            initial={"mean": start.m1, "m2": start.m2, "size": report.size},
-            final={"m1": report.records[-1].m1, "m2": report.records[-1].m2},
-        )
-
-    _run(ctx, "iterate", "verdict.json", body)
+    seed = _require_seed(config)
+    # no local keeps the start sample, so basin_test can let it go
+    report = distiter.basin_test(_initial_dist(config), spec, _int(config, "steps"), seed=seed)
+    start = report.records[0]
+    rows = [[rec.k, rec.m1, rec.m2] for rec in report.records]
+    _write_csv(_out_dir(config) / "trajectory.csv", ["k", "m1", "m2"], rows)
+    return dict(
+        verdict={"analytic": report.analytic, "empirical": report.empirical},
+        mu1=report.mu1,
+        mu2=report.mu2,
+        initial={"mean": start.m1, "m2": start.m2, "size": report.size},
+        final={"m1": report.records[-1].m1, "m2": report.records[-1].m2},
+    )
 
 
-@main.command()
-@click.pass_context
-def transform(ctx):
+def transform(config: dict, spec: OffspringSpec) -> dict:
     """Tabulate the thinned PGF H, its derivative and the defining residual."""
-
-    def body(config, spec):
-        if not isinstance(spec, Thinned):
-            raise ConfigError("transform requires a thinned spec (base + p)")
-        pgf = Pgf(spec)
-        base = Pgf(spec.base)
-        p, q = spec.p, 1.0 - spec.p
-        zs = np.linspace(0.0, 1.0, 101)
-        h = pgf.eval(zs)
-        resid = np.abs(h - base.eval(p * h + q * zs))
-        rows = [
-            [float(z), float(h[i]), pgf.deriv_or_inf(float(z)), float(resid[i])]
-            for i, z in enumerate(zs)
-        ]
-        _write_csv(_out_dir(config) / "transform.csv", ["z", "H", "H_prime", "residual"], rows)
-        h1_lo, h1_hi = pgf.eval_bounds(1.0)
-        return dict(
-            defect=pgf.defect(),
-            defect_bounds=[1.0 - h1_hi, 1.0 - h1_lo],
-            max_residual=float(resid.max()),
-        )
-
-    _run(ctx, "transform", "transform.json", body)
+    if not isinstance(spec, Thinned):
+        raise ConfigError("transform requires a thinned spec (base + p)")
+    pgf = Pgf(spec)
+    base = Pgf(spec.base)
+    p, q = spec.p, 1.0 - spec.p
+    zs = np.linspace(0.0, 1.0, 101)
+    h = pgf.eval(zs)
+    resid = np.abs(h - base.eval(p * h + q * zs))
+    rows = [
+        [float(z), float(h[i]), pgf.deriv_or_inf(float(z)), float(resid[i])]
+        for i, z in enumerate(zs)
+    ]
+    _write_csv(_out_dir(config) / "transform.csv", ["z", "H", "H_prime", "residual"], rows)
+    h1_lo, h1_hi = pgf.eval_bounds(1.0)
+    return dict(
+        defect=pgf.defect(),
+        defect_bounds=[1.0 - h1_hi, 1.0 - h1_lo],
+        max_residual=float(resid.max()),
+    )
 
 
-@main.command()
-@click.pass_context
-def cycles(ctx):
+def cycles(config: dict, spec: OffspringSpec) -> dict:
     """Two-cycle scan with stability and iterated second moments."""
+    pgf = Pgf(spec)
+    scan = analysis.find_two_cycles(pgf, _int(config, "grid"))
+    return dict(
+        neutral_continuum=scan.neutral_continuum,
+        resolution=scan.resolution,
+        fixed_points=list(scan.fixed_points),
+        cycles=[asdict(c) | {"mu2_plus": analysis.iterated_mu2_plus(pgf, c), "degenerate": c.degenerate}
+                for c in scan.cycles],
+    )
 
-    def body(config, spec):
-        pgf = Pgf(spec)
-        scan = analysis.find_two_cycles(pgf, _int(config, "grid"))
-        return dict(
-            neutral_continuum=scan.neutral_continuum,
-            resolution=scan.resolution,
-            fixed_points=list(scan.fixed_points),
-            cycles=[asdict(c) | {"mu2_plus": analysis.iterated_mu2_plus(pgf, c), "degenerate": c.degenerate}
-                    for c in scan.cycles],
-        )
 
-    _run(ctx, "cycles", "cycles.json", body)
+COMMANDS = {
+    "analyze": (analyze, "analysis.json"),
+    "simulate": (simulate_cmd, "simulate.json"),
+    "iterate": (iterate, "verdict.json"),
+    "transform": (transform, "transform.json"),
+    "cycles": (cycles, "cycles.json"),
+}
+
+
+def _run(args: argparse.Namespace) -> None:
+    """Load the config, parse the spec, and write the command's report: the
+    envelope, the spec echo and the fields that its function returns."""
+    body, filename = COMMANDS[args.command]
+    try:
+        config = _load_config(args.config, args.seed, args.out)
+        spec = spec_from_json(config["spec"])
+        payload = _envelope(config, args.command)
+        payload.update(body(config, spec), spec=spec_to_json(spec))
+        _write_json(_out_dir(config) / filename, payload)
+    except SpecValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_VALIDATION)
+    except ResourceError as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_RESOURCE)
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Run one command on argv (sys.argv[1:] by default).  A usage error or
+    an invalid config exits 2 and a resource limit 3, in either mode; on
+    success this returns 0, or exits 0 when standalone_mode is true."""
+    parser = argparse.ArgumentParser(
+        prog="rde-lab", allow_abbrev=False,
+        description="Analyze and simulate the recursion X = 1 - prod(X_i) on random trees.",
+    )
+    parser.add_argument("--config", help="JSON run configuration.")
+    parser.add_argument("--seed", type=int, help="Override the config seed.")
+    parser.add_argument("--out", help="Output directory.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (body, _) in COMMANDS.items():
+        commands.add_parser(name, help=body.__doc__)
+    _run(parser.parse_args(argv))
+    if standalone_mode:
+        sys.exit(0)
+    return 0
 
 
 if __name__ == "__main__":

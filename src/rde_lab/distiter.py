@@ -27,7 +27,7 @@ drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, log1p
+from math import exp, fsum, log, log1p
 
 import numpy as np
 
@@ -110,7 +110,9 @@ class EmpiricalDist:
         return float((self.ones + self.rest.sum()) / self.size)
 
     def second_moment(self) -> float:
-        return float((self.ones + (self.rest ** 2).sum()) / self.size)
+        # a chunk of squares at a time, not a sample-long array; fsum rounds the chunk sums' total once
+        chunks = (self.rest[s:s + simulate.CHUNK] for s in range(0, self.rest.size, simulate.CHUNK))
+        return float((self.ones + fsum(np.square(x).sum() for x in chunks)) / self.size)
 
 
 def _layout(points: np.ndarray) -> tuple[np.ndarray, int, int]:

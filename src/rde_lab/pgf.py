@@ -56,6 +56,9 @@ _MASS_TOL = 1e-12
 # largest finite family size: H's float64 powers s**k and the int64 level sums hold it exactly
 MAX_FAMILY_SIZE = 2**53
 
+# least geometric alpha: below about 6e-33 the float mu1 = 1 / (1 + sqrt(alpha)) is 1 and the mean equation fails
+ALPHA_FLOOR = 1e-32
+
 # explored-node count after which a thinned family-size draw counts as infinite
 SAMPLE_BUDGET = 1_000_000
 
@@ -108,8 +111,8 @@ def validate_spec(spec: OffspringSpec) -> None:
             raise SpecValidationError(f"deterministic family size 'd' must be an integer in [2, 2**53], got {spec.d!r}")
     elif isinstance(spec, Geometric):
         _require_finite_real("geometric 'alpha'", spec.alpha)
-        if not (0.0 < spec.alpha < 1.0):
-            raise SpecValidationError(f"geometric alpha must lie in (0,1), got {spec.alpha!r}")
+        if not (ALPHA_FLOOR <= spec.alpha < 1.0):
+            raise SpecValidationError(f"geometric alpha must lie in [ALPHA_FLOOR = {ALPHA_FLOOR}, 1), got {spec.alpha!r}")
     elif isinstance(spec, FinitePmf):
         _require_finite_real("'infinity_mass'", spec.infinity_mass)
         total = float(spec.infinity_mass)

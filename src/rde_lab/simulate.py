@@ -105,7 +105,8 @@ def _sample_forest(
         fams.append(level)
         rep_counts.append(children)
         totals += children
-        if int(totals.max()) > node_cap:
+        # a family past the cap fails it alone, as does a size saturated at 2**63 - 1 that wrapped the sums
+        if int(totals.max()) > node_cap or np.max(level, initial=0) > node_cap:
             raise ResourceError(
                 f"tree exceeded node cap {node_cap} at depth {d + 1}; "
                 "reduce depth or the spec is supercritical"

@@ -1,14 +1,20 @@
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import rde_lab.analysis as analysis
 import rde_lab.cli as cli
@@ -20,15 +26,27 @@ from rde_lab.pgf import Pgf, spec_from_json
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def run_cli(tmp_path, config: dict, command: str, name: str = "cfg.json", env=None):
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # what the run wrote to stderr
+
+
+def invoke(argv: list[str]) -> Result:
+    """main(argv) in-process: the exit code, taken from SystemExit, and the stderr it wrote."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, err.getvalue())
+
+
+def run_cli(tmp_path, config: dict, command: str, name: str = "cfg.json"):
     cfg = tmp_path / name
     cfg.write_text(json.dumps(config))
     out = tmp_path / f"out_{command}_{name}"
-    runner = CliRunner()
-    result = runner.invoke(
-        main, ["--config", str(cfg), "--out", str(out), command], env=env, catch_exceptions=False
-    )
-    return result, out
+    return invoke(["--config", str(cfg), "--out", str(out), command]), out
 
 
 DET2_CFG = {"spec": {"kind": "deterministic", "d": 2}, "K": 6, "seed": 9, "depth": 6, "reps": 400, "steps": 10}
@@ -383,12 +401,35 @@ def test_commands_exit_0_or_3_where_mu2_is_within_rounding_of_mu1(tmp_path, spec
     cfg = tmp_path / "cfg.json"
     init = {"kind": "mean_matched_uniform", "mean": 0.75, "size": 1000}
     cfg.write_text(json.dumps({"spec": spec, "seed": 3, "depth": 4, "reps": 100, "steps": 2, "initial": init}))
-    try:
-        main(["--config", str(cfg), "--out", str(tmp_path / "out"), command], standalone_mode=False)
-        code = 0
-    except SystemExit as exc:
-        code = exc.code
-    assert code in (0, 3)
+    assert invoke(["--config", str(cfg), "--out", str(tmp_path / "out"), command]).exit_code in (0, 3)
+
+
+@pytest.mark.parametrize("alpha", [1e-30, 1e-22])
+def test_simulate_exits_3_on_a_family_past_the_node_cap(tmp_path, alpha):
+    # rng.geometric reads 2**63 - 1 here, which once wrapped the int64 level sums and exited 1
+    cfg = {"spec": {"kind": "geometric", "alpha": alpha}, "seed": 1, "depth": 4, "reps": 100}
+    result, _ = run_cli(tmp_path, cfg, "simulate")
+    assert result.exit_code == 3
+    assert "tree exceeded node cap 10000000 at depth 1" in result.output
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 9.9e-33])
+@pytest.mark.parametrize("command, thinned", [("analyze", False), ("cycles", False), ("simulate", False),
+                                              ("iterate", False), ("transform", True), ("analyze", True)])
+def test_alpha_below_the_floor_exits_2(tmp_path, alpha, command, thinned):
+    spec = {"kind": "geometric", "alpha": alpha}
+    if thinned:
+        spec = {"kind": "thinned", "p": 0.3, "base": spec}
+    result, _ = run_cli(tmp_path, _iterate_cfg(POINT_MASS, spec=spec, depth=4, reps=100), command)
+    assert result.exit_code == 2
+    assert "ALPHA_FLOOR = 1e-32" in result.output
+
+
+def test_alpha_at_the_floor_is_analyzed(tmp_path):
+    result, out = run_cli(tmp_path, {"spec": {"kind": "geometric", "alpha": 1e-32}}, "analyze")
+    assert result.exit_code == 0
+    # mu1 = 1 / (1 + sqrt(alpha)) = 1 - 1e-16 + 1e-32, whose nearest float is 1 - 2**-53
+    assert json.loads((out / "analysis.json").read_text())["fixed_point"]["mu1"] == 1.0 - 2.0**-53
 
 
 def test_exit_code_on_invalid_spec(tmp_path):
@@ -495,7 +536,7 @@ def test_malformed_config_exits_2_naming_field(tmp_path, monkeypatch, command, c
     Path("points.txt").write_text("0.5\nnan\n")
     Path("cfg.json").write_text(json.dumps(cfg).replace(json.dumps(PAST_DIGIT_LIMIT), "1" + "0" * 4400))
     argv = ["--config", "cfg.json", command] if "out" in cfg else ["--config", "cfg.json", "--out", "out", command]
-    result = CliRunner().invoke(main, argv)
+    result = invoke(argv)
     assert result.exit_code == 2
     assert f"'{field}'" in result.output
     assert not Path("out").exists()
@@ -505,7 +546,7 @@ def test_config_nested_too_deep_exits_2(tmp_path):
     # json.loads raises RecursionError on nesting this deep
     cfg = tmp_path / "deep.json"
     cfg.write_text('{"spec": ' + "[" * 100_000 + "]" * 100_000 + "}")
-    result = CliRunner().invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"), "analyze"])
+    result = invoke(["--config", str(cfg), "--out", str(tmp_path / "out"), "analyze"])
     assert result.exit_code == 2
     assert "config is not valid JSON" in result.output
 
@@ -581,8 +622,7 @@ def test_byte_identical_reruns(tmp_path):
         cfg = tmp_path / f"{sub}.json"
         cfg.write_text(json.dumps(DET2_CFG))
         out = tmp_path / f"det_{sub}"
-        runner = CliRunner()
-        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "simulate"])
+        res = invoke(["--config", str(cfg), "--out", str(out), "simulate"])
         assert res.exit_code == 0
         outputs.append((out / "simulate.json").read_bytes())
     assert outputs[0] == outputs[1]
@@ -591,16 +631,77 @@ def test_byte_identical_reruns(tmp_path):
 def test_seed_override_changes_hash(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(DET2_CFG))
-    runner = CliRunner()
     out1, out2 = tmp_path / "h1", tmp_path / "h2"
-    assert runner.invoke(main, ["--config", str(cfg), "--out", str(out1), "analyze"]).exit_code == 0
-    assert runner.invoke(main, ["--config", str(cfg), "--seed", "77", "--out", str(out2), "analyze"]).exit_code == 0
+    assert invoke(["--config", str(cfg), "--out", str(out1), "analyze"]).exit_code == 0
+    assert invoke(["--config", str(cfg), "--seed", "77", "--out", str(out2), "analyze"]).exit_code == 0
     h1 = json.loads((out1 / "analysis.json").read_text())["config_hash"]
     h2 = json.loads((out2 / "analysis.json").read_text())["config_hash"]
     assert h1 != h2
 
 
+def test_config_hash_is_the_sha256_of_the_canonical_config():
+    # the builtin _sha256 gives hashlib's digest, so every report's config_hash stays as it was
+    config = {"spec": {"kind": "deterministic", "d": 2}, "seed": 7, "out": "anywhere"}
+    canon = b'{"seed":7,"spec":{"d":2,"kind":"deterministic"}}'
+    assert cli._config_hash(config) == hashlib.sha256(canon).hexdigest()
+
+
 def test_missing_config_is_usage_error(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["analyze"])
+    result = invoke(["analyze"])
     assert result.exit_code == 2
+
+
+USAGE_ERRORS = {
+    "no-argument": [],
+    "no-command": ["--config", "cfg.json"],
+    "unknown-command": ["--config", "cfg.json", "analyse"],
+    "seed-not-an-int": ["--config", "cfg.json", "--seed", "abc", "analyze"],
+    "option-after-command": ["--config", "cfg.json", "analyze", "--seed", "1"],
+    "config-without-path": ["--config"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(DET2_CFG))
+    result = invoke(argv)
+    assert result.exit_code == 2
+    assert result.output.startswith("usage: rde-lab")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_help_exits_0_and_lists_the_commands(capsys):
+    assert invoke(["--help"]).exit_code == 0
+    listing = capsys.readouterr().out
+    for name, (body, _) in cli.COMMANDS.items():
+        assert re.search(rf"^ +{name} +{body.__doc__.split()[0]}", listing, re.M)
+    assert list(cli.COMMANDS) == ["analyze", "simulate", "iterate", "transform", "cycles"]
+
+
+def test_main_returns_0_in_process_and_exits_0_standalone(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(DET2_CFG))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "a"), "cycles"], standalone_mode=False) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--out", str(tmp_path / "b"), "cycles"])
+    assert exc.value.code == 0
+    assert (tmp_path / "a" / "cycles.json").read_bytes() == (tmp_path / "b" / "cycles.json").read_bytes()
+
+
+def test_an_analysis_run_loads_neither_click_nor_hashlib(tmp_path):
+    # the config digest comes from the builtin _sha256, so no OpenSSL; a
+    # subprocess, as pytest and hypothesis import hashlib in this one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": THINNED_03}))
+    code = (
+        "import sys\n"
+        "from rde_lab.cli import main\n"
+        f"main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, 'analyze'], standalone_mode=False)\n"
+        "print(sorted({'click', 'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+    assert (tmp_path / "out" / "analysis.json").exists()

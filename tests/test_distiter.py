@@ -27,7 +27,7 @@ from rde_lab.distiter import (
     point_mass,
 )
 from rde_lab.errors import DomainError, ResourceError, SpecValidationError
-from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned, sample_family_sizes
+from rde_lab.pgf import ALPHA_FLOOR, INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned, sample_family_sizes
 from rde_lab.streams import derive
 
 from oracles import chi_square_ok, conditional_root
@@ -68,7 +68,7 @@ def test_apply_bounds_the_child_draws(monkeypatch):
     assert apply_T(bernoulli_two_point(0.6, 500), Deterministic(3), derive(2, 1)).size == 500
     # a family wider than a chunk draws its children from the whole sample
     with pytest.raises(ResourceError, match=r"needs [1-9]\d* child draws"):
-        apply_T(bernoulli_two_point(0.6, 10), Geometric(1e-300), derive(2, 2))
+        apply_T(bernoulli_two_point(0.6, 10), Geometric(ALPHA_FLOOR), derive(2, 2))
 
 
 def _atoms_first(zeros, ones, interior, seed):
@@ -338,9 +338,9 @@ def test_family_size_tally_counts_tiny_masses(spec, n, seed):
 
 
 def test_apply_keeps_huge_geometric_sizes_exact():
-    # rng.geometric(1e-300) reads 2**63 - 1; K plus it must not wrap in int64
+    # rng.geometric(ALPHA_FLOOR) reads 2**63 - 1; K plus it must not wrap in int64
     with pytest.raises(ResourceError, match=r"needs [1-9]\d* child draws"):
-        apply_T(point_mass(0.5, 10), Geometric(1e-300), derive(10, 0))
+        apply_T(point_mass(0.5, 10), Geometric(ALPHA_FLOOR), derive(10, 0))
 
 
 def test_deterministic_tally_draws_nothing():
@@ -380,6 +380,13 @@ def _peak_bytes(make):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_second_moment_holds_a_chunk_of_squares():
+    # a sample-long array of squares would take 8 MB at M = 1e6
+    nu = mean_matched_uniform(0.5, 10**6)
+    assert _peak_bytes(nu.second_moment) < 2**20
+    assert nu.second_moment() == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_start_samples_hold_their_atoms_as_counts():
