@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, distiter, simulate
+from . import __version__, analysis
 from .errors import ResourceError, SpecValidationError
 from .pgf import OffspringSpec, Pgf, Thinned, spec_from_json, spec_to_json
 
@@ -40,15 +40,16 @@ EXIT_RESOURCE = 3
 
 # name: (least, most, default) of every integer config field.  The lower
 # limits of K, grid and steps are the library's (below them it raises
-# ValueError); size is iterate's initial.size; a seed has no default.
+# ValueError); size is iterate's initial.size.  A seed has no default, and
+# size and node_cap take distiter's and simulate's, where their commands run.
 INT_FIELDS = {
     "depth": (0, 64, 12),
     "reps": (100, 10_000_000, 10_000),
     "steps": (1, 100_000, 30),
     "K": (1, 64, 8),
     "grid": (100, 1_000_000, analysis.SCAN_GRID),
-    "size": (1, 10_000_000, distiter.DEFAULT_SAMPLE_SIZE),
-    "node_cap": (0, 100_000_000, simulate.DEFAULT_NODE_CAP),
+    "size": (1, 10_000_000, None),
+    "node_cap": (0, 100_000_000, None),
     "seed": (0, math.inf, None),
 }
 
@@ -186,13 +187,16 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 def simulate_cmd(config: dict, spec: OffspringSpec) -> dict:
     """Monte Carlo moments of C plus the endogeny diagnostic."""
+    from . import simulate
+
     seed = _require_seed(config)
     depth = _int(config, "depth")
     pgf = Pgf(spec)
     report = analysis.build_fixed_point_report(pgf)
     mu1, mu2 = report.mu1, report.mu2
     mc, diag, c_roots, s_roots = simulate.endogeny_diagnostic(
-        spec, mu1, depth, _int(config, "reps"), seed + 1, node_cap=_int(config, "node_cap")
+        spec, mu1, depth, _int(config, "reps"), seed + 1,
+        node_cap=_int(config, "node_cap") if "node_cap" in config else simulate.DEFAULT_NODE_CAP,
     )
     if config.get("traces", False):
         pairs = enumerate(zip(_reprs(c_roots), _reprs(s_roots)))
@@ -233,11 +237,14 @@ def _read_points(path: str) -> np.ndarray:
     return np.concatenate(chunks or [np.empty(0)])
 
 
-def _initial_dist(config: dict) -> distiter.EmpiricalDist:
+def _initial_dist(config: dict):
+    """iterate's start sample, an EmpiricalDist made as config's 'initial' object says."""
+    from . import distiter
+
     init = config.get("initial")
     if not isinstance(init, dict) or "kind" not in init:
         raise ConfigError("iterate requires an 'initial' object with a 'kind'")
-    size = _int(init, "size", "initial.")
+    size = _int(init, "size", "initial.") if "size" in init else distiter.DEFAULT_SAMPLE_SIZE
     kind = init["kind"]
     if kind == "points_csv":
         if not isinstance(init.get("path"), str):
@@ -258,6 +265,8 @@ def _initial_dist(config: dict) -> distiter.EmpiricalDist:
 
 def iterate(config: dict, spec: OffspringSpec) -> dict:
     """Basin verdict and trajectory of the distributional map."""
+    from . import distiter
+
     seed = _require_seed(config)
     # no local keeps the start sample, so basin_test can let it go
     report = distiter.basin_test(_initial_dist(config), spec, _int(config, "steps"), seed=seed)

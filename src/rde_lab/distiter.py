@@ -210,7 +210,8 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     still drawn one per family, are drawn simulate.CHUNK at a time, which
     gives the values of one draw, so a step holds its input, its output's
     rest and scratch of a chunk's size.  Raises ResourceError when the
-    step needs more than MAX_CHILD_DRAWS children drawn by index.
+    step needs more than MAX_CHILD_DRAWS children drawn by index; it names
+    a family wider than that, and a geometric draw that saturated.
     """
     validate_spec(spec)
     ones, zeros, rest, chunk = nu.ones, nu.zeros, nu.rest, simulate.CHUNK
@@ -228,9 +229,13 @@ def apply_T(nu: EmpiricalDist, spec: OffspringSpec, rng: np.random.Generator) ->
     all_ones = widths.pop(0, 0)  # no child from the rest: 1 - the empty product
     children = sum(k * c for k, c in widths.items())
     if children > MAX_CHILD_DRAWS:
-        raise ResourceError(
-            f"one step of the map needs {children} child draws, more than the limit {MAX_CHILD_DRAWS}"
-        )
+        widest, most = max(widths), np.iinfo(np.int64).max
+        message = f"one step of the map needs {children} child draws, more than the limit {MAX_CHILD_DRAWS}"
+        if widest > MAX_CHILD_DRAWS:
+            message += f"; one family alone has {widest} children"
+        if widest >= most:  # rng.geometric returns the int64 maximum for any larger draw
+            message += f" or more, as its geometric draw saturated at {most}"
+        raise ResourceError(message)
     out = np.empty(nu.size - vetoed - all_ones)
     end = 0
     for k, c in sorted(widths.items()):

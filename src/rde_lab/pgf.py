@@ -27,6 +27,11 @@ correct fixed point) without overshooting.  At a double root (binary base,
 p = 1/2, z = 1) floats resolve it only to about sqrt(eps); ``Pgf.eval_bounds``
 returns a bracket around H, which the two-cycle scans use.
 
+``Pgf.eval`` and ``Pgf.deriv_or_inf`` take a float s (a numpy float too)
+through the same formulas in plain float arithmetic, for the root solvers'
+scalar calls; any other s goes as a float array.  NaN, complex s and s
+outside [0,1] raise DomainError.
+
 Finite and thinned family sizes are drawn by inverse CDF, one uniform per
 family.  A thinned spec's table is the exact series ``Pgf.pmf_prefix``,
 long enough to sum to H(1); the uniforms past it are the infinite family,
@@ -202,6 +207,8 @@ def spec_from_json(obj: dict) -> OffspringSpec:
 # ---------------------------------------------------------------------------
 # Evaluation engines
 # ---------------------------------------------------------------------------
+# Each takes a float or a float array: one formula per family serves both,
+# with powers as ``**`` (libm's pow on a float, as on a numpy scalar).
 
 def _eval_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
     if isinstance(spec, Deterministic):
@@ -210,7 +217,7 @@ def _eval_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
         # (1 - s) + alpha*s is 1 - (1 - alpha)*s without its cancellation at s = 1
         return spec.alpha * s / ((1.0 - s) + spec.alpha * s)
     if isinstance(spec, FinitePmf):
-        out = np.zeros_like(s)
+        out = 0.0
         for k, w in spec.weights.items():
             if w != 0.0:
                 out = out + w * s ** k
@@ -223,17 +230,22 @@ def _eval_thinned(spec: Thinned, z: np.ndarray) -> np.ndarray:
     """Least fixed point of h -> G(p*h + q*z), elementwise over z."""
     p, q = spec.p, 1.0 - spec.p
     base = spec.base
-    h = np.zeros_like(z)
+    h = np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0
     # Newton from h = 0: phi(h) = G(p*h + q*z) - h is convex with phi(0) >= 0,
     # so the iterates rise monotonically to the least root and never overshoot
     for _ in range(200):
         w = p * h + q * z
         excess = _eval_array(base, w) - h
         margin = 1.0 - p * _deriv_array(base, w)
-        up = (excess > 0.0) & (margin > 0.0)
-        h_new = np.where(up, h + excess / np.where(up, margin, 1.0), h)
-        if not np.any(h_new > h):
-            break
+        if isinstance(z, np.ndarray):
+            up = (excess > 0.0) & (margin > 0.0)
+            h_new = np.where(up, h + excess / np.where(up, margin, 1.0), h)
+            if not np.any(h_new > h):
+                break
+        else:
+            h_new = h + excess / margin if excess > 0.0 and margin > 0.0 else h
+            if not h_new > h:
+                break
         h = h_new
     return h
 
@@ -244,7 +256,7 @@ def _deriv_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
     if isinstance(spec, Geometric):
         return spec.alpha / ((1.0 - s) + spec.alpha * s) ** 2
     if isinstance(spec, FinitePmf):
-        out = np.zeros_like(s)
+        out = 0.0
         for k, w in spec.weights.items():
             if w != 0.0:
                 out = out + (w * k) * s ** (k - 1)
@@ -257,6 +269,8 @@ def _deriv_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
     # the implicit-function formula degenerates at the square-root branch
     # point where p*G'(w) = 1; the fixed point itself is only resolvable to
     # ~sqrt(eps) there, so anything below 1e-6 is an infinite slope
+    if not isinstance(s, np.ndarray):
+        return q * gp / denom if denom >= 1e-6 else np.inf
     regular = denom >= 1e-6
     return np.where(regular, q * gp / np.where(regular, denom, 1.0), np.inf)
 
@@ -265,13 +279,17 @@ def _deriv_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
 # The PGF wrapper
 # ---------------------------------------------------------------------------
 
-def _unit_interval(s, what: str) -> np.ndarray:
-    """s as a float array clipped to [0,1]; DomainError for complex s or s outside it."""
+def _unit_interval(s, what: str):
+    """s clipped to [0,1]: a float in range as a float, any other s as a
+    float array (a 0-d one as a numpy float); DomainError for complex s
+    or s outside [0,1], NaN included."""
+    if isinstance(s, float) and -1e-15 <= s <= 1.0 + 1e-15:
+        return min(max(s, 0.0), 1.0)
     arr = np.asarray(s)
     if arr.dtype.kind == "c":
         raise DomainError(f"pgf {what} requires real s")
     arr = np.asarray(arr, dtype=float)
-    if np.any(arr < -1e-15) or np.any(arr > 1.0 + 1e-15):
+    if not np.all((arr >= -1e-15) & (arr <= 1.0 + 1e-15)):
         raise DomainError(f"pgf {what} requires s in [0,1]")
     return np.clip(arr, 0.0, 1.0)
 
@@ -292,8 +310,10 @@ class Pgf:
         """H(s) for scalar or array s in [0,1] (mass at infinity contributes 0),
         clipped to [0,1]: weights that sum to 1 within the validator's
         tolerance, or roundoff, could otherwise carry H past 1."""
-        out = np.clip(_eval_array(self.spec, _unit_interval(s, "evaluation")), 0.0, 1.0)
-        return float(out) if np.ndim(s) == 0 else out
+        z = _unit_interval(s, "evaluation")
+        if isinstance(z, np.ndarray):
+            return np.clip(_eval_array(self.spec, z), 0.0, 1.0)
+        return float(min(max(_eval_array(self.spec, z), 0.0), 1.0))
 
     def eval_bounds(self, s):
         """(lo, hi) with lo <= H(s) <= hi up to roundoff, for real s in [0,1].
@@ -333,8 +353,9 @@ class Pgf:
     def deriv_or_inf(self, s):
         """H'(s), +inf at a square-root-type singularity; DomainError for
         complex s or s outside [0,1], as for deriv."""
-        out = _deriv_array(self.spec, _unit_interval(s, "derivative"))
-        return float(out) if np.ndim(s) == 0 else out
+        z = _unit_interval(s, "derivative")
+        out = _deriv_array(self.spec, z)
+        return out if isinstance(z, np.ndarray) else float(out)
 
     def defect(self) -> float:
         """P(N = infinity) = 1 - H(1)."""

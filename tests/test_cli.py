@@ -694,14 +694,30 @@ def test_an_analysis_run_loads_neither_click_nor_hashlib(tmp_path):
     # subprocess, as pytest and hypothesis import hashlib in this one
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spec": THINNED_03}))
+    # and the package loads a submodule on first use, so the analysis
+    # commands never import the tree or distributional layers
     code = (
         "import sys\n"
         "from rde_lab.cli import main\n"
-        f"main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, 'analyze'], standalone_mode=False)\n"
-        "print(sorted({'click', 'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        "for command in ('analyze', 'cycles', 'transform'):\n"
+        f"    main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, command], standalone_mode=False)\n"
+        "unused = {'click', 'hashlib', '_hashlib', 'rde_lab.simulate', 'rde_lab.distiter', 'rde_lab.streams'}\n"
+        "print(sorted(unused & set(sys.modules)))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
-    assert (tmp_path / "out" / "analysis.json").exists()
+    for name in ("analysis.json", "cycles.json", "transform.json"):
+        assert (tmp_path / "out" / name).exists()
+
+
+def test_the_package_binds_its_public_names_on_first_use():
+    import rde_lab
+
+    names: dict = {}
+    exec("from rde_lab import *", names)
+    assert set(rde_lab.__all__) <= names.keys()
+    assert names["apply_T"] is rde_lab.distiter.apply_T and names["Pgf"] is rde_lab.pgf.Pgf
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rde_lab.no_such_name

@@ -343,6 +343,15 @@ def test_apply_keeps_huge_geometric_sizes_exact():
         apply_T(point_mass(0.5, 10), Geometric(ALPHA_FLOOR), derive(10, 0))
 
 
+def test_a_family_past_the_child_draw_limit_is_named():
+    # the total of a saturated draw says nothing; the family and its draw do
+    with pytest.raises(ResourceError, match=r"one family alone has \d+ children or more, as its "
+                                            r"geometric draw saturated at 9223372036854775807$"):
+        apply_T(point_mass(0.5, 1000), Geometric(ALPHA_FLOOR), derive(10, 0))
+    with pytest.raises(ResourceError, match=r"one family alone has 9007199254740992 children$"):
+        apply_T(point_mass(0.5, 10), Deterministic(2**53), derive(10, 0))
+
+
 def test_deterministic_tally_draws_nothing():
     rng = derive(10, 1)
     state = rng.bit_generator.state

@@ -233,6 +233,40 @@ def test_eval_rejects_complex_argument():
         Pgf(DET2).eval(0.5 + 0.0j)
 
 
+FIN5 = FinitePmf({1: 0.2, 2: 0.3, 5: 0.4}, infinity_mass=0.1)
+EXPLICIT_SPECS = [DET2, Deterministic(3), Deterministic(7), GEO, FIN5]
+THINNED_SPECS = [Thinned(DET2, 0.3), Thinned(Deterministic(3), 0.4), Thinned(Geometric(0.3), 0.4),
+                 Thinned(FIN5, 0.45), Thinned(Thinned(DET2, 0.6), 0.7), TH06, Thinned(DET2, 0.499999)]
+FLOAT_POINTS = [0.0, 1.0, 1.0 - 1e-16, 5e-324, 1e-310, *np.linspace(0.0, 1.0, 41).tolist()]
+
+
+@pytest.mark.parametrize("spec", EXPLICIT_SPECS + THINNED_SPECS + [TH05])
+def test_a_float_and_a_one_element_array_agree(spec):
+    # a float takes eval's and deriv_or_inf's float path, an array the array one
+    pgf = Pgf(spec)
+    for s in FLOAT_POINTS:
+        h, d = pgf.eval(s), pgf.deriv_or_inf(s)
+        assert type(h) is float and type(d) is float
+        one = np.array([s])
+        h_arr, d_arr = pgf.eval(one)[0], pgf.deriv_or_inf(one)[0]
+        if spec in EXPLICIT_SPECS:
+            assert abs(h - h_arr) <= 2 * math.ulp(h_arr) and abs(d - d_arr) <= 2 * math.ulp(d_arr)
+        elif spec == TH05:
+            lo, hi = pgf.eval_bounds(one)
+            assert lo[0] - 1e-8 <= h <= hi[0] + 1e-8
+        else:
+            assert math.isclose(h, h_arr, rel_tol=1e-13) and math.isclose(d, d_arr, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("s", [math.nan, -1e-14, 1.0 + 1e-14, 0.5 + 0j], ids=["nan", "below", "above", "complex"])
+@pytest.mark.parametrize("method", ["eval", "deriv_or_inf"])
+@pytest.mark.parametrize("spec", [DET2, TH05])
+def test_nan_and_s_off_the_unit_interval_raise_on_both_paths(spec, method, s):
+    for arg in (s, np.array([0.2, s])):
+        with pytest.raises(DomainError):
+            getattr(Pgf(spec), method)(arg)
+
+
 def test_deriv_finite_at_one_when_not_singular():
     assert Pgf(TH06).deriv(1.0) == pytest.approx(8.0 / 3.0, abs=1e-9)
     assert Pgf(Thinned(DET2, 0.4)).deriv(1.0) == pytest.approx(6.0, abs=1e-9)

@@ -7,7 +7,8 @@ that ``perfbench/workloads.py`` makes for every workload goes through
 ``python -m rde_lab.cli`` once per tree, with that tree's ``src/`` on
 PYTHONPATH, in a temporary directory.  The script prints each non-zero exit
 code and each output file that differs (a file missing on one side counts),
-a JSON file once per dotted key whose value differs, and exits 1 if there
+a JSON file once per dotted key whose value differs (a float with both
+values and their distance in ulps), and exits 1 if there
 is any, else 0: every benchmark config exits 0, so a run that fails on both
 trees fails the check too.  The runs come from the
 ``perfbench/`` of the checkout that holds this script, which is only read.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,13 +53,19 @@ def _leaves(value, path: str = "") -> dict[str, object]:
 
 
 def _json_keys(a: bytes, b: bytes) -> list[str]:
-    """Dotted keys whose values differ between two JSON documents."""
+    """Dotted keys whose values differ between two JSON documents; where both
+    values are finite floats, with both and their distance in ulps."""
     leaves_a, leaves_b = _leaves(json.loads(a)), _leaves(json.loads(b))
     missing = object()
-    return sorted(
-        key for key in leaves_a.keys() | leaves_b.keys()
-        if repr(leaves_a.get(key, missing)) != repr(leaves_b.get(key, missing))
-    )
+    found = []
+    for key in sorted(leaves_a.keys() | leaves_b.keys()):
+        x, y = leaves_a.get(key, missing), leaves_b.get(key, missing)
+        if repr(x) == repr(y):
+            continue
+        if all(isinstance(v, float) and math.isfinite(v) for v in (x, y)):
+            key += f": {x!r} -> {y!r} ({abs(x - y) / math.ulp(min(abs(x), abs(y))):.3g} ulp)"
+        found.append(key)
+    return found
 
 
 def differences(a: Path, b: Path) -> list[str]:
