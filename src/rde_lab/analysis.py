@@ -41,10 +41,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb, sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .pgf import Pgf, require_analysis_assumptions
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-12
 CRITICAL_TOL = 1e-9
@@ -217,6 +219,8 @@ def moment_map(pgf: Pgf, m) -> np.ndarray:
     One vector evaluation of H on m_1..m_K and one signed-binomial product;
     a moment outside [0,1] raises DomainError through Pgf.eval.
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     k = range(m.size)
     signed_binomial = np.array([[comb(i, j) * (-1) ** j for j in k] for i in k], dtype=float)
@@ -231,6 +235,8 @@ def finite_depth_moments(pgf: Pgf, mu1: float, depth: int, K: int) -> np.ndarray
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    import numpy as np
+
     m = mu1 ** np.arange(K + 1.0)
     for _ in range(depth):
         m = moment_map(pgf, m)
@@ -261,33 +267,47 @@ def make_two_cycle(pgf: Pgf, mu_plus: float, mu_minus: float) -> TwoCycle:
     return TwoCycle(mu_plus=mu_plus, mu_minus=mu_minus, stability_product=prod, stable=prod <= 1.0)
 
 
+def unit_grid(n: int) -> list[float]:
+    """n evenly spaced floats from 0 to 1: i * (1 / (n - 1)), then 1.0, the
+    points np.linspace(0.0, 1.0, n) gives, bit for bit."""
+    step = 1.0 / (n - 1)
+    return [i * step for i in range(n - 1)] + [1.0]
+
+
 def find_two_cycles(pgf: Pgf, grid: int = SCAN_GRID) -> CycleScan:
     """All fixed points and two-cycles of the mean map f(t) = 1 - H(t).
 
-    H is increasing and known only to its bracket [H_lo, H_hi], so on an
-    even grid of [0,1], d(t) = f(f(t)) - t lies in [lo, hi] =
-    [1 - H_hi(1 - H_lo(t)) - t, 1 - H_lo(1 - H_hi(t)) - t].  The roots of d
-    are grid points whose interval contains 0 plus sign changes between
-    intervals that exclude 0, bisected.  If every interval meets the open
-    band |d| < NEUTRAL_SUP_TOL the scan returns the neutral-continuum
-    marker instead (f∘f = id: every point is on a neutral two-cycle).
+    H is increasing and known only to its bracket [H_lo, H_hi], so at each
+    point t of unit_grid(grid), d(t) = f(f(t)) - t lies in [lo, hi] =
+    [1 - H_hi(1 - H_lo(t)) - t, 1 - H_lo(1 - H_hi(t)) - t], which a loop
+    over floats evaluates; where H_lo(t) = H_hi(t), as for every exact H,
+    one outer bracket gives both ends.  The roots of d are grid points whose
+    interval contains 0 plus sign changes between intervals that exclude 0,
+    bisected.  If every interval meets the open band |d| < NEUTRAL_SUP_TOL
+    the scan returns the neutral-continuum marker instead (f∘f = id: every
+    point is on a neutral two-cycle).
     """
     if grid < 100:
         raise ValueError("grid must be >= 100")
     require_analysis_assumptions(pgf.spec)
     f = lambda t: 1.0 - pgf.eval(t)
     d = lambda t: f(f(t)) - t
-    ts = np.linspace(0.0, 1.0, grid)
-    h_lo, h_hi = pgf.eval_bounds(ts)
-    lo = 1.0 - pgf.eval_bounds(1.0 - h_lo)[1] - ts
-    hi = 1.0 - pgf.eval_bounds(1.0 - h_hi)[0] - ts
-    resolution = float(np.max(hi - lo))
-    if np.all((lo < NEUTRAL_SUP_TOL) & (hi > -NEUTRAL_SUP_TOL)):
+    bounds = pgf.eval_bounds
+    ts = unit_grid(grid)
+    lo, hi = [], []
+    for t in ts:
+        h_lo, h_hi = bounds(t)
+        outer = bounds(1.0 - h_lo)
+        lo.append(1.0 - outer[1] - t)
+        hi.append(1.0 - (outer if h_hi == h_lo else bounds(1.0 - h_hi))[0] - t)
+    resolution = max(b - a for a, b in zip(lo, hi))
+    if all(a < NEUTRAL_SUP_TOL and b > -NEUTRAL_SUP_TOL for a, b in zip(lo, hi)):
         return CycleScan((), (), neutral_continuum=True, resolution=resolution)
-    sign = np.where(lo > 0.0, 1, np.where(hi < 0.0, -1, 0))
-    roots: list[float] = [float(t) for t in ts[sign == 0]]
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(_bisect(d, float(ts[i]), float(ts[i + 1])))
+    sign = [1 if a > 0.0 else -1 if b < 0.0 else 0 for a, b in zip(lo, hi)]
+    roots = [t for t, s in zip(ts, sign) if s == 0]
+    for i in range(grid - 1):
+        if sign[i] * sign[i + 1] < 0:
+            roots.append(_bisect(d, ts[i], ts[i + 1]))
     roots.sort()
     deduped: list[float] = []
     for r in roots:

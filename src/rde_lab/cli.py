@@ -23,8 +23,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__, analysis
 from .errors import ResourceError, SpecValidationError
@@ -34,6 +33,9 @@ try:
     from _sha256 import sha256
 except ImportError:  # a Python built without the module
     from hashlib import sha256
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
@@ -180,6 +182,8 @@ def analyze(config: dict, spec: OffspringSpec) -> dict:
 def _reprs(values: np.ndarray) -> list[str]:
     """repr of each value, formed once per distinct value: the repr of the
     list of distinct values, split at its separators."""
+    import numpy as np
+
     distinct, inverse = np.unique(values, return_inverse=True)
     names = np.array(repr(distinct.tolist())[1:-1].split(", "), dtype=object)
     return names[inverse].tolist()
@@ -220,6 +224,8 @@ def simulate_cmd(config: dict, spec: OffspringSpec) -> dict:
 
 def _read_points(path: str) -> np.ndarray:
     """A points file's whitespace-separated reals, parsed a chunk of lines at a time."""
+    import numpy as np
+
     most, count, chunks = INT_FIELDS["size"][1], 0, []
     try:
         with open(path) as f:
@@ -289,19 +295,16 @@ def transform(config: dict, spec: OffspringSpec) -> dict:
     pgf = Pgf(spec)
     base = Pgf(spec.base)
     p, q = spec.p, 1.0 - spec.p
-    zs = np.linspace(0.0, 1.0, 101)
-    h = pgf.eval(zs)
-    resid = np.abs(h - base.eval(p * h + q * zs))
-    rows = [
-        [float(z), float(h[i]), pgf.deriv_or_inf(float(z)), float(resid[i])]
-        for i, z in enumerate(zs)
-    ]
+    rows = []
+    for z in analysis.unit_grid(101):
+        h = pgf.eval(z)
+        rows.append([z, h, pgf.deriv_or_inf(z), abs(h - base.eval(p * h + q * z))])
     _write_csv(_out_dir(config) / "transform.csv", ["z", "H", "H_prime", "residual"], rows)
     h1_lo, h1_hi = pgf.eval_bounds(1.0)
     return dict(
         defect=pgf.defect(),
         defect_bounds=[1.0 - h1_hi, 1.0 - h1_lo],
-        max_residual=float(resid.max()),
+        max_residual=max(row[3] for row in rows),
     )
 
 

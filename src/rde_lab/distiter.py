@@ -38,11 +38,10 @@ from .pgf import (
     Geometric,
     OffspringSpec,
     Pgf,
-    _inverse_cdf_table,
-    sample_family_sizes,
     validate_spec,
 )
 from . import analysis, simulate
+from .sizes import _inverse_cdf_table, sample_family_sizes
 from .streams import derive
 
 DEFAULT_SAMPLE_SIZE = 100_000

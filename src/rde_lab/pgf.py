@@ -21,37 +21,33 @@ Four parametric variants are supported:
                              Its generating function is the least solution of
                              H(z) = G(p*H(z) + q*z) with G the base PGF.
 
-The thinned evaluation is vectorised Newton from h = 0 on the convex
+The thinned evaluation is Newton from h = 0 on the convex
 phi(h) = G(p*h + q*z) - h, which rises monotonically to the least root (the
-correct fixed point) without overshooting.  At a double root (binary base,
-p = 1/2, z = 1) floats resolve it only to about sqrt(eps); ``Pgf.eval_bounds``
-returns a bracket around H, which the two-cycle scans use.
+correct fixed point) without overshooting; where a thinned base reads an
+infinite slope, the step is the plain iteration h = G(w).  At a double root
+(binary base, p = 1/2, z = 1) floats resolve it only to about sqrt(eps);
+``Pgf.eval_bounds`` returns a bracket around H, which the two-cycle scans use.
 
-``Pgf.eval`` and ``Pgf.deriv_or_inf`` take a float s (a numpy float too)
-through the same formulas in plain float arithmetic, for the root solvers'
-scalar calls; any other s goes as a float array.  NaN, complex s and s
-outside [0,1] raise DomainError.
-
-Finite and thinned family sizes are drawn by inverse CDF, one uniform per
-family.  A thinned spec's table is the exact series ``Pgf.pmf_prefix``,
-long enough to sum to H(1); the uniforms past it are the infinite family,
-so no exploration decides it.  Where no table within ``TABLE_WORK`` sums
-to H(1) (critical pruning, or a base of unbounded support), draws run the
-pruning process instead, and only there a draw that explores more than
-``SAMPLE_BUDGET`` nodes counts as infinite.
+``Pgf.eval``, ``Pgf.eval_bounds`` and ``Pgf.deriv_or_inf`` take a float s
+(a numpy float too) or an int in [0,1] through the same formulas in plain
+float arithmetic, for the analysis's scalar calls; any other s goes as a
+float array.  NaN, complex s and s outside [0,1] raise DomainError.  numpy
+is imported only by code that builds an array, so the float path runs
+without it.  Family sizes are sampled in ``rde_lab.sizes``.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .errors import DomainError, SpecValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # an infinite family in integer sample arrays: it stores no children, and every finite N is >= 1
 INF_SENTINEL = 0
@@ -63,15 +59,6 @@ MAX_FAMILY_SIZE = 2**53
 
 # least geometric alpha: below about 6e-33 the float mu1 = 1 / (1 + sqrt(alpha)) is 1 and the mean equation fails
 ALPHA_FLOOR = 1e-32
-
-# explored-node count after which a thinned family-size draw counts as infinite
-SAMPLE_BUDGET = 1_000_000
-
-# n^2 * J bound on the work of a thinned inverse-CDF table of n entries (see _thinned_cdf)
-TABLE_WORK = 2**25
-
-# longest cdf that a draw locates by counting thresholds instead of by binary search
-SHORT_CDF = 8
 
 
 @dataclass(frozen=True)
@@ -210,7 +197,7 @@ def spec_from_json(obj: dict) -> OffspringSpec:
 # Each takes a float or a float array: one formula per family serves both,
 # with powers as ``**`` (libm's pow on a float, as on a numpy scalar).
 
-def _eval_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
+def _h(spec: OffspringSpec, s: float | np.ndarray) -> float | np.ndarray:
     if isinstance(spec, Deterministic):
         return s ** spec.d
     if isinstance(spec, Geometric):
@@ -226,31 +213,38 @@ def _eval_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
     return _eval_thinned(spec, s)
 
 
-def _eval_thinned(spec: Thinned, z: np.ndarray) -> np.ndarray:
+def _eval_thinned(spec: Thinned, z: float | np.ndarray) -> float | np.ndarray:
     """Least fixed point of h -> G(p*h + q*z), elementwise over z."""
     p, q = spec.p, 1.0 - spec.p
     base = spec.base
-    h = np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0
+    scalar = isinstance(z, float)
+    if not scalar:
+        import numpy as np
+    h = 0.0 if scalar else np.zeros_like(z)
     # Newton from h = 0: phi(h) = G(p*h + q*z) - h is convex with phi(0) >= 0,
-    # so the iterates rise monotonically to the least root and never overshoot
+    # so the iterates rise monotonically to the least root and never overshoot.
+    # A thinned base reads an infinite slope near its own critical point, where
+    # the step is the plain iteration h = G(w), which rises without overshooting too
     for _ in range(200):
         w = p * h + q * z
-        excess = _eval_array(base, w) - h
-        margin = 1.0 - p * _deriv_array(base, w)
-        if isinstance(z, np.ndarray):
+        excess = _h(base, w) - h
+        margin = 1.0 - p * _h_prime(base, w)
+        if scalar:
+            margin = 1.0 if margin == -math.inf else margin
+            h_new = h + excess / margin if excess > 0.0 and margin > 0.0 else h
+            if not h_new > h:
+                break
+        else:
+            margin = np.where(margin == -np.inf, 1.0, margin)
             up = (excess > 0.0) & (margin > 0.0)
             h_new = np.where(up, h + excess / np.where(up, margin, 1.0), h)
             if not np.any(h_new > h):
-                break
-        else:
-            h_new = h + excess / margin if excess > 0.0 and margin > 0.0 else h
-            if not h_new > h:
                 break
         h = h_new
     return h
 
 
-def _deriv_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
+def _h_prime(spec: OffspringSpec, s: float | np.ndarray) -> float | np.ndarray:
     if isinstance(spec, Deterministic):
         return spec.d * s ** (spec.d - 1)
     if isinstance(spec, Geometric):
@@ -264,13 +258,15 @@ def _deriv_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
     assert isinstance(spec, Thinned)
     p, q = spec.p, 1.0 - spec.p
     h = _eval_thinned(spec, s)
-    gp = _deriv_array(spec.base, p * h + q * s)
+    gp = _h_prime(spec.base, p * h + q * s)
     denom = 1.0 - p * gp
     # the implicit-function formula degenerates at the square-root branch
     # point where p*G'(w) = 1; the fixed point itself is only resolvable to
     # ~sqrt(eps) there, so anything below 1e-6 is an infinite slope
-    if not isinstance(s, np.ndarray):
-        return q * gp / denom if denom >= 1e-6 else np.inf
+    if isinstance(s, float):
+        return q * gp / denom if denom >= 1e-6 else math.inf
+    import numpy as np
+
     regular = denom >= 1e-6
     return np.where(regular, q * gp / np.where(regular, denom, 1.0), np.inf)
 
@@ -280,11 +276,15 @@ def _deriv_array(spec: OffspringSpec, s: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _unit_interval(s, what: str):
-    """s clipped to [0,1]: a float in range as a float, any other s as a
-    float array (a 0-d one as a numpy float); DomainError for complex s
-    or s outside [0,1], NaN included."""
-    if isinstance(s, float) and -1e-15 <= s <= 1.0 + 1e-15:
-        return min(max(s, 0.0), 1.0)
+    """s clipped to [0,1]: a float or an int (not a bool) as a float, any
+    other s as a float array (a 0-d one as a numpy float); DomainError for
+    complex s or s outside [0,1], NaN included."""
+    if isinstance(s, float) or (isinstance(s, int) and not isinstance(s, bool)):
+        if not -1e-15 <= s <= 1.0 + 1e-15:
+            raise DomainError(f"pgf {what} requires s in [0,1]")
+        return min(max(float(s), 0.0), 1.0)
+    import numpy as np
+
     arr = np.asarray(s)
     if arr.dtype.kind == "c":
         raise DomainError(f"pgf {what} requires real s")
@@ -311,9 +311,11 @@ class Pgf:
         clipped to [0,1]: weights that sum to 1 within the validator's
         tolerance, or roundoff, could otherwise carry H past 1."""
         z = _unit_interval(s, "evaluation")
-        if isinstance(z, np.ndarray):
-            return np.clip(_eval_array(self.spec, z), 0.0, 1.0)
-        return float(min(max(_eval_array(self.spec, z), 0.0), 1.0))
+        if isinstance(z, float):
+            return float(min(max(_h(self.spec, z), 0.0), 1.0))
+        import numpy as np
+
+        return np.clip(_h(self.spec, z), 0.0, 1.0)
 
     def eval_bounds(self, s):
         """(lo, hi) with lo <= H(s) <= hi up to roundoff, for real s in [0,1].
@@ -331,22 +333,29 @@ class Pgf:
             return lo, lo
         p, q = spec.p, 1.0 - spec.p
         z = _unit_interval(s, "evaluation")
-        lo_arr = np.asarray(lo, dtype=float)
-        noise = 8.0 * np.finfo(float).eps
+        noise = 8.0 * sys.float_info.epsilon
+        if isinstance(z, float):
+            delta = noise
+            while True:
+                hi = min(lo + delta, 1.0)
+                if not (abs(_h(spec.base, p * hi + q * z) - hi) <= noise and hi < 1.0):
+                    return lo, hi
+                delta *= 2.0
+        import numpy as np
+
         delta = noise
         while True:
-            hi = np.minimum(lo_arr + delta, 1.0)
-            phi = _eval_array(spec.base, p * hi + q * z) - hi
+            hi = np.minimum(lo + delta, 1.0)
+            phi = _h(spec.base, p * hi + q * z) - hi
             grow = (np.abs(phi) <= noise) & (hi < 1.0)
             if not np.any(grow):
-                break
+                return lo, hi
             delta = np.where(grow, 2.0 * delta, delta)
-        return (lo, float(hi)) if np.ndim(lo) == 0 else (lo, hi)
 
     def deriv(self, s):
         """H'(s); raises DomainError at a square-root-type singularity."""
         out = self.deriv_or_inf(s)
-        if np.any(np.isinf(out)):
+        if math.isinf(out) if isinstance(out, float) else (out == math.inf).any():
             raise DomainError(f"derivative at s={s} sits at a square-root-type singularity")
         return out
 
@@ -354,8 +363,8 @@ class Pgf:
         """H'(s), +inf at a square-root-type singularity; DomainError for
         complex s or s outside [0,1], as for deriv."""
         z = _unit_interval(s, "derivative")
-        out = _deriv_array(self.spec, z)
-        return out if isinstance(z, np.ndarray) else float(out)
+        out = _h_prime(self.spec, z)
+        return float(out) if isinstance(z, float) else out
 
     def defect(self) -> float:
         """P(N = infinity) = 1 - H(1)."""
@@ -373,6 +382,8 @@ class Pgf:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
+        import numpy as np
+
         p = np.zeros(n)
         spec = self.spec
         if isinstance(spec, Deterministic):
@@ -419,154 +430,3 @@ class Pgf:
         total = sum(weights.values())
         weights = {k: w / total for k, w in weights.items() if w > 0.0}
         return Pgf(FinitePmf(weights=weights, infinity_mass=0.0))
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-# ---------------------------------------------------------------------------
-
-def sample_family_sizes(spec: OffspringSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n iid draws of N as an int64 array of the children each family
-    stores: an infinite family stores none and reads INF_SENTINEL (0).
-
-    Deterministic and geometric specs are sampled directly.  Finite and
-    thinned specs share one inverse-CDF sampler: one uniform per family,
-    located in a cumulative table built once per process.  A finite spec's
-    table is its normalised weights, and its draws are the ones
-    ``rng.choice(support, p=probs)`` makes.  A thinned spec's table is the
-    exact series ``Pgf.pmf_prefix(k)``, lengthened until its sum reaches
-    H(1); a uniform past the table's end is the infinite family.
-
-    A thinned table that stays short of H(1) within the work cap
-    ``TABLE_WORK`` (critical pruning, whose tail decays like k^-1/2, or a
-    base of unbounded support such as a geometric one) falls back to
-    running the pruning process on the base tree: every child line survives
-    with probability p and is cut (one count) with probability q.  Only
-    there does ``SAMPLE_BUDGET`` apply: a draw whose explored-node count
-    exceeds it is reported as infinite.  That inflates a huge finite family to
-    infinity, which downstream value recursions treat the same way a truly
-    infinite family behaves (node value ~ 1).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if isinstance(spec, Deterministic):
-        return np.full(n, spec.d, dtype=np.int64)
-    if isinstance(spec, Geometric):
-        return rng.geometric(spec.alpha, size=n).astype(np.int64, copy=False)
-    table = _inverse_cdf_table(spec)
-    if table is None:
-        return _sample_thinned(spec, n, rng)
-    cdf, values = table
-    u = rng.random(n)
-    if cdf.size <= SHORT_CDF:
-        # the count of entries <= u is the index searchsorted(side="right") gives, in a few flat passes
-        idx = np.zeros(n, dtype=np.intp)
-        for c in cdf:
-            idx += u >= c
-    else:
-        idx = cdf.searchsorted(u, side="right")
-    return values[idx]
-
-
-_TABLES: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
-
-
-def _inverse_cdf_table(spec: FinitePmf | Thinned) -> tuple[np.ndarray, np.ndarray] | None:
-    """(cdf, values): a uniform u draws values[cdf.searchsorted(u, side="right")].
-    None for a thinned spec whose table does not complete.  Cached by the
-    spec's JSON, as a FinitePmf spec holds a dict and does not hash."""
-    key = json.dumps(spec_to_json(spec))
-    if key not in _TABLES:
-        if isinstance(spec, FinitePmf):
-            values, probs = _support_and_probs(spec)
-            cdf = np.cumsum(probs)
-            cdf /= cdf[-1]
-            _TABLES[key] = cdf, values
-        else:
-            cdf = _thinned_cdf(spec)
-            # the index is the size, and one past the table is the infinite family
-            _TABLES[key] = None if cdf is None else (cdf, np.r_[np.arange(cdf.size), INF_SENTINEL])
-    return _TABLES[key]
-
-
-def _thinned_cdf(spec: Thinned) -> np.ndarray | None:
-    """P(N <= k) for k < n, with n doubled from 256 until the last entry
-    reaches H(1), the low end of its eval_bounds bracket, to within the
-    cumsum's rounding, about n ulps; the finite mass left out is then at
-    most the bracket's width plus that.  pmf_prefix(n) costs O(n^2 * J),
-    J the base's largest size below n, so None once that passes TABLE_WORK."""
-    eps = np.finfo(float).eps
-    h1 = Pgf(spec).eval(1.0)
-    n = 256
-    while True:
-        g, _ = Pgf(spec.base).pmf_prefix(n)
-        if n * n * int(np.flatnonzero(g).max(initial=1)) > TABLE_WORK:
-            return None
-        cdf = np.cumsum(Pgf(spec).pmf_prefix(n)[0])
-        if cdf[-1] >= h1 - n * eps:
-            return cdf
-        n *= 2
-
-
-def _support_and_probs(spec: FinitePmf) -> tuple[np.ndarray, np.ndarray]:
-    """The sizes with positive mass, ascending, then INF_SENTINEL if
-    infinity has mass, as int64; and their probabilities, normalised."""
-    support = [k for k, w in sorted(spec.weights.items()) if w > 0.0]
-    probs = [spec.weights[k] for k in support]
-    if spec.infinity_mass > 0.0:
-        support.append(INF_SENTINEL)
-        probs.append(spec.infinity_mass)
-    probs = np.asarray(probs, dtype=float)
-    return np.asarray(support, dtype=np.int64), probs / probs.sum()
-
-
-def _sum_family_draws(
-    base: OffspringSpec, counts: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sum of counts[i] iid base draws, infinite-draw flag), per entry.
-
-    Deterministic, geometric and finite bases have closed forms for the
-    sum, which keeps each pruning generation O(#samples) instead of
-    O(#nodes).
-    """
-    if isinstance(base, Deterministic):
-        return counts * base.d, np.zeros(counts.size, dtype=bool)
-    if isinstance(base, Geometric):
-        sums = counts.astype(np.int64).copy()
-        pos = counts > 0
-        if pos.any():
-            # {1,2,...}-geometric sum = count + NegBinomial(count, alpha)
-            sums[pos] += rng.negative_binomial(counts[pos], base.alpha)
-        return sums, np.zeros(counts.size, dtype=bool)
-    if isinstance(base, FinitePmf):
-        # how many of the counts[i] draws take each size; INF_SENTINEL (0) adds nothing to the sum
-        support, probs = _support_and_probs(base)
-        tallies = rng.multinomial(counts, probs)
-        return tallies @ support, tallies[:, support == INF_SENTINEL].any(axis=1)
-    # a thinned base: one draw per node
-    owners = np.repeat(np.arange(counts.size), counts)
-    fams = sample_family_sizes(base, int(owners.size), rng)
-    inf_mask = np.bincount(owners[fams == INF_SENTINEL], minlength=counts.size) > 0
-    sums = np.bincount(owners, weights=fams.astype(float), minlength=counts.size).astype(np.int64)
-    return sums, inf_mask
-
-
-def _sample_thinned(spec: Thinned, n: int, rng: np.random.Generator) -> np.ndarray:
-    deaths = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=np.int64)  # live (surviving) nodes awaiting expansion
-    idx = np.arange(n)
-    while idx.size:
-        # total base children of this generation's live nodes, per sample
-        children, blown = _sum_family_draws(spec.base, active, rng)
-        # an infinite base family sheds infinitely many cut lines a.s.
-        visited[idx] += children
-        survivors = rng.binomial(children, spec.p)
-        deaths[idx] += children - survivors
-        blown = blown | (visited[idx] > SAMPLE_BUDGET)
-        deaths[idx[blown]] = INF_SENTINEL
-        going = (survivors > 0) & ~blown
-        idx = idx[going]
-        active = survivors[going]
-    return deaths
-

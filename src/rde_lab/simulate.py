@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError
-from .pgf import INF_SENTINEL, Deterministic, OffspringSpec, sample_family_sizes, validate_spec
+from .pgf import INF_SENTINEL, Deterministic, OffspringSpec, validate_spec
+from .sizes import sample_family_sizes
 from .streams import derive
 
 DEFAULT_NODE_CAP = 10_000_000

@@ -21,6 +21,7 @@ from rde_lab.analysis import (
     solve_mu2,
     solve_mu_star,
     stability_product,
+    unit_grid,
 )
 from rde_lab.errors import SpecValidationError
 from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, Thinned
@@ -299,9 +300,9 @@ def test_two_cycles_thinned_critical():
      (Thinned(Geometric(0.3), 0.4), 150)],
 )
 def test_cycle_scan_eval_budget(monkeypatch, spec, bound):
-    # a deterministic stand-in for a time budget: one vector call per grid
-    # and scalar calls only inside bisections (about 2100 calls per scan
-    # when the grid was evaluated point by point)
+    # a deterministic stand-in for a time budget: the float scan makes three
+    # calls a grid point (H's bracket at t and the two outer brackets), and
+    # the rest (bisections, partners) stays within bound
     calls = 0
     real_eval = Pgf.eval
 
@@ -312,7 +313,35 @@ def test_cycle_scan_eval_budget(monkeypatch, spec, bound):
 
     monkeypatch.setattr(Pgf, "eval", counting_eval)
     find_two_cycles(Pgf(spec), 1001)
-    assert calls <= bound
+    assert calls <= 3 * 1001 + bound
+
+
+@pytest.mark.parametrize(
+    "spec, per_point",
+    [(Deterministic(2), 2), (FinitePmf({k: 1.0 / 256 for k in range(1, 257)}), 2),
+     (FinitePmf({1: 0.3, 2: 0.4, 3: 0.2}, 0.1), 2), (Geometric(0.3), 2), (Thinned(Deterministic(2), 0.3), 3)],
+    ids=["det2", "uniform-256", "finite-inf", "geometric", "thinned-0.3"],
+)
+def test_the_scan_reuses_the_outer_bracket_of_an_exact_h(monkeypatch, spec, per_point):
+    # an exact H has h_lo == h_hi, so one outer bracket serves both ends of a grid point's interval
+    calls = 0
+    real_bounds = Pgf.eval_bounds
+
+    def counting_bounds(self, s):
+        nonlocal calls
+        calls += 1
+        return real_bounds(self, s)
+
+    monkeypatch.setattr(Pgf, "eval_bounds", counting_bounds)
+    find_two_cycles(Pgf(spec), 1001)
+    assert calls == per_point * 1001
+
+
+@pytest.mark.parametrize("n", [100, 101, 1001, 4097, 100_000])
+def test_the_unit_grid_is_linspace_bit_for_bit(n):
+    grid = unit_grid(n)
+    assert all(type(t) is float for t in grid)
+    assert np.array(grid).tobytes() == np.linspace(0.0, 1.0, n).tobytes()
 
 
 def test_iterated_map_monotone_audit():

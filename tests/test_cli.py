@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -15,13 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rde_lab.analysis as analysis
 import rde_lab.cli as cli
 import rde_lab.distiter as distiter
 import rde_lab.simulate as simulate
 from rde_lab.cli import main
-from rde_lab.pgf import Pgf, spec_from_json
+from rde_lab.pgf import ALPHA_FLOOR, MAX_FAMILY_SIZE, Pgf, spec_from_json
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -577,6 +579,49 @@ def test_iterate_thinned_finite_base_ends_cleanly(tmp_path):
     assert result.exit_code in (0, 3)
 
 
+# a parameter near one of the ends of (0, 1) or near 1/2: 10^-e off, with e up to 15, or 1/2 itself
+NEAR = st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([-1.0, 1.0]), st.floats(1.0, 15.0)).map(
+    lambda t: min(max(t[0] + t[1] * 10.0 ** -t[2], 1e-15), 1.0 - 1e-15)
+) | st.just(0.5)
+
+
+@st.composite
+def base_specs(draw):
+    kind = draw(st.sampled_from(["deterministic", "geometric", "finite"]))
+    if kind == "deterministic":
+        return {"kind": kind, "d": draw(st.integers(2, 5) | st.integers(2, MAX_FAMILY_SIZE))}
+    if kind == "geometric":  # alpha log-uniform on [ALPHA_FLOOR, 1)
+        return {"kind": kind, "alpha": max(ALPHA_FLOOR, 10.0 ** draw(st.floats(math.log10(ALPHA_FLOOR), -1e-3)))}
+    keys = draw(st.lists(st.integers(1, 8) | st.integers(1, MAX_FAMILY_SIZE), min_size=1, max_size=4, unique=True))
+    raw = [draw(st.floats(0.05, 1.0)) for _ in keys]
+    raw_inf = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0]))
+    total = sum(raw) + raw_inf
+    weights = [w / total for w in raw]
+    # masses may sum to 1 +- 9e-13, inside the validator's 1e-12
+    weights[0] = max(0.0, weights[0] + draw(st.sampled_from([0.0, 9e-13, -9e-13])))
+    return {"kind": kind, "pmf": {str(k): w for k, w in zip(keys, weights)}, "infinity_mass": raw_inf / total}
+
+
+@st.composite
+def cli_specs(draw):
+    spec = draw(base_specs())
+    for _ in range(draw(st.integers(0, 2))):
+        spec = {"kind": "thinned", "p": draw(NEAR), "base": spec}
+    return spec
+
+
+@settings(max_examples=25, deadline=None)
+@given(cli_specs())
+def test_the_analysis_commands_exit_0_2_or_3_on_any_spec(spec):
+    # a traceback exits 1; transform exits 2 on a spec that is not thinned
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({"spec": spec}))
+        for command in ("analyze", "cycles", "transform"):
+            result = invoke(["--config", str(cfg), "--out", tmp, command])
+            assert result.exit_code in (0, 2, 3), (command, result.output)
+
+
 def test_exit_code_on_resource_limit(tmp_path):
     cfg = {"spec": {"kind": "geometric", "alpha": 0.25}, "reps": 200, "depth": 12,
            "seed": 3, "node_cap": 10_000}
@@ -695,13 +740,15 @@ def test_an_analysis_run_loads_neither_click_nor_hashlib(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spec": THINNED_03}))
     # and the package loads a submodule on first use, so the analysis
-    # commands never import the tree or distributional layers
+    # commands never import the tree, sampling or distributional layers;
+    # they evaluate H on floats, so numpy stays unloaded too
     code = (
         "import sys\n"
         "from rde_lab.cli import main\n"
         "for command in ('analyze', 'cycles', 'transform'):\n"
         f"    main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, command], standalone_mode=False)\n"
-        "unused = {'click', 'hashlib', '_hashlib', 'rde_lab.simulate', 'rde_lab.distiter', 'rde_lab.streams'}\n"
+        "unused = {'click', 'hashlib', '_hashlib', 'numpy', 'rde_lab.simulate', 'rde_lab.distiter',\n"
+        "          'rde_lab.sizes', 'rde_lab.streams'}\n"
         "print(sorted(unused & set(sys.modules)))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)

@@ -27,7 +27,8 @@ from rde_lab.distiter import (
     point_mass,
 )
 from rde_lab.errors import DomainError, ResourceError, SpecValidationError
-from rde_lab.pgf import ALPHA_FLOOR, INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned, sample_family_sizes
+from rde_lab.pgf import ALPHA_FLOOR, INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned
+from rde_lab.sizes import sample_family_sizes
 from rde_lab.streams import derive
 
 from oracles import chi_square_ok, conditional_root

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rde_lab.pgf as pgf_module
+import rde_lab.sizes as sizes_module
 from rde_lab.errors import DomainError, SpecValidationError
 from rde_lab.pgf import (
     INF_SENTINEL,
@@ -15,11 +15,11 @@ from rde_lab.pgf import (
     Pgf,
     Thinned,
     require_analysis_assumptions,
-    sample_family_sizes,
     spec_from_json,
     spec_to_json,
     validate_spec,
 )
+from rde_lab.sizes import sample_family_sizes
 from rde_lab.streams import derive
 
 from oracles import centered_fd, chi_square_ok, thinned_binary_closed_form, thinned_deterministic_pmf
@@ -242,11 +242,15 @@ FLOAT_POINTS = [0.0, 1.0, 1.0 - 1e-16, 5e-324, 1e-310, *np.linspace(0.0, 1.0, 41
 
 @pytest.mark.parametrize("spec", EXPLICIT_SPECS + THINNED_SPECS + [TH05])
 def test_a_float_and_a_one_element_array_agree(spec):
-    # a float takes eval's and deriv_or_inf's float path, an array the array one
+    # a float or an int takes eval's and deriv_or_inf's float path, an array the array one
     pgf = Pgf(spec)
-    for s in FLOAT_POINTS:
+    for s in FLOAT_POINTS + [0, 1]:
         h, d = pgf.eval(s), pgf.deriv_or_inf(s)
         assert type(h) is float and type(d) is float
+        if type(s) is int:
+            bounds = pgf.eval_bounds(s)
+            assert all(type(b) is float for b in bounds)
+            assert (h, d, bounds) == (pgf.eval(float(s)), pgf.deriv_or_inf(float(s)), pgf.eval_bounds(float(s)))
         one = np.array([s])
         h_arr, d_arr = pgf.eval(one)[0], pgf.deriv_or_inf(one)[0]
         if spec in EXPLICIT_SPECS:
@@ -265,6 +269,19 @@ def test_nan_and_s_off_the_unit_interval_raise_on_both_paths(spec, method, s):
     for arg in (s, np.array([0.2, s])):
         with pytest.raises(DomainError):
             getattr(Pgf(spec), method)(arg)
+
+
+@pytest.mark.parametrize("p", [1e-15, 1e-6, 0.3])
+def test_a_critical_thinned_base_does_not_stop_the_newton_steps(p):
+    # the base reads an infinite slope near 1, where its own Newton value is
+    # within about sqrt(eps) of the double root; the steps there are plain
+    # iterations, so H solves H = G(p H + q z) to that, where a stop would
+    # leave the start 0 (at p = 1e-15, z = 1)
+    pgf, base = Pgf(Thinned(TH05, p)), Pgf(TH05)
+    for z in (1.0, 1.0 - 1e-13, 0.999):
+        h = pgf.eval(z)
+        assert abs(h - base.eval(p * h + (1.0 - p) * z)) <= 1e-7
+        assert pgf.eval(np.array([z]))[0] == pytest.approx(h, abs=1e-7)
 
 
 def test_deriv_finite_at_one_when_not_singular():
@@ -389,7 +406,7 @@ def test_sample_finite_matches_weights():
 
 def test_sample_thinned_infinity_probability(monkeypatch):
     # defect of the p=0.6 pruned binary tree is 5/9
-    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
     draws = sample_family_sizes(TH06, 100_000, derive(3, 0))
     emp = float((draws == INF_SENTINEL).mean())
     target = 5.0 / 9.0
@@ -401,7 +418,7 @@ def test_sample_thinned_infinity_probability(monkeypatch):
 def test_sample_thinned_pmf_matches_series_coefficients(monkeypatch):
     spec = Thinned(DET2, 0.4)
     prefix, _ = Pgf(spec).pmf_prefix(6)
-    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
     draws = sample_family_sizes(spec, 200_000, derive(4, 0))
     for k in range(2, 6):
         target = prefix[k]
@@ -417,7 +434,7 @@ def test_sample_thinned_pmf_matches_series_coefficients(monkeypatch):
 )
 def test_sample_thinned_finite_base_matches_series_coefficients(monkeypatch, spec):
     prefix, _ = Pgf(spec).pmf_prefix(6)
-    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
     draws = sample_family_sizes(spec, 200_000, derive(6, 0))
     for k, target in [(k, prefix[k]) for k in range(1, 6)] + [(INF_SENTINEL, Pgf(spec).defect())]:
         emp = float((draws == k).mean())
@@ -432,10 +449,10 @@ def test_sample_thinned_finite_base_matches_series_coefficients(monkeypatch, spe
     ids=["2-point", "4-point", "10-point"],
 )
 def test_finite_draws_match_rng_choice_in_both_branches(monkeypatch, spec):
-    support, probs = pgf_module._support_and_probs(spec)
+    support, probs = sizes_module._support_and_probs(spec)
     want = derive(8, 0).choice(support, size=1_000_000, p=probs)
-    for short_cdf in (pgf_module.SHORT_CDF, 0):  # counting thresholds where the cdf is short, then binary search
-        monkeypatch.setattr(pgf_module, "SHORT_CDF", short_cdf)
+    for short_cdf in (sizes_module.SHORT_CDF, 0):  # counting thresholds where the cdf is short, then binary search
+        monkeypatch.setattr(sizes_module, "SHORT_CDF", short_cdf)
         got = sample_family_sizes(spec, 1_000_000, derive(8, 0))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -443,7 +460,7 @@ def test_finite_draws_match_rng_choice_in_both_branches(monkeypatch, spec):
 @pytest.mark.parametrize("d, p", [(2, 0.3), (3, 0.4)])
 def test_thinned_table_draws_follow_the_total_progeny_law(d, p):
     spec = Thinned(Deterministic(d), p)
-    assert pgf_module._inverse_cdf_table(spec) is not None
+    assert sizes_module._inverse_cdf_table(spec) is not None
     draws = sample_family_sizes(spec, 200_000, derive(9, d))
     n = 64
     exact = thinned_deterministic_pmf(d, p, n)
@@ -468,7 +485,7 @@ def test_thinned_table_infinite_fraction_is_the_defect():
      Thinned(FinitePmf({2: 0.5, 3: 0.5}), 0.9), Thinned(Thinned(DET2, 0.3), 0.5)],
 )
 def test_thinned_table_reaches_h1(spec):
-    cdf, values = pgf_module._inverse_cdf_table(spec)
+    cdf, values = sizes_module._inverse_cdf_table(spec)
     lo, hi = Pgf(spec).eval_bounds(1.0)
     assert lo - cdf.size * np.finfo(float).eps <= cdf[-1] <= hi
     assert values.tolist() == list(range(cdf.size)) + [INF_SENTINEL]
@@ -476,10 +493,10 @@ def test_thinned_table_reaches_h1(spec):
 
 def test_critical_thinned_draws_take_the_budgeted_fallback(monkeypatch):
     # the p = 1/2 tail decays like k^-1/2, so no table within the work cap reaches H(1) = 1
-    assert pgf_module._inverse_cdf_table(TH05) is None
-    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    assert sizes_module._inverse_cdf_table(TH05) is None
+    monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
     got = sample_family_sizes(TH05, 20_000, derive(11, 0))
-    want = pgf_module._sample_thinned(TH05, 20_000, derive(11, 0))
+    want = sizes_module._sample_thinned(TH05, 20_000, derive(11, 0))
     assert got.tobytes() == want.tobytes()
 
 
@@ -493,13 +510,13 @@ def test_geometric_base_table_stops_at_the_work_cap(monkeypatch):
         return real_prefix(self, n)
 
     monkeypatch.setattr(Pgf, "pmf_prefix", recording_prefix)
-    assert pgf_module._thinned_cdf(spec) is None
+    assert sizes_module._thinned_cdf(spec) is None
     # the 256-entry table falls short of H(1); 512 entries would cost 512^2 * 511 > TABLE_WORK
     assert [n for s, n in sizes if s == spec] == [256]
-    assert 512 * 512 * 511 > pgf_module.TABLE_WORK >= 256 * 256 * 255
-    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
+    assert 512 * 512 * 511 > sizes_module.TABLE_WORK >= 256 * 256 * 255
+    monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
     assert sample_family_sizes(spec, 1000, derive(12, 0)).tobytes() == (
-        pgf_module._sample_thinned(spec, 1000, derive(12, 0)).tobytes()
+        sizes_module._sample_thinned(spec, 1000, derive(12, 0)).tobytes()
     )
 
 
@@ -513,8 +530,8 @@ def test_geometric_base_table_stops_at_the_work_cap(monkeypatch):
 def test_pruning_fallback_matches_series_coefficients(monkeypatch, spec):
     # the pruning process behind specs without a table, checked where the series is known
     prefix, _ = Pgf(spec).pmf_prefix(6)
-    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 10_000)
-    draws = pgf_module._sample_thinned(spec, 100_000, derive(13, 0))
+    monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
+    draws = sizes_module._sample_thinned(spec, 100_000, derive(13, 0))
     for k, target in [(k, prefix[k]) for k in range(1, 6)] + [(INF_SENTINEL, Pgf(spec).defect())]:
         emp = float((draws == k).mean())
         se = math.sqrt(max(target * (1.0 - target), 1e-12) / draws.size)
@@ -522,7 +539,7 @@ def test_pruning_fallback_matches_series_coefficients(monkeypatch, spec):
 
 
 def test_sample_family_sizes_at_least_one(monkeypatch):
-    monkeypatch.setattr(pgf_module, "SAMPLE_BUDGET", 5_000)
+    monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 5_000)
     for spec in ALL_SPECS:
         draws = sample_family_sizes(spec, 2000, derive(5, 0))
         finite = draws[draws != INF_SENTINEL]
