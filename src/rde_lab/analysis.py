@@ -216,8 +216,8 @@ def moment_sequence(pgf: Pgf, fp: FixedPointReport, kind: MomentKind, K: int) ->
 def moment_map(pgf: Pgf, m) -> np.ndarray:
     """Moments m_0..m_K of T nu from the moments m_0..m_K of nu.
 
-    One vector evaluation of H on m_1..m_K and one signed-binomial product;
-    a moment outside [0,1] raises DomainError through Pgf.eval.
+    One Pgf.eval call over the array m_1..m_K and one signed-binomial
+    product; a moment outside [0,1] raises DomainError through Pgf.eval.
     """
     import numpy as np
 

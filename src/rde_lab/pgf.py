@@ -28,12 +28,14 @@ infinite slope, the step is the plain iteration h = G(w).  At a double root
 (binary base, p = 1/2, z = 1) floats resolve it only to about sqrt(eps);
 ``Pgf.eval_bounds`` returns a bracket around H, which the two-cycle scans use.
 
-``Pgf.eval``, ``Pgf.eval_bounds`` and ``Pgf.deriv_or_inf`` take a float s
-(a numpy float too) or an int in [0,1] through the same formulas in plain
-float arithmetic, for the analysis's scalar calls; any other s goes as a
-float array.  NaN, complex s and s outside [0,1] raise DomainError.  numpy
-is imported only by code that builds an array, so the float path runs
-without it.  Family sizes are sampled in ``rde_lab.sizes``.
+H, H' and the bracket have one implementation, in plain float arithmetic:
+``Pgf.eval_bounds``, ``Pgf.deriv`` and ``Pgf.deriv_or_inf`` take a float s
+(a numpy float64 too) or an int in [0,1].  ``Pgf.eval`` also takes an array,
+which it maps over the same float path element by element, so an element's
+value is the float's bit for bit.  NaN, complex, bool and other non-real s,
+and s outside [0,1], raise DomainError.  numpy is imported only by code that
+builds an array, so the float path runs without it.  Family sizes are
+sampled in ``rde_lab.sizes``.
 """
 
 from __future__ import annotations
@@ -194,10 +196,10 @@ def spec_from_json(obj: dict) -> OffspringSpec:
 # ---------------------------------------------------------------------------
 # Evaluation engines
 # ---------------------------------------------------------------------------
-# Each takes a float or a float array: one formula per family serves both,
-# with powers as ``**`` (libm's pow on a float, as on a numpy scalar).
+# Each takes a float s in [0,1] and computes in plain float arithmetic, with
+# powers as ``**`` (libm's pow).
 
-def _h(spec: OffspringSpec, s: float | np.ndarray) -> float | np.ndarray:
+def _h(spec: OffspringSpec, s: float) -> float:
     if isinstance(spec, Deterministic):
         return s ** spec.d
     if isinstance(spec, Geometric):
@@ -213,14 +215,11 @@ def _h(spec: OffspringSpec, s: float | np.ndarray) -> float | np.ndarray:
     return _eval_thinned(spec, s)
 
 
-def _eval_thinned(spec: Thinned, z: float | np.ndarray) -> float | np.ndarray:
-    """Least fixed point of h -> G(p*h + q*z), elementwise over z."""
+def _eval_thinned(spec: Thinned, z: float) -> float:
+    """Least fixed point of h -> G(p*h + q*z)."""
     p, q = spec.p, 1.0 - spec.p
     base = spec.base
-    scalar = isinstance(z, float)
-    if not scalar:
-        import numpy as np
-    h = 0.0 if scalar else np.zeros_like(z)
+    h = 0.0
     # Newton from h = 0: phi(h) = G(p*h + q*z) - h is convex with phi(0) >= 0,
     # so the iterates rise monotonically to the least root and never overshoot.
     # A thinned base reads an infinite slope near its own critical point, where
@@ -229,22 +228,15 @@ def _eval_thinned(spec: Thinned, z: float | np.ndarray) -> float | np.ndarray:
         w = p * h + q * z
         excess = _h(base, w) - h
         margin = 1.0 - p * _h_prime(base, w)
-        if scalar:
-            margin = 1.0 if margin == -math.inf else margin
-            h_new = h + excess / margin if excess > 0.0 and margin > 0.0 else h
-            if not h_new > h:
-                break
-        else:
-            margin = np.where(margin == -np.inf, 1.0, margin)
-            up = (excess > 0.0) & (margin > 0.0)
-            h_new = np.where(up, h + excess / np.where(up, margin, 1.0), h)
-            if not np.any(h_new > h):
-                break
+        margin = 1.0 if margin == -math.inf else margin
+        h_new = h + excess / margin if excess > 0.0 and margin > 0.0 else h
+        if not h_new > h:
+            break
         h = h_new
     return h
 
 
-def _h_prime(spec: OffspringSpec, s: float | np.ndarray) -> float | np.ndarray:
+def _h_prime(spec: OffspringSpec, s: float) -> float:
     if isinstance(spec, Deterministic):
         return spec.d * s ** (spec.d - 1)
     if isinstance(spec, Geometric):
@@ -263,35 +255,30 @@ def _h_prime(spec: OffspringSpec, s: float | np.ndarray) -> float | np.ndarray:
     # the implicit-function formula degenerates at the square-root branch
     # point where p*G'(w) = 1; the fixed point itself is only resolvable to
     # ~sqrt(eps) there, so anything below 1e-6 is an infinite slope
-    if isinstance(s, float):
-        return q * gp / denom if denom >= 1e-6 else math.inf
-    import numpy as np
-
-    regular = denom >= 1e-6
-    return np.where(regular, q * gp / np.where(regular, denom, 1.0), np.inf)
+    return q * gp / denom if denom >= 1e-6 else math.inf
 
 
 # ---------------------------------------------------------------------------
 # The PGF wrapper
 # ---------------------------------------------------------------------------
 
-def _unit_interval(s, what: str):
-    """s clipped to [0,1]: a float or an int (not a bool) as a float, any
-    other s as a float array (a 0-d one as a numpy float); DomainError for
-    complex s or s outside [0,1], NaN included."""
-    if isinstance(s, float) or (isinstance(s, int) and not isinstance(s, bool)):
-        if not -1e-15 <= s <= 1.0 + 1e-15:
-            raise DomainError(f"pgf {what} requires s in [0,1]")
-        return min(max(float(s), 0.0), 1.0)
-    import numpy as np
-
-    arr = np.asarray(s)
-    if arr.dtype.kind == "c":
-        raise DomainError(f"pgf {what} requires real s")
-    arr = np.asarray(arr, dtype=float)
-    if not np.all((arr >= -1e-15) & (arr <= 1.0 + 1e-15)):
+def _unit_interval(s, what: str) -> float:
+    """s as a float clipped to [0,1], for a float or an int (not a bool);
+    DomainError for any other s and for s outside [0,1], NaN included."""
+    if not isinstance(s, float) and (isinstance(s, bool) or not isinstance(s, int)):
+        raise DomainError(f"pgf {what} requires a float or an int s, got {type(s).__name__}")
+    if 0.0 <= s <= 1.0:
+        return float(s)
+    if not -1e-15 <= s <= 1.0 + 1e-15:
         raise DomainError(f"pgf {what} requires s in [0,1]")
-    return np.clip(arr, 0.0, 1.0)
+    return 0.0 if s < 0.0 else 1.0
+
+
+def _eval(spec: OffspringSpec, s) -> float:
+    # H(s) clipped to [0,1]: weights that sum to 1 within the validator's
+    # tolerance, or roundoff, could otherwise carry H past 1
+    h = _h(spec, _unit_interval(s, "evaluation"))
+    return 0.0 if h < 0.0 else 1.0 if h > 1.0 else float(h)
 
 
 @dataclass(frozen=True)
@@ -307,18 +294,23 @@ class Pgf:
         validate_spec(self.spec)
 
     def eval(self, s):
-        """H(s) for scalar or array s in [0,1] (mass at infinity contributes 0),
-        clipped to [0,1]: weights that sum to 1 within the validator's
-        tolerance, or roundoff, could otherwise carry H past 1."""
-        z = _unit_interval(s, "evaluation")
-        if isinstance(z, float):
-            return float(min(max(_h(self.spec, z), 0.0), 1.0))
+        """H(s) for s in [0,1], the mass at infinity contributing 0, clipped
+        to [0,1].  A float or an int gives a float; any other s is read as a
+        real array, each element evaluated as a float, and a 0-d one gives a
+        float too."""
+        if isinstance(s, float) or isinstance(s, int):
+            return _eval(self.spec, s)
         import numpy as np
 
-        return np.clip(_h(self.spec, z), 0.0, 1.0)
+        arr = np.asarray(s)
+        if arr.dtype.kind not in "fiu":
+            raise DomainError(f"pgf evaluation requires real s, got dtype {arr.dtype}")
+        out = [_eval(self.spec, x) for x in arr.astype(float).ravel().tolist()]
+        return out[0] if arr.ndim == 0 else np.array(out, dtype=float).reshape(arr.shape)
 
-    def eval_bounds(self, s):
-        """(lo, hi) with lo <= H(s) <= hi up to roundoff, for real s in [0,1].
+    def eval_bounds(self, s) -> tuple[float, float]:
+        """(lo, hi) with lo <= H(s) <= hi up to roundoff, for a float or an
+        int s in [0,1].
 
         Exact for non-thinned specs (lo = hi = H(s)).  For a thinned spec lo
         is the Newton value and hi = lo + delta, with delta doubled from the
@@ -327,44 +319,31 @@ class Pgf:
         and at a tangency it rises above it; phi is convex, so either way the
         least root lies in [lo, hi].  Both ends lie in [0,1], as eval's do.
         """
-        lo = self.eval(s)
+        z = _unit_interval(s, "evaluation")
+        lo = self.eval(z)
         spec = self.spec
         if not isinstance(spec, Thinned):
             return lo, lo
         p, q = spec.p, 1.0 - spec.p
-        z = _unit_interval(s, "evaluation")
         noise = 8.0 * sys.float_info.epsilon
-        if isinstance(z, float):
-            delta = noise
-            while True:
-                hi = min(lo + delta, 1.0)
-                if not (abs(_h(spec.base, p * hi + q * z) - hi) <= noise and hi < 1.0):
-                    return lo, hi
-                delta *= 2.0
-        import numpy as np
-
         delta = noise
         while True:
-            hi = np.minimum(lo + delta, 1.0)
-            phi = _h(spec.base, p * hi + q * z) - hi
-            grow = (np.abs(phi) <= noise) & (hi < 1.0)
-            if not np.any(grow):
+            hi = min(lo + delta, 1.0)
+            if not (abs(_h(spec.base, p * hi + q * z) - hi) <= noise and hi < 1.0):
                 return lo, hi
-            delta = np.where(grow, 2.0 * delta, delta)
+            delta *= 2.0
 
-    def deriv(self, s):
+    def deriv(self, s) -> float:
         """H'(s); raises DomainError at a square-root-type singularity."""
         out = self.deriv_or_inf(s)
-        if math.isinf(out) if isinstance(out, float) else (out == math.inf).any():
+        if out == math.inf:
             raise DomainError(f"derivative at s={s} sits at a square-root-type singularity")
         return out
 
-    def deriv_or_inf(self, s):
-        """H'(s), +inf at a square-root-type singularity; DomainError for
-        complex s or s outside [0,1], as for deriv."""
-        z = _unit_interval(s, "derivative")
-        out = _h_prime(self.spec, z)
-        return float(out) if isinstance(z, float) else out
+    def deriv_or_inf(self, s) -> float:
+        """H'(s) for a float or an int s in [0,1], +inf at a square-root-type
+        singularity; DomainError for any other s, as for deriv."""
+        return float(_h_prime(self.spec, _unit_interval(s, "derivative")))
 
     def defect(self) -> float:
         """P(N = infinity) = 1 - H(1)."""

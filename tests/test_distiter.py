@@ -549,6 +549,23 @@ def test_moment_map_rejects_a_moment_above_one():
         moment_map(Pgf(DET2), (1.0, 0.5, 1.2))
 
 
+def test_moment_map_makes_one_eval_call(monkeypatch):
+    # H on m_1..m_K is one Pgf.eval call over an array, so the bench's
+    # pgf.eval.calls and pgf.eval.points keep their meaning
+    calls = []
+    real_eval = Pgf.eval
+
+    def counting_eval(self, s):
+        calls.append(np.size(s))
+        return real_eval(self, s)
+
+    pgf = Pgf(DET2)
+    mu1 = solve_mu1(pgf)
+    monkeypatch.setattr(Pgf, "eval", counting_eval)
+    moment_map(pgf, mu1 ** np.arange(9.0))
+    assert calls == [8]
+
+
 @pytest.mark.parametrize("d", [20, 3])
 def test_finite_depth_second_moment_matches_pinned_recursion(d):
     # m2_k = 2 mu1 - 1 + H(m2_{k-1}) from m2_0 = mu1^2; a free m1 would

@@ -95,6 +95,12 @@ def test_analysis_assumptions_accept_thinned_base_with_finite_k2(spec):
 
 # ---------------------------------------------------------------- evaluation
 
+def bounds_on(pgf, zs):
+    """eval_bounds at each point of zs, as the arrays (lo, hi)."""
+    lo, hi = zip(*(pgf.eval_bounds(z) for z in zs))
+    return np.array(lo), np.array(hi)
+
+
 def test_eval_deterministic_square():
     pgf = Pgf(DET2)
     assert pgf.eval(0.618034) == pytest.approx(0.381966, abs=1e-6)
@@ -136,13 +142,13 @@ def test_thinned_fixed_point_residual_on_grid():
 def test_thinned_bounds_bracket_closed_form(p):
     zs = np.linspace(0.0, 1.0, 101)
     pgf = Pgf(Thinned(DET2, p))
-    lo, hi = pgf.eval_bounds(zs)
+    lo, hi = bounds_on(pgf, zs)
     exact = thinned_binary_closed_form(p, zs)
     assert np.array_equal(lo, pgf.eval(zs)) and np.all(hi >= lo)
     # 1e-15 covers roundoff in the closed form and in the last Newton step
     assert np.all(lo <= exact + 1e-15)
     assert np.all(exact <= hi + 1e-15)
-    margin = 1.0 - p * Pgf(DET2).deriv(p * lo + (1.0 - p) * zs)
+    margin = 1.0 - p * np.array([Pgf(DET2).deriv(w) for w in p * lo + (1.0 - p) * zs])
     assert np.all((hi - lo)[margin >= 1e-3] <= 1e-13)
     if p == 0.5:
         # the double root at z = 1 is resolvable only to about sqrt(eps)
@@ -154,7 +160,7 @@ def test_thinned_bounds_bracket_closed_form(p):
 def test_exact_specs_have_point_bounds(spec):
     pgf = Pgf(spec)
     zs = np.linspace(0.0, 1.0, 101)
-    lo, hi = pgf.eval_bounds(zs)
+    lo, hi = bounds_on(pgf, zs)
     assert np.array_equal(lo, pgf.eval(zs)) and np.array_equal(hi, lo)
     assert pgf.eval_bounds(0.3) == (pgf.eval(0.3), pgf.eval(0.3))
 
@@ -165,7 +171,7 @@ def test_exact_specs_have_point_bounds(spec):
 def test_eval_and_bounds_stay_in_the_unit_interval(spec):
     # each of these evaluated H(1) above 1: mass 1 + 9e-13, cancellation, Newton roundoff
     zs = np.linspace(0.0, 1.0, 11)
-    lo, hi = Pgf(spec).eval_bounds(zs)
+    lo, hi = bounds_on(Pgf(spec), zs)
     assert np.all(0.0 <= lo) and np.all(lo <= hi) and np.all(hi <= 1.0)
     assert np.array_equal(Pgf(spec).eval(zs), lo)
 
@@ -242,24 +248,39 @@ FLOAT_POINTS = [0.0, 1.0, 1.0 - 1e-16, 5e-324, 1e-310, *np.linspace(0.0, 1.0, 41
 
 @pytest.mark.parametrize("spec", EXPLICIT_SPECS + THINNED_SPECS + [TH05])
 def test_a_float_and_a_one_element_array_agree(spec):
-    # a float or an int takes eval's and deriv_or_inf's float path, an array the array one
+    # eval maps an array over the float path, so each element has the float's bits
     pgf = Pgf(spec)
-    for s in FLOAT_POINTS + [0, 1]:
-        h, d = pgf.eval(s), pgf.deriv_or_inf(s)
-        assert type(h) is float and type(d) is float
-        if type(s) is int:
-            bounds = pgf.eval_bounds(s)
-            assert all(type(b) is float for b in bounds)
-            assert (h, d, bounds) == (pgf.eval(float(s)), pgf.deriv_or_inf(float(s)), pgf.eval_bounds(float(s)))
-        one = np.array([s])
-        h_arr, d_arr = pgf.eval(one)[0], pgf.deriv_or_inf(one)[0]
-        if spec in EXPLICIT_SPECS:
-            assert abs(h - h_arr) <= 2 * math.ulp(h_arr) and abs(d - d_arr) <= 2 * math.ulp(d_arr)
-        elif spec == TH05:
-            lo, hi = pgf.eval_bounds(one)
-            assert lo[0] - 1e-8 <= h <= hi[0] + 1e-8
-        else:
-            assert math.isclose(h, h_arr, rel_tol=1e-13) and math.isclose(d, d_arr, rel_tol=1e-13)
+    floats = [pgf.eval(s) for s in FLOAT_POINTS]
+    assert all(type(h) is float and type(pgf.deriv_or_inf(s)) is float for s, h in zip(FLOAT_POINTS, floats))
+    assert pgf.eval(np.array(FLOAT_POINTS)).tobytes() == np.array(floats).tobytes()
+    for s, h in zip(FLOAT_POINTS, floats):
+        assert pgf.eval(np.array([s])).tobytes() == np.array([h]).tobytes()
+    for s in (0, 1):
+        # an int takes the float path
+        h, d, bounds = pgf.eval(s), pgf.deriv_or_inf(s), pgf.eval_bounds(s)
+        assert type(h) is float and type(d) is float and all(type(b) is float for b in bounds)
+        assert (h, d, bounds) == (pgf.eval(float(s)), pgf.deriv_or_inf(float(s)), pgf.eval_bounds(float(s)))
+
+
+@pytest.mark.parametrize("s", [np.array(0.5), np.float32(0.5), np.float64(0.5)], ids=["0-d", "float32", "float64"])
+@pytest.mark.parametrize("spec", [DET2, TH06])
+def test_eval_of_a_numpy_scalar_is_a_float(spec, s):
+    h = Pgf(spec).eval(s)
+    assert type(h) is float and h == Pgf(spec).eval(0.5)
+
+
+@pytest.mark.parametrize("s", [np.array([0.5]), [0.5], np.array([0.2, 0.4]), True],
+                         ids=["one-element-array", "list", "array", "bool"])
+@pytest.mark.parametrize("method", ["eval_bounds", "deriv", "deriv_or_inf"])
+def test_bounds_and_slopes_take_only_a_float_or_an_int(method, s):
+    with pytest.raises(DomainError):
+        getattr(Pgf(TH05), method)(s)
+
+
+@pytest.mark.parametrize("s", [True, False, np.array([True])], ids=["true", "false", "bool-array"])
+def test_eval_rejects_a_bool(s):
+    with pytest.raises(DomainError):
+        Pgf(DET2).eval(s)
 
 
 @pytest.mark.parametrize("s", [math.nan, -1e-14, 1.0 + 1e-14, 0.5 + 0j], ids=["nan", "below", "above", "complex"])
@@ -281,7 +302,7 @@ def test_a_critical_thinned_base_does_not_stop_the_newton_steps(p):
     for z in (1.0, 1.0 - 1e-13, 0.999):
         h = pgf.eval(z)
         assert abs(h - base.eval(p * h + (1.0 - p) * z)) <= 1e-7
-        assert pgf.eval(np.array([z]))[0] == pytest.approx(h, abs=1e-7)
+        assert pgf.eval(np.array([z]))[0] == h
 
 
 def test_deriv_finite_at_one_when_not_singular():
