@@ -39,9 +39,8 @@ moments held, is the moment root of order n.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb, sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .pgf import Pgf, require_analysis_assumptions
 
@@ -66,8 +65,7 @@ class MomentKind(str, enum.Enum):
     ENDOGENOUS = "Endogenous"
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(NamedTuple):
     mu1: float
     mu_star: float
     h_prime_mu1: float
@@ -76,14 +74,12 @@ class FixedPointReport:
     critical: bool
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(NamedTuple):
     kind: MomentKind
     values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class TwoCycle:
+class TwoCycle(NamedTuple):
     mu_plus: float
     mu_minus: float
     stability_product: float
@@ -94,8 +90,7 @@ class TwoCycle:
         return _at_endpoint(self.mu_plus)
 
 
-@dataclass(frozen=True)
-class CycleScan:
+class CycleScan(NamedTuple):
     """Result of scanning t -> f(f(t)) - t for fixed points and pairs."""
 
     fixed_points: tuple[float, ...]
@@ -348,8 +343,7 @@ def iterated_mu2_plus(pgf: Pgf, cycle: TwoCycle) -> float:
     return mu_plus if root is None else root
 
 
-@dataclass(frozen=True)
-class MeanBasinResult:
+class MeanBasinResult(NamedTuple):
     kind: str  # ToMu1 | ToCycle | Neutral
     mu_plus: float | None = None
     mu_minus: float | None = None

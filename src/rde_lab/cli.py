@@ -1,29 +1,33 @@
 """Batch command-line front-end.
 
+    rde-lab [--config PATH] [--seed N] [--out DIR] COMMAND
+
 Subcommands (analyze, simulate, iterate, transform, cycles) read a JSON
 config describing the offspring spec and run parameters, orchestrate the
 library, and write machine-readable reports: JSON for nested results, CSV
 for trajectories and tables.  Outputs are deterministic: identical
 (config, seed) pairs produce byte-identical files, and every report embeds
-the config hash and library version.
+the config hash and library version.  The sampling commands, simulate and
+iterate, live in ``rde_lab.cli_sampling``, which loads when one of them runs.
 
 Exit codes: 0 success, 2 a usage error or a config or spec validation
 failure, 3 resource limit (a tree too large, or a step of the map with too
 many child draws).  Statistical disagreement between estimates and analytic
 values never fails the process; it is the experiment's output.  The config
 digest comes from the builtin _sha256, as in random.py: hashlib would map
-OpenSSL into every process.
+OpenSSL into every process.  For the same reason of start-up cost, the
+fixed grammar above is parsed here rather than with argparse, and reports
+are NamedTuples written with _asdict() rather than dataclasses.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import NoReturn
 
 from . import __version__, analysis
 from .errors import ResourceError, SpecValidationError
@@ -33,9 +37,6 @@ try:
     from _sha256 import sha256
 except ImportError:  # a Python built without the module
     from hashlib import sha256
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
@@ -81,14 +82,6 @@ def _int(obj: dict, key: str, prefix: str = "") -> int:
     return v
 
 
-def _real(obj: dict, key: str, prefix: str = "") -> float:
-    v = obj.get(key)
-    # NaN compares false; an int past the float range compares exactly, where float(v) raises
-    if not (_is_int(v) or isinstance(v, float)) or not abs(v) <= sys.float_info.max:
-        raise ConfigError(f"config field '{prefix}{key}' must be a finite number, got {v!r}")
-    return float(v)
-
-
 def _json_int(digits: str) -> int | float:
     # past Python's digit limit int() raises; the literal then reads as +-inf, as 1e400 does
     try:
@@ -125,12 +118,6 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> dict:
     return config
 
 
-def _require_seed(config: dict) -> int:
-    if "seed" not in config:
-        raise ConfigError("a seed is required for stochastic commands (config 'seed' or --seed)")
-    return _int(config, "seed")
-
-
 def _out_dir(config: dict) -> Path:
     out = Path(config.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -165,9 +152,9 @@ def analyze(config: dict, spec: OffspringSpec) -> dict:
     scan = analysis.find_two_cycles(pgf, _int(config, "grid"))
     mu1 = report.mu1
     return dict(
-        fixed_point=asdict(report),
-        moment_sequences={"discrete": asdict(discrete), "endogenous": asdict(endogenous)},
-        two_cycles=asdict(scan),
+        fixed_point=report._asdict(),
+        moment_sequences={"discrete": discrete._asdict(), "endogenous": endogenous._asdict()},
+        two_cycles=scan._asdict() | {"cycles": [c._asdict() for c in scan.cycles]},
         residuals={
             "mean_equation": abs(pgf.eval(mu1) + mu1 - 1.0),
             "mu2_equation": abs((pgf.eval(report.mu2) - report.mu2) - (1.0 - 2.0 * mu1)),
@@ -176,115 +163,6 @@ def analyze(config: dict, spec: OffspringSpec) -> dict:
                 default=0.0,
             ),
         },
-    )
-
-
-def _reprs(values: np.ndarray) -> list[str]:
-    """repr of each value, formed once per distinct value: the repr of the
-    list of distinct values, split at its separators."""
-    import numpy as np
-
-    distinct, inverse = np.unique(values, return_inverse=True)
-    names = np.array(repr(distinct.tolist())[1:-1].split(", "), dtype=object)
-    return names[inverse].tolist()
-
-
-def simulate_cmd(config: dict, spec: OffspringSpec) -> dict:
-    """Monte Carlo moments of C plus the endogeny diagnostic."""
-    from . import simulate
-
-    seed = _require_seed(config)
-    depth = _int(config, "depth")
-    pgf = Pgf(spec)
-    report = analysis.build_fixed_point_report(pgf)
-    mu1, mu2 = report.mu1, report.mu2
-    mc, diag, c_roots, s_roots = simulate.endogeny_diagnostic(
-        spec, mu1, depth, _int(config, "reps"), seed + 1,
-        node_cap=_int(config, "node_cap") if "node_cap" in config else simulate.DEFAULT_NODE_CAP,
-    )
-    if config.get("traces", False):
-        pairs = enumerate(zip(_reprs(c_roots), _reprs(s_roots)))
-        rows = [f"{r},{c},{s},{depth}" for r, (c, s) in pairs]
-        (_out_dir(config) / "traces.csv").write_text("\n".join(["rep,root_C,root_S,depth", *rows]) + "\n")
-    # the exact second moment of C at the simulated depth
-    m2 = float(analysis.finite_depth_moments(pgf, mu1, depth, 2)[2])
-    gap = mu1 - m2
-    return dict(
-        analytic={"mu1": mu1, "mu2": mu2, "mu1_minus_mu2": mu1 - mu2},
-        finite_depth={"m2": m2, "e_c_one_minus_c": gap, "p_disagree": 2.0 * gap},
-        mc_moments=asdict(mc),
-        endogeny_diagnostic=asdict(diag),
-        flags={
-            "mean_within_3se": bool(abs(mc.mean_C - mu1) <= 3.0 * mc.se_mean + 1e-9),
-            "m2_within_3se": bool(abs(mc.m2_C - m2) <= 3.0 * mc.se_m2 + 1e-9),
-            "diagnostic_within_3se": bool(abs(diag.e_c_one_minus_c - gap) <= 3.0 * diag.se_e + 1e-9),
-        },
-    )
-
-
-def _read_points(path: str) -> np.ndarray:
-    """A points file's whitespace-separated reals, parsed a chunk of lines at a time."""
-    import numpy as np
-
-    most, count, chunks = INT_FIELDS["size"][1], 0, []
-    try:
-        with open(path) as f:
-            while lines := f.readlines(1 << 20):
-                tokens = "".join(lines).split()
-                count += len(tokens)
-                if count <= most:
-                    chunks.append(np.array(tokens, dtype=float))
-    except OSError as exc:
-        raise ConfigError(f"cannot read points file: {exc}") from exc
-    except ValueError as exc:  # a token that is not a real, or bytes that are not text
-        raise ConfigError(f"config field 'initial.path' must name a file of reals: {exc}") from exc
-    if count > most:
-        raise ConfigError(f"config field 'initial.path' names a file of {count} points, more than {most}")
-    return np.concatenate(chunks or [np.empty(0)])
-
-
-def _initial_dist(config: dict):
-    """iterate's start sample, an EmpiricalDist made as config's 'initial' object says."""
-    from . import distiter
-
-    init = config.get("initial")
-    if not isinstance(init, dict) or "kind" not in init:
-        raise ConfigError("iterate requires an 'initial' object with a 'kind'")
-    size = _int(init, "size", "initial.") if "size" in init else distiter.DEFAULT_SAMPLE_SIZE
-    kind = init["kind"]
-    if kind == "points_csv":
-        if not isinstance(init.get("path"), str):
-            raise ConfigError("config field 'initial.path' must be a string")
-        key, make, args = "path", distiter.EmpiricalDist, (_read_points(init["path"]),)
-    elif kind in ("point_mass", "mean_matched_uniform", "bernoulli"):
-        key = "value" if kind == "point_mass" else "mean"
-        make = {"point_mass": distiter.point_mass, "mean_matched_uniform": distiter.mean_matched_uniform,
-                "bernoulli": distiter.bernoulli_two_point}[kind]
-        args = (_real(init, key, "initial."), size)
-    else:
-        raise ConfigError(f"unknown initial distribution kind {kind!r}")
-    try:
-        return make(*args)
-    except SpecValidationError as exc:  # the sample or its mean lies outside [0, 1]
-        raise ConfigError(f"config field 'initial.{key}': {exc}") from exc
-
-
-def iterate(config: dict, spec: OffspringSpec) -> dict:
-    """Basin verdict and trajectory of the distributional map."""
-    from . import distiter
-
-    seed = _require_seed(config)
-    # no local keeps the start sample, so basin_test can let it go
-    report = distiter.basin_test(_initial_dist(config), spec, _int(config, "steps"), seed=seed)
-    start = report.records[0]
-    rows = [[rec.k, rec.m1, rec.m2] for rec in report.records]
-    _write_csv(_out_dir(config) / "trajectory.csv", ["k", "m1", "m2"], rows)
-    return dict(
-        verdict={"analytic": report.analytic, "empirical": report.empirical},
-        mu1=report.mu1,
-        mu2=report.mu2,
-        initial={"mean": start.m1, "m2": start.m2, "size": report.size},
-        final={"m1": report.records[-1].m1, "m2": report.records[-1].m2},
     )
 
 
@@ -316,9 +194,21 @@ def cycles(config: dict, spec: OffspringSpec) -> dict:
         neutral_continuum=scan.neutral_continuum,
         resolution=scan.resolution,
         fixed_points=list(scan.fixed_points),
-        cycles=[asdict(c) | {"mu2_plus": analysis.iterated_mu2_plus(pgf, c), "degenerate": c.degenerate}
+        cycles=[c._asdict() | {"mu2_plus": analysis.iterated_mu2_plus(pgf, c), "degenerate": c.degenerate}
                 for c in scan.cycles],
     )
+
+
+def simulate_cmd(config: dict, spec: OffspringSpec) -> dict:
+    """Monte Carlo moments of C plus the endogeny diagnostic."""
+    from . import cli_sampling
+    return cli_sampling.simulate_cmd(config, spec)
+
+
+def iterate(config: dict, spec: OffspringSpec) -> dict:
+    """Basin verdict and trajectory of the distributional map."""
+    from . import cli_sampling
+    return cli_sampling.iterate(config, spec)
 
 
 COMMANDS = {
@@ -329,15 +219,71 @@ COMMANDS = {
     "cycles": (cycles, "cycles.json"),
 }
 
+USAGE = "usage: rde-lab [-h] [--config CONFIG] [--seed SEED] [--out OUT] COMMAND ..."
+HELP = """{usage}
 
-def _run(args: argparse.Namespace) -> None:
+Analyze and simulate the recursion X = 1 - prod(X_i) on random trees.
+
+commands:
+{commands}
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON run configuration.
+  --seed SEED      Override the config seed.
+  --out OUT        Output directory."""
+OPTIONS = ("--config", "--seed", "--out")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # an option's value, not an option, as argparse reads it
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"{USAGE}\nrde-lab: error: {message}", file=sys.stderr)
+    sys.exit(EXIT_VALIDATION)
+
+
+def _parse(argv: list[str]) -> tuple[str, str | None, int | None, str | None]:
+    """(command, config path, seed, out) from argv, which gives each option
+    as --opt VALUE or --opt=VALUE, all of them before the one command; the
+    last of a repeated option wins.  -h or --help anywhere prints the help
+    and exits 0; a usage error exits 2."""
+    if "-h" in argv or "--help" in argv:
+        commands = "".join(f"  {name:<11}{body.__doc__}\n" for name, (body, _) in COMMANDS.items())
+        print(HELP.format(usage=USAGE, commands=commands))
+        sys.exit(0)
+    command, options, args = None, dict.fromkeys(OPTIONS), iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if command is not None:  # an option after the command, or a second command
+            _usage_error(f"unrecognized arguments: {' '.join([arg, *args])}")
+        elif name in OPTIONS:
+            if not eq:
+                value = next(args, None)
+                if value is None or value[:1] == "-" and value != "-" and not _NEGATIVE_NUMBER.fullmatch(value):
+                    _usage_error(f"argument {name}: expected one argument")
+            options[name] = value
+        elif arg[:1] == "-":  # an unknown option or an abbreviation
+            _usage_error(f"unrecognized arguments: {arg}")
+        elif arg not in COMMANDS:
+            _usage_error(f"argument COMMAND: invalid choice: {arg!r} (choose from {', '.join(map(repr, COMMANDS))})")
+        else:
+            command = arg
+    if command is None:
+        _usage_error("the following arguments are required: COMMAND")
+    seed = options["--seed"]
+    try:
+        seed = None if seed is None else int(seed)
+    except ValueError:
+        _usage_error(f"argument --seed: invalid int value: {seed!r}")
+    return command, options["--config"], seed, options["--out"]
+
+
+def _run(command: str, path: str | None, seed: int | None, out: str | None) -> None:
     """Load the config, parse the spec, and write the command's report: the
     envelope, the spec echo and the fields that its function returns."""
-    body, filename = COMMANDS[args.command]
+    body, filename = COMMANDS[command]
     try:
-        config = _load_config(args.config, args.seed, args.out)
+        config = _load_config(path, seed, out)
         spec = spec_from_json(config["spec"])
-        payload = _envelope(config, args.command)
+        payload = _envelope(config, command)
         payload.update(body(config, spec), spec=spec_to_json(spec))
         _write_json(_out_dir(config) / filename, payload)
     except SpecValidationError as exc:
@@ -352,21 +298,14 @@ def main(argv: list[str] | None = None, standalone_mode: bool = True) -> int:
     """Run one command on argv (sys.argv[1:] by default).  A usage error or
     an invalid config exits 2 and a resource limit 3, in either mode; on
     success this returns 0, or exits 0 when standalone_mode is true."""
-    parser = argparse.ArgumentParser(
-        prog="rde-lab", allow_abbrev=False,
-        description="Analyze and simulate the recursion X = 1 - prod(X_i) on random trees.",
-    )
-    parser.add_argument("--config", help="JSON run configuration.")
-    parser.add_argument("--seed", type=int, help="Override the config seed.")
-    parser.add_argument("--out", help="Output directory.")
-    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (body, _) in COMMANDS.items():
-        commands.add_parser(name, help=body.__doc__)
-    _run(parser.parse_args(argv))
+    _run(*_parse(sys.argv[1:] if argv is None else argv))
     if standalone_mode:
         sys.exit(0)
     return 0
 
 
 if __name__ == "__main__":
+    # run by python -m, this module is __main__; entered under its own name
+    # too, cli_sampling's import of it finds it instead of loading a copy
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     main()

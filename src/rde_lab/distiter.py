@@ -26,8 +26,8 @@ drawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, fsum, log, log1p
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ DELTA_INTERIOR_EPS = 1e-9
 DELTA_INTERIOR_FRACTION = 1e-3
 
 
-@dataclass(frozen=True, init=False)
 class EmpiricalDist:
     """Equally-weighted sample on [0,1], held as ``ones`` points at 1, then
     ``zeros`` points at 0, then the float array ``rest``.
@@ -67,9 +66,7 @@ class EmpiricalDist:
     that want it; nothing in the library does.
     """
 
-    ones: int
-    zeros: int
-    rest: np.ndarray
+    __slots__ = ("ones", "zeros", "rest")
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -84,9 +81,7 @@ class EmpiricalDist:
     def _assign(self, rest: np.ndarray, ones: int, zeros: int) -> None:
         if ones + zeros + rest.size < 1:
             raise SpecValidationError("empirical distribution needs M >= 1 points")
-        object.__setattr__(self, "ones", ones)
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "rest", rest)
+        self.ones, self.zeros, self.rest = ones, zeros, rest
 
     @classmethod
     def _unchecked(cls, rest: np.ndarray, ones: int = 0, zeros: int = 0) -> EmpiricalDist:
@@ -177,8 +172,7 @@ def is_two_point_concentrated(nu: EmpiricalDist) -> bool:
     return interior / nu.size <= DELTA_INTERIOR_FRACTION
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     k: int
     m1: float
     m2: float
@@ -353,8 +347,7 @@ def _draw_whole(nu: EmpiricalDist, n: int, rng: np.random.Generator) -> np.ndarr
     return values
 
 
-@dataclass(frozen=True)
-class BasinTestReport:
+class BasinTestReport(NamedTuple):
     analytic: str  # InBasin | NotInBasin | Boundary
     empirical: str  # Converged | Oscillating | Inconclusive
     records: tuple[TrajectoryRecord, ...]

@@ -43,8 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
 from .errors import DomainError, SpecValidationError
 
@@ -63,24 +62,20 @@ MAX_FAMILY_SIZE = 2**53
 ALPHA_FLOOR = 1e-32
 
 
-@dataclass(frozen=True)
-class Deterministic:
+class Deterministic(NamedTuple):
     d: int
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(NamedTuple):
     alpha: float
 
 
-@dataclass(frozen=True)
-class FinitePmf:
+class FinitePmf(NamedTuple):  # unhashable, as it holds a dict
     weights: Mapping[int, float]
     infinity_mass: float = 0.0
 
 
-@dataclass(frozen=True)
-class Thinned:
+class Thinned(NamedTuple):
     base: "OffspringSpec"
     p: float
 
@@ -281,17 +276,18 @@ def _eval(spec: OffspringSpec, s) -> float:
     return 0.0 if h < 0.0 else 1.0 if h > 1.0 else float(h)
 
 
-@dataclass(frozen=True)
 class Pgf:
     """Evaluator for H(s), H'(s), the defect P(N = infinity) and truncations.
 
-    Immutable after construction; safe to share across concurrent tasks.
+    Holds only its validated spec, which nothing rebinds; safe to share
+    across concurrent tasks.
     """
 
-    spec: OffspringSpec
+    __slots__ = ("spec",)
 
-    def __post_init__(self):
-        validate_spec(self.spec)
+    def __init__(self, spec: OffspringSpec):
+        validate_spec(spec)
+        self.spec = spec
 
     def eval(self, s):
         """H(s) for s in [0,1], the mass at infinity contributing 0, clipped

@@ -24,7 +24,7 @@ bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ MAX_FOREST_DRAWS = 2**27  # family sizes one batch's forest holds, as distiter.M
 # Forest representation (level arrays or widths, BFS order, stored-child counts)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Forest:
+class _Forest(NamedTuple):
     """reps independent trees stored level-by-level in one entry per level.
 
     ``fams[d]`` holds the children each depth-d node stores (0 for an
@@ -190,8 +189,7 @@ def _pull_up(fams: list[np.ndarray | int], boundary: np.ndarray | float) -> np.n
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class McMoments:
+class McMoments(NamedTuple):
     mean_C: float
     m2_C: float
     se_mean: float
@@ -200,8 +198,7 @@ class McMoments:
     reps: int
 
 
-@dataclass(frozen=True)
-class EndogenyDiagnostic:
+class EndogenyDiagnostic(NamedTuple):
     e_c_one_minus_c: float
     p_disagree: float
     se_e: float

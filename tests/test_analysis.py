@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -111,7 +110,7 @@ def test_fixed_point_report_solves_mu1_once(monkeypatch):
 
 def test_fixed_point_report_fields_and_json():
     rep = build_fixed_point_report(DET2)
-    blob = asdict(rep)
+    blob = rep._asdict()
     assert set(blob) == {"mu1", "mu_star", "h_prime_mu1", "mu2", "endogeny", "critical"}
     assert blob["endogeny"] == "NonEndogenous"
     assert 0.5 < rep.mu1 < 1.0
@@ -120,9 +119,9 @@ def test_fixed_point_report_fields_and_json():
 
 def test_serialized_field_names_match_type_definitions():
     seq = moment_sequence(DET2, build_fixed_point_report(DET2), MomentKind.DISCRETE, 2)
-    assert set(asdict(seq)) == {"kind", "values"}
+    assert set(seq._asdict()) == {"kind", "values"}
     cyc = make_two_cycle(DET2, 1.0, 0.0)
-    assert set(asdict(cyc)) == {"mu_plus", "mu_minus", "stability_product", "stable"}
+    assert set(cyc._asdict()) == {"mu_plus", "mu_minus", "stability_product", "stable"}
 
 
 # ---------------------------------------------------------- moment sequences
@@ -140,7 +139,7 @@ def test_moment_sequences_golden_ratio():
 def test_moment_sequence_reads_mu2_from_the_report():
     # m_2 is the report's mu2, not a second solve of the same equation
     fp = build_fixed_point_report(DET2)
-    fp = replace(fp, mu2=fp.mu2 + 1e-6)
+    fp = fp._replace(mu2=fp.mu2 + 1e-6)
     assert moment_sequence(DET2, fp, MomentKind.ENDOGENOUS, 2).values[2] == fp.mu2
 
 

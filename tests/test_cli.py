@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import rde_lab.analysis as analysis
 import rde_lab.cli as cli
+import rde_lab.cli_sampling as cli_sampling
 import rde_lab.distiter as distiter
 import rde_lab.simulate as simulate
 from rde_lab.cli import main
@@ -295,7 +296,7 @@ def test_points_file_is_read_across_chunks(tmp_path):
     pts = np.random.default_rng(3).random(150_000)
     path = tmp_path / "pts.txt"
     path.write_text("\n".join(" ".join(map(repr, row)) for row in pts.reshape(-1, 3).tolist()) + "\n")
-    got = cli._read_points(str(path))
+    got = cli_sampling._read_points(str(path))
     assert got.dtype == np.float64 and np.array_equal(got, pts)
 
 
@@ -703,6 +704,10 @@ USAGE_ERRORS = {
     "seed-not-an-int": ["--config", "cfg.json", "--seed", "abc", "analyze"],
     "option-after-command": ["--config", "cfg.json", "analyze", "--seed", "1"],
     "config-without-path": ["--config"],
+    "abbreviated-option": ["--conf", "cfg.json", "analyze"],
+    "seed-without-value": ["--config", "cfg.json", "--seed"],
+    "two-commands": ["--config", "cfg.json", "analyze", "cycles"],
+    "unknown-option": ["--config", "cfg.json", "--verbose", "analyze"],
 }
 
 
@@ -722,6 +727,23 @@ def test_help_exits_0_and_lists_the_commands(capsys):
     for name, (body, _) in cli.COMMANDS.items():
         assert re.search(rf"^ +{name} +{body.__doc__.split()[0]}", listing, re.M)
     assert list(cli.COMMANDS) == ["analyze", "simulate", "iterate", "transform", "cycles"]
+
+
+@pytest.mark.parametrize("argv, made", [
+    (["--config=cfg.json", "--seed=7", "analyze"], ["analysis.json"]),
+    (["-h"], []),
+    (["analyze", "-h"], []),
+])
+def test_options_with_equals_signs_and_help_exit_0(tmp_path, monkeypatch, capsys, argv, made):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(DET2_CFG))
+    result = invoke(argv)
+    assert result.exit_code == 0 and result.output == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", *made])
+    if made:  # the seed after its equals sign overrides the config's
+        assert json.loads(Path(made[0]).read_text())["config_hash"] == cli._config_hash(DET2_CFG | {"seed": 7})
+    else:
+        assert capsys.readouterr().out.startswith("usage: rde-lab")
 
 
 def test_main_returns_0_in_process_and_exits_0_standalone(tmp_path):
@@ -748,7 +770,8 @@ def test_an_analysis_run_loads_neither_click_nor_hashlib(tmp_path):
         "for command in ('analyze', 'cycles', 'transform'):\n"
         f"    main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, command], standalone_mode=False)\n"
         "unused = {'click', 'hashlib', '_hashlib', 'numpy', 'rde_lab.simulate', 'rde_lab.distiter',\n"
-        "          'rde_lab.sizes', 'rde_lab.streams'}\n"
+        "          'rde_lab.sizes', 'rde_lab.streams', 'dataclasses', 'inspect', 'argparse', 'gettext',\n"
+        "          'locale', 'rde_lab.cli_sampling'}\n"
         "print(sorted(unused & set(sys.modules)))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -757,6 +780,26 @@ def test_an_analysis_run_loads_neither_click_nor_hashlib(tmp_path):
     assert done.stdout == "[]\n"
     for name in ("analysis.json", "cycles.json", "transform.json"):
         assert (tmp_path / "out" / name).exists()
+
+
+def test_a_simulate_run_loads_neither_dataclasses_nor_argparse(tmp_path):
+    # records are NamedTuples and the grammar is parsed by hand, so neither
+    # module is imported on the sampling path either; numpy brings inspect
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": {"kind": "deterministic", "d": 2}, "depth": 2, "reps": 100, "seed": 1}))
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['rde-lab', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, 'simulate']\n"
+        "try:\n"
+        "    runpy.run_module('rde_lab.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted({'dataclasses', 'argparse'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+    assert (tmp_path / "out" / "simulate.json").exists()
 
 
 def test_the_package_binds_its_public_names_on_first_use():
