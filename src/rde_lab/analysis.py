@@ -138,9 +138,9 @@ def solve_mu_star(pgf: Pgf) -> float:
     H' is increasing, and a square-root singularity at 1 reads +inf there,
     above 1, so one bisection on [0, 1] finds the crossing.
     """
-    if pgf.deriv_or_inf(1.0) <= 1.0:
+    if pgf.deriv(1.0) <= 1.0:
         return 1.0
-    return _bisect(lambda x: pgf.deriv_or_inf(x) - 1.0, 0.0, 1.0)
+    return _bisect(lambda x: pgf.deriv(x) - 1.0, 0.0, 1.0)
 
 
 def _least_root(phi, lo: float, hi: float) -> float | None:

@@ -113,6 +113,9 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> dict:
             _int(config, key)
     if not isinstance(config.get("out", ""), str):
         raise ConfigError("config field 'out' must be a string")
+    # a file there fails before the command runs; the directory is made where a report is written
+    if Path(config.get("out", ".")).is_file():
+        raise ConfigError(f"output directory {config['out']!r} is a file")
     if not isinstance(config.get("traces", False), bool):
         raise ConfigError("config field 'traces' must be true or false")
     return config
@@ -120,7 +123,10 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> dict:
 
 def _out_dir(config: dict) -> Path:
     out = Path(config.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file at the path or above it, no permission, a NUL byte
+        raise ConfigError(f"cannot make output directory {str(out)!r}: {exc}") from exc
     return out
 
 
@@ -176,7 +182,7 @@ def transform(config: dict, spec: OffspringSpec) -> dict:
     rows = []
     for z in analysis.unit_grid(101):
         h = pgf.eval(z)
-        rows.append([z, h, pgf.deriv_or_inf(z), abs(h - base.eval(p * h + q * z))])
+        rows.append([z, h, pgf.deriv(z), abs(h - base.eval(p * h + q * z))])
     _write_csv(_out_dir(config) / "transform.csv", ["z", "H", "H_prime", "residual"], rows)
     h1_lo, h1_hi = pgf.eval_bounds(1.0)
     return dict(

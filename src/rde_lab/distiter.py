@@ -58,12 +58,12 @@ class EmpiricalDist:
     """Equally-weighted sample on [0,1], held as ``ones`` points at 1, then
     ``zeros`` points at 0, then the float array ``rest``.
 
-    ``EmpiricalDist(points)`` checks and clips a 1-d sample, reads its
-    leading run of 1s and the run of 0s after it as the two counts, and
-    keeps the remainder as ``rest``, a view of the sample, or of a clipped
-    copy if a point lies outside [0,1].  A point of ``rest`` may itself be
-    0 or 1.  ``points`` builds the whole layout as one array, for callers
-    that want it; nothing in the library does.
+    ``EmpiricalDist(points)`` checks and clips a 1-d sample and keeps all of
+    it as ``rest``, the sample itself, or a clipped copy if a point lies
+    outside [0,1].  A point of ``rest`` may itself be 0 or 1; the counts
+    come from the library's own samples, which count their 1s and 0s as
+    they are made.  ``points`` builds the whole layout as one array, for
+    callers that want it; nothing in the library does.
     """
 
     __slots__ = ("ones", "zeros", "rest")
@@ -76,7 +76,7 @@ class EmpiricalDist:
         if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):  # phrased so that NaN fails the test
             raise SpecValidationError("sample points must lie in [0,1]")
         # a new array only when a point needs clipping: the caller's is never written
-        self._assign(*_layout(np.clip(pts, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else pts))
+        self._assign(np.clip(pts, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else pts, 0, 0)
 
     def _assign(self, rest: np.ndarray, ones: int, zeros: int) -> None:
         if ones + zeros + rest.size < 1:
@@ -109,39 +109,25 @@ class EmpiricalDist:
         return float((self.ones + fsum(np.square(x).sum() for x in chunks)) / self.size)
 
 
-def _layout(points: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """``points``, each in [0,1], as (rest, ones, zeros): the lengths of its
-    leading run of 1s and of the run of 0s after it, and a view of the remainder."""
-    ones = _run_length(points, 1.0, 0)
-    zeros = _run_length(points, 0.0, ones)
-    return points[ones + zeros:], ones, zeros
-
-
-def _run_length(points: np.ndarray, value: float, start: int) -> int:
-    """Length of the run of ``value`` that begins at points[start], scanned a chunk at a time."""
-    for s in range(start, points.size, simulate.CHUNK):
-        differs = np.flatnonzero(points[s:s + simulate.CHUNK] != value)
-        if differs.size:
-            return s + int(differs[0]) - start
-    return points.size - start
-
-
 def mean_matched_uniform(mean: float, size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalDist:
     """Deterministic uniform-quantile sample on [max(0,2m-1), min(1,2m)].
 
     The interval is centred so the sample mean equals ``mean`` to float
     precision without any random draws.  The quantiles are built in one
-    array, in place.
+    array, in place; at mean 0 or 1 the interval is a point, and the sample
+    is bernoulli_two_point's counts.
     """
     if not 0.0 <= mean <= 1.0:
         raise SpecValidationError("mean must lie in [0,1]")
+    if mean in (0.0, 1.0):
+        return bernoulli_two_point(mean, size)
     a, b = max(0.0, 2.0 * mean - 1.0), min(1.0, 2.0 * mean)
     pts = np.arange(size, dtype=float)
     pts += 0.5
     pts *= b - a
     pts /= size
     pts += a
-    return EmpiricalDist._unchecked(*_layout(np.clip(pts, 0.0, 1.0, out=pts)))
+    return EmpiricalDist._unchecked(np.clip(pts, 0.0, 1.0, out=pts))
 
 
 def bernoulli_two_point(mean: float, size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalDist:
@@ -158,10 +144,8 @@ def point_mass(value: float, size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalDist:
     if not -1e-12 <= v <= 1.0 + 1e-12:  # phrased so that NaN fails the test
         raise SpecValidationError("sample points must lie in [0,1]")
     v = min(max(v, 0.0), 1.0)
-    if v == 1.0:
-        return EmpiricalDist._unchecked(np.empty(0), ones=size)
-    if v == 0.0:
-        return EmpiricalDist._unchecked(np.empty(0), zeros=size)
+    if v in (0.0, 1.0):
+        return bernoulli_two_point(v, size)
     return EmpiricalDist._unchecked(np.full(size, v))
 
 

@@ -10,8 +10,7 @@ class SpecValidationError(RdeLabError):
 
 
 class DomainError(RdeLabError):
-    """Evaluation requested at a point where the quantity is undefined
-    (e.g. a generating-function derivative at a square-root singularity)."""
+    """A generating function asked for at s outside [0,1], NaN or non-real."""
 
 
 class ResourceError(RdeLabError):

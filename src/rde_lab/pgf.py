@@ -24,13 +24,15 @@ Four parametric variants are supported:
 The thinned evaluation is Newton from h = 0 on the convex
 phi(h) = G(p*h + q*z) - h, which rises monotonically to the least root (the
 correct fixed point) without overshooting; where a thinned base reads an
-infinite slope, the step is the plain iteration h = G(w).  At a double root
-(binary base, p = 1/2, z = 1) floats resolve it only to about sqrt(eps);
+infinite slope, the step is the plain iteration h = G(w).  The solve gives
+H'(z) with H(z), so a thinned base (at most MAX_THINNING_DEPTH levels) is
+solved once a step.  At a double root (binary base, p = 1/2, z = 1) floats
+resolve it only to about sqrt(eps), where ``Pgf.deriv`` reads +inf;
 ``Pgf.eval_bounds`` returns a bracket around H, which the two-cycle scans use.
 
 H, H' and the bracket have one implementation, in plain float arithmetic:
-``Pgf.eval_bounds``, ``Pgf.deriv`` and ``Pgf.deriv_or_inf`` take a float s
-(a numpy float64 too) or an int in [0,1].  ``Pgf.eval`` also takes an array,
+``Pgf.eval_bounds`` and ``Pgf.deriv`` take a float s (a numpy float64 too)
+or an int in [0,1].  ``Pgf.eval`` also takes an array,
 which it maps over the same float path element by element, so an element's
 value is the float's bit for bit.  NaN, complex, bool and other non-real s,
 and s outside [0,1], raise DomainError.  numpy is imported only by code that
@@ -61,6 +63,9 @@ MAX_FAMILY_SIZE = 2**53
 # least geometric alpha: below about 6e-33 the float mu1 = 1 / (1 + sqrt(alpha)) is 1 and the mean equation fails
 ALPHA_FLOOR = 1e-32
 
+# most levels of thinning: each multiplies an evaluation's work several-fold, and adds a level of recursion
+MAX_THINNING_DEPTH = 4
+
 
 class Deterministic(NamedTuple):
     d: int
@@ -90,7 +95,12 @@ def _require_finite_real(field: str, v) -> None:
         raise SpecValidationError(f"{field} must be a finite real number, got {v!r}")
 
 
-def validate_spec(spec: OffspringSpec) -> None:
+def _require_depth(depth: int) -> None:
+    if depth > MAX_THINNING_DEPTH:
+        raise SpecValidationError(f"thinning may nest at most MAX_THINNING_DEPTH = {MAX_THINNING_DEPTH} levels deep")
+
+
+def validate_spec(spec: OffspringSpec, _depth: int = 1) -> None:
     """Structural validation: no mass at 0, total mass 1, sane parameters.
 
     Raises SpecValidationError with a message naming the violated assumption.
@@ -122,7 +132,8 @@ def validate_spec(spec: OffspringSpec) -> None:
         _require_finite_real("thinning 'p'", spec.p)
         if not (0.0 < spec.p < 1.0):
             raise SpecValidationError(f"thinning survival probability p must lie in (0,1), got {spec.p!r}")
-        validate_spec(spec.base)
+        _require_depth(_depth)  # before the recursion, which a deep spec would overflow
+        validate_spec(spec.base, _depth + 1)
     else:
         raise SpecValidationError(f"unknown offspring spec {spec!r}")
 
@@ -165,7 +176,7 @@ def spec_to_json(spec: OffspringSpec) -> dict:
     raise SpecValidationError(f"unknown offspring spec {spec!r}")
 
 
-def spec_from_json(obj: dict) -> OffspringSpec:
+def spec_from_json(obj: dict, _depth: int = 1) -> OffspringSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecValidationError("offspring spec JSON must be an object with a 'kind' field")
     kind = obj["kind"]
@@ -179,7 +190,8 @@ def spec_from_json(obj: dict) -> OffspringSpec:
             weights = {int(k): w for k, w in obj["pmf"].items()}
             spec = FinitePmf(weights=weights, infinity_mass=obj.get("infinity_mass", 0.0))
         elif kind == "thinned":
-            spec = Thinned(base=spec_from_json(obj["base"]), p=obj["p"])
+            _require_depth(_depth)
+            spec = Thinned(base=spec_from_json(obj["base"], _depth + 1), p=obj["p"])
         else:
             raise SpecValidationError(f"unknown offspring spec kind {kind!r}")
         validate_spec(spec)
@@ -207,28 +219,7 @@ def _h(spec: OffspringSpec, s: float) -> float:
                 out = out + w * s ** k
         return out
     assert isinstance(spec, Thinned)
-    return _eval_thinned(spec, s)
-
-
-def _eval_thinned(spec: Thinned, z: float) -> float:
-    """Least fixed point of h -> G(p*h + q*z)."""
-    p, q = spec.p, 1.0 - spec.p
-    base = spec.base
-    h = 0.0
-    # Newton from h = 0: phi(h) = G(p*h + q*z) - h is convex with phi(0) >= 0,
-    # so the iterates rise monotonically to the least root and never overshoot.
-    # A thinned base reads an infinite slope near its own critical point, where
-    # the step is the plain iteration h = G(w), which rises without overshooting too
-    for _ in range(200):
-        w = p * h + q * z
-        excess = _h(base, w) - h
-        margin = 1.0 - p * _h_prime(base, w)
-        margin = 1.0 if margin == -math.inf else margin
-        h_new = h + excess / margin if excess > 0.0 and margin > 0.0 else h
-        if not h_new > h:
-            break
-        h = h_new
-    return h
+    return _thinned(spec, s)[0]
 
 
 def _h_prime(spec: OffspringSpec, s: float) -> float:
@@ -243,14 +234,40 @@ def _h_prime(spec: OffspringSpec, s: float) -> float:
                 out = out + (w * k) * s ** (k - 1)
         return out
     assert isinstance(spec, Thinned)
+    return _thinned(spec, s)[1]
+
+
+def _thinned(spec: Thinned, z: float) -> tuple[float, float]:
+    """(H(z), H'(z)) from one solve: H(z) is the least fixed point h of
+    h -> G(p*h + q*z), and H'(z) = q*G'(w) / (1 - p*G'(w)) at w = p*h + q*z."""
     p, q = spec.p, 1.0 - spec.p
-    h = _eval_thinned(spec, s)
-    gp = _h_prime(spec.base, p * h + q * s)
+    base = spec.base
+    nested = isinstance(base, Thinned)
+    h = 0.0
+    # Newton from h = 0: phi(h) = G(p*h + q*z) - h is convex with phi(0) >= 0,
+    # so the iterates rise monotonically to the least root and never overshoot.
+    # A thinned base reads an infinite slope near its own critical point, where
+    # the step is the plain iteration h = G(w), which rises without overshooting too
+    for _ in range(200):
+        w = p * h + q * z
+        if nested:
+            g, gp = _thinned(base, w)
+        else:
+            g, gp = _h(base, w), _h_prime(base, w)
+        excess = g - h
+        margin = 1.0 - p * gp
+        margin = 1.0 if margin == -math.inf else margin
+        h_new = h + excess / margin if excess > 0.0 and margin > 0.0 else h
+        if not h_new > h:
+            break  # the step that leaves h where it is took G' at the final h
+        h = h_new
+    else:
+        gp = _h_prime(base, p * h + q * z)
     denom = 1.0 - p * gp
     # the implicit-function formula degenerates at the square-root branch
     # point where p*G'(w) = 1; the fixed point itself is only resolvable to
     # ~sqrt(eps) there, so anything below 1e-6 is an infinite slope
-    return q * gp / denom if denom >= 1e-6 else math.inf
+    return h, (q * gp / denom if denom >= 1e-6 else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +347,8 @@ class Pgf:
             delta *= 2.0
 
     def deriv(self, s) -> float:
-        """H'(s); raises DomainError at a square-root-type singularity."""
-        out = self.deriv_or_inf(s)
-        if out == math.inf:
-            raise DomainError(f"derivative at s={s} sits at a square-root-type singularity")
-        return out
-
-    def deriv_or_inf(self, s) -> float:
         """H'(s) for a float or an int s in [0,1], +inf at a square-root-type
-        singularity; DomainError for any other s, as for deriv."""
+        singularity; DomainError for any other s."""
         return float(_h_prime(self.spec, _unit_interval(s, "derivative")))
 
     def defect(self) -> float:

@@ -65,7 +65,7 @@ def test_solve_mu_star_thinned_binary_closed_form(p):
     q = 1.0 - p
     pgf = Pgf(Thinned(Deterministic(2), p))
     if p == 0.5:
-        assert pgf.deriv_or_inf(1.0) == math.inf
+        assert pgf.deriv(1.0) == math.inf
     assert solve_mu_star(pgf) == pytest.approx((1.0 + q) / (4.0 * q), abs=1e-9)
 
 

@@ -554,6 +554,37 @@ def test_config_nested_too_deep_exits_2(tmp_path):
     assert "config is not valid JSON" in result.output
 
 
+def _thinned_chain(levels: int) -> dict:
+    spec = {"kind": "deterministic", "d": 2}
+    for _ in range(levels):
+        spec = {"kind": "thinned", "p": 0.6, "base": spec}
+    return spec
+
+
+@pytest.mark.parametrize("levels", [5, 700])
+@pytest.mark.parametrize("command", ["analyze", "simulate", "transform"])
+def test_thinning_past_the_depth_limit_exits_2(tmp_path, command, levels):
+    # 700 levels once overflowed the stack of the recursive evaluation
+    result, out = run_cli(tmp_path, dict(DET2_CFG, spec=_thinned_chain(levels)), command)
+    assert result.exit_code == 2
+    assert "at most MAX_THINNING_DEPTH = 4 levels" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("where", ["file", "below-a-file"])
+def test_out_at_a_file_exits_2_naming_the_path(tmp_path, command, where):
+    # a file at the out path is found before the command runs; a file above it, when
+    # the directory is made
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" if where == "file" else tmp_path / "taken" / "sub"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(DET2_CFG))
+    result = invoke(["--config", str(cfg), "--out", str(out), command])
+    assert result.exit_code == 2
+    assert f"output directory {str(out)!r}" in result.output
+
+
 @pytest.mark.parametrize("spec", [{"kind": "deterministic", "d": 2**53},
                                   {"kind": "finite", "pmf": {"2": 0.5, str(2**53): 0.5}}])
 @pytest.mark.parametrize("command, code", [("analyze", 0), ("cycles", 0), ("simulate", 3)])

@@ -79,6 +79,12 @@ def _atoms_first(zeros, ones, interior, seed):
     return np.r_[np.ones(ones), np.zeros(zeros), 0.5 + 0.4 * derive(seed, 0).random(interior)]
 
 
+def _counted(points, ones, zeros):
+    """points, which begin with ``ones`` 1s and then ``zeros`` 0s, with those atoms held as counts."""
+    assert np.all(points[:ones] == 1.0) and np.all(points[ones:ones + zeros] == 0.0)
+    return EmpiricalDist._unchecked(points[ones + zeros:], ones, zeros)
+
+
 @pytest.mark.parametrize("order", ["atoms-first", "shuffled", "zero-one"])
 @pytest.mark.parametrize(
     "spec",
@@ -89,14 +95,17 @@ def test_apply_one_step_laws_with_atoms(spec, order):
     # given the input sample, the output points are iid: 0 when every child
     # is 1, 1 when some child is 0 or the family is infinite, and
     # E[out^j] follows from H at the input's moments
+    # atoms-first and zero-one hold their atoms as counts; shuffled holds every point in rest
     m = 40_000
-    points = _atoms_first(12_000, 16_000, 12_000, 11) if order != "zero-one" else _atoms_first(16_000, 24_000, 0, 11)
+    zeros, ones = (12_000, 16_000) if order != "zero-one" else (16_000, 24_000)
+    points = _atoms_first(zeros, ones, m - zeros - ones, 11)
     if order == "shuffled":
         derive(11, 1).shuffle(points)
+    nu = EmpiricalDist(points) if order == "shuffled" else _counted(points, ones, zeros)
     h = Pgf(spec).eval
     p0, p1 = float((points == 0.0).mean()), float((points == 1.0).mean())
     m1, m2 = float(points.mean()), float((points**2).mean())
-    out = apply_T(EmpiricalDist(points), spec, derive(11, 2)).points
+    out = apply_T(nu, spec, derive(11, 2)).points
     for obs, want in [
         (out == 0.0, h(p1)),
         (out == 1.0, 1.0 - h(1.0 - p0)),
@@ -144,7 +153,7 @@ def test_apply_replays_an_atoms_first_input():
     spec = FinitePmf({1: 0.3, 3: 0.4, 6: 0.1}, infinity_mass=0.2)
     pmf = {1: 0.3, 3: 0.4, 6: 0.1, INF_SENTINEL: 0.2}
     points = _atoms_first(80, 120, 200, 5)
-    out = apply_T(EmpiricalDist(points), spec, derive(5, 1))
+    out = apply_T(_counted(points, 120, 80), spec, derive(5, 1))
     rng = derive(5, 1)
     tally = dict(zip(pmf, rng.multinomial(400, list(pmf.values())).tolist()))
     ones, widths = tally.pop(INF_SENTINEL), {}
@@ -174,7 +183,7 @@ def test_apply_replays_wide_families_over_the_whole_sample(monkeypatch):
     pmf = {1: 0.3, 3: 0.3, 700: 0.2, INF_SENTINEL: 0.2}
     # one 0 among 400 points leaves a 700-child family a chance of 0.17 of no 0 child
     points = np.r_[np.ones(120), 0.0, derive(14, 0).random(279) ** 1e-3]
-    out = apply_T(EmpiricalDist(points), spec, derive(14, 1))
+    out = apply_T(_counted(points, 120, 1), spec, derive(14, 1))
     rng = derive(14, 1)
     tally = dict(zip(pmf, rng.multinomial(400, list(pmf.values())).tolist()))
     ones, widths = tally.pop(INF_SENTINEL), {}
@@ -271,7 +280,7 @@ def test_apply_output_does_not_depend_on_chunk_size(monkeypatch, spec, drawn, at
     points = derive(6, 0).random(3000) ** 1e-3
     if atoms:
         points[:1203] = np.repeat([1.0, 0.0], [1200, 3])
-    nu = EmpiricalDist(points)
+    nu = _counted(points, 1200, 3) if atoms else EmpiricalDist(points)
     want = apply_T(nu, spec, derive(6, 1)).points
     monkeypatch.setattr(simulate, "CHUNK", 300)
     draws = []
@@ -370,9 +379,12 @@ def test_apply_working_memory_is_the_output_and_a_chunk(spec, atoms):
     # so is a copy of the points that are not atoms; a {0,1} sample's image
     # has no rest, so its step allocates no sample at all
     points = derive(7, 0).random(1_000_000)
+    nu = EmpiricalDist(points)
     if atoms == "some":
         points[:700_000] = np.repeat([1.0, 0.0], [400_000, 300_000])
-    nu = bernoulli_two_point(0.3, 1_000_000) if atoms == "all" else EmpiricalDist(points)
+        nu = _counted(points, 400_000, 300_000)
+    elif atoms == "all":
+        nu = bernoulli_two_point(0.3, 1_000_000)
     apply_T(nu, spec, derive(7, 1))  # builds the spec's cached tables
     tracemalloc.start()
     try:
@@ -415,11 +427,14 @@ def test_start_samples_hold_their_atoms_as_counts():
 
 def test_moments_add_the_ones_to_the_rest():
     points = _atoms_first(300, 200, 500, 13)
-    nu = EmpiricalDist(points)
-    assert (nu.ones, nu.zeros, nu.size) == (200, 300, 1000)
-    assert nu.rest.base is not None  # a view, not a copy
+    nu = EmpiricalDist._unchecked(points[500:], 200, 300)
+    assert nu.size == 1000
     assert nu.mean() == pytest.approx(points.mean(), rel=1e-14)
     assert nu.second_moment() == pytest.approx((points**2).mean(), rel=1e-14)
+    # a sample given as points holds all of them in rest, its atoms too
+    whole = EmpiricalDist(points)
+    assert (whole.ones, whole.zeros, whole.rest.size) == (0, 0, 1000)
+    assert whole.mean() == float(points.mean())
     # with no leading atoms the moments are numpy's, bit for bit
     plain = EmpiricalDist(points[500:])
     assert plain.mean() == float(points[500:].mean())
@@ -478,22 +493,21 @@ def test_initial_constructors():
     for mean in (1.5, -0.5, math.nan):
         with pytest.raises(SpecValidationError):
             bernoulli_two_point(mean, 100)
-    # each start builds the layout that EmpiricalDist makes of its points
+    # each start holds its points at 0 and 1 as counts and the others in rest
     a = 2.0 * mu1 - 1.0
+    none = np.empty(0)
     starts = [
-        (bernoulli_two_point(mu1, 1000), np.repeat([1.0, 0.0], [618, 382])),
-        (point_mass(0.2, 1000), np.full(1000, 0.2)),
-        (point_mass(1.0 + 1e-13, 1000), np.ones(1000)),
-        (point_mass(0.0, 1000), np.zeros(1000)),
-        (mean_matched_uniform(mu1, 1000), a + (1.0 - a) * (np.arange(1000) + 0.5) / 1000),
-        (mean_matched_uniform(1.0, 1000), np.ones(1000)),
-        (mean_matched_uniform(0.0, 1000), np.zeros(1000)),
+        (bernoulli_two_point(mu1, 1000), 618, 382, none),
+        (point_mass(0.2, 1000), 0, 0, np.full(1000, 0.2)),
+        (point_mass(1.0 + 1e-13, 1000), 1000, 0, none),
+        (point_mass(0.0, 1000), 0, 1000, none),
+        (mean_matched_uniform(mu1, 1000), 0, 0, a + (1.0 - a) * (np.arange(1000) + 0.5) / 1000),
+        (mean_matched_uniform(1.0, 1000), 1000, 0, none),
+        (mean_matched_uniform(0.0, 1000), 0, 1000, none),
     ]
-    for nu, points in starts:
-        want = EmpiricalDist(points)
-        assert (nu.ones, nu.zeros) == (want.ones, want.zeros)
-        assert nu.rest.tobytes() == want.rest.tobytes()
-        assert nu.points.tolist() == points.tolist()
+    for nu, ones, zeros, rest in starts:
+        assert (nu.ones, nu.zeros) == (ones, zeros)
+        assert nu.rest.tobytes() == rest.tobytes()
     for make in (bernoulli_two_point, point_mass, mean_matched_uniform):
         with pytest.raises(SpecValidationError):
             make(0.5, 0)

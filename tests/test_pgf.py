@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rde_lab.pgf as pgf_module
 import rde_lab.sizes as sizes_module
 from rde_lab.errors import DomainError, SpecValidationError
 from rde_lab.pgf import (
     INF_SENTINEL,
+    MAX_THINNING_DEPTH,
     Deterministic,
     FinitePmf,
     Geometric,
@@ -59,6 +61,23 @@ def test_validation_rejects_bad_total_mass():
 def test_validation_rejects_bad_parameters(spec):
     with pytest.raises(SpecValidationError):
         validate_spec(spec)
+
+
+def test_thinning_nests_at_most_max_thinning_depth_levels():
+    spec = DET2
+    for _ in range(MAX_THINNING_DEPTH):
+        spec = Thinned(spec, 0.6)
+    validate_spec(spec)
+    assert spec_from_json(spec_to_json(spec)) == spec
+    with pytest.raises(SpecValidationError, match=r"at most MAX_THINNING_DEPTH = 4 levels"):
+        validate_spec(Thinned(spec, 0.6))
+    # far past the limit, neither the validator nor the JSON reader recurses down the chain
+    deep, obj = DET2, spec_to_json(DET2)
+    for _ in range(5000):
+        deep, obj = Thinned(deep, 0.6), {"kind": "thinned", "p": 0.6, "base": obj}
+    for check in (lambda: validate_spec(deep), lambda: Pgf(deep), lambda: spec_from_json(obj)):
+        with pytest.raises(SpecValidationError, match=r"at most MAX_THINNING_DEPTH = 4 levels"):
+            check()
 
 
 def test_analysis_assumptions_reject_degenerate_support():
@@ -214,22 +233,33 @@ def test_deriv_matches_centered_difference(spec):
 
 
 def test_deriv_singularity_raises_domain_error():
-    with pytest.raises(DomainError):
-        Pgf(TH05).deriv(1.0)
-    with pytest.raises(DomainError):
-        Pgf(TH05).deriv(1.0 - 1e-13)
+    # at a square-root singularity deriv reads +inf; a DomainError comes only
+    # from s past it, off [0, 1]
+    assert Pgf(TH05).deriv(1.0) == math.inf
+    assert Pgf(TH05).deriv(1.0 - 1e-13) == math.inf
+    for s in (1.0 + 1e-14, math.nan):
+        with pytest.raises(DomainError):
+            Pgf(TH05).deriv(s)
 
 
 def test_deriv_or_inf_gives_inf_only_at_the_singularity():
-    assert Pgf(TH05).deriv_or_inf(1.0) == math.inf
-    assert Pgf(DET2).deriv_or_inf(0.5) == 1.0
+    # deriv gives H'(s), or +inf only where H' blows up
+    assert Pgf(TH05).deriv(1.0) == math.inf
+    assert math.isfinite(Pgf(TH05).deriv(0.9))
+    assert Pgf(DET2).deriv(0.5) == 1.0
+    assert math.isfinite(Pgf(TH06).deriv(1.0))
+
+
+# deriv at a spec with a finite slope, and at one whose slope is +inf at 1
+# ("deriv_or_inf"): on both, bad input raises before any value is formed
+SLOPE_CASES = [pytest.param(DET2, id="deriv"), pytest.param(TH05, id="deriv_or_inf")]
 
 
 @pytest.mark.parametrize("s", [1.5, -3.0, 0.5 + 0j], ids=["above-one", "negative", "complex"])
-@pytest.mark.parametrize("method", ["deriv", "deriv_or_inf"])
-def test_deriv_rejects_s_outside_the_unit_interval(method, s):
+@pytest.mark.parametrize("spec", SLOPE_CASES)
+def test_deriv_rejects_s_outside_the_unit_interval(spec, s):
     with pytest.raises(DomainError):
-        getattr(Pgf(DET2), method)(s)
+        Pgf(spec).deriv(s)
 
 
 def test_eval_rejects_complex_argument():
@@ -251,15 +281,15 @@ def test_a_float_and_a_one_element_array_agree(spec):
     # eval maps an array over the float path, so each element has the float's bits
     pgf = Pgf(spec)
     floats = [pgf.eval(s) for s in FLOAT_POINTS]
-    assert all(type(h) is float and type(pgf.deriv_or_inf(s)) is float for s, h in zip(FLOAT_POINTS, floats))
+    assert all(type(h) is float and type(pgf.deriv(s)) is float for s, h in zip(FLOAT_POINTS, floats))
     assert pgf.eval(np.array(FLOAT_POINTS)).tobytes() == np.array(floats).tobytes()
     for s, h in zip(FLOAT_POINTS, floats):
         assert pgf.eval(np.array([s])).tobytes() == np.array([h]).tobytes()
     for s in (0, 1):
         # an int takes the float path
-        h, d, bounds = pgf.eval(s), pgf.deriv_or_inf(s), pgf.eval_bounds(s)
+        h, d, bounds = pgf.eval(s), pgf.deriv(s), pgf.eval_bounds(s)
         assert type(h) is float and type(d) is float and all(type(b) is float for b in bounds)
-        assert (h, d, bounds) == (pgf.eval(float(s)), pgf.deriv_or_inf(float(s)), pgf.eval_bounds(float(s)))
+        assert (h, d, bounds) == (pgf.eval(float(s)), pgf.deriv(float(s)), pgf.eval_bounds(float(s)))
 
 
 @pytest.mark.parametrize("s", [np.array(0.5), np.float32(0.5), np.float64(0.5)], ids=["0-d", "float32", "float64"])
@@ -271,10 +301,11 @@ def test_eval_of_a_numpy_scalar_is_a_float(spec, s):
 
 @pytest.mark.parametrize("s", [np.array([0.5]), [0.5], np.array([0.2, 0.4]), True],
                          ids=["one-element-array", "list", "array", "bool"])
-@pytest.mark.parametrize("method", ["eval_bounds", "deriv", "deriv_or_inf"])
-def test_bounds_and_slopes_take_only_a_float_or_an_int(method, s):
+@pytest.mark.parametrize("method, spec", [pytest.param("eval_bounds", TH05, id="eval_bounds"),
+                                          *[pytest.param("deriv", *c.values, id=c.id) for c in SLOPE_CASES]])
+def test_bounds_and_slopes_take_only_a_float_or_an_int(method, spec, s):
     with pytest.raises(DomainError):
-        getattr(Pgf(TH05), method)(s)
+        getattr(Pgf(spec), method)(s)
 
 
 @pytest.mark.parametrize("s", [True, False, np.array([True])], ids=["true", "false", "bool-array"])
@@ -284,11 +315,11 @@ def test_eval_rejects_a_bool(s):
 
 
 @pytest.mark.parametrize("s", [math.nan, -1e-14, 1.0 + 1e-14, 0.5 + 0j], ids=["nan", "below", "above", "complex"])
-@pytest.mark.parametrize("method", ["eval", "deriv_or_inf", "eval_bounds"])
+@pytest.mark.parametrize("method", ["eval", "deriv", "eval_bounds"])
 @pytest.mark.parametrize("spec", [DET2, TH05])
 def test_nan_and_s_off_the_unit_interval_raise_on_both_paths(spec, method, s):
     # only eval takes an array, whose elements go through the float path;
-    # eval_bounds and deriv_or_inf reject any array, NaN and range aside
+    # eval_bounds and deriv reject any array, NaN and range aside
     for arg in (s, np.array([0.2, s])) if method == "eval" else (s,):
         with pytest.raises(DomainError):
             getattr(Pgf(spec), method)(arg)
@@ -305,6 +336,25 @@ def test_a_critical_thinned_base_does_not_stop_the_newton_steps(p):
         h = pgf.eval(z)
         assert abs(h - base.eval(p * h + (1.0 - p) * z)) <= 1e-7
         assert pgf.eval(np.array([z]))[0] == h
+
+
+@pytest.mark.parametrize("method", ["eval", "deriv"])
+def test_nested_thinning_solves_each_base_once_per_newton_step(monkeypatch, method):
+    # a Newton step of a level solves its thinned base once, for both G and G',
+    # and H' comes from the solve that gives H: 185 evaluations of the innermost
+    # base here, where solving the base again for G' costs about nine times as many
+    spec = DET2
+    for _ in range(4):
+        spec = Thinned(spec, 0.6)
+    calls, h = [0], pgf_module._h
+
+    def counting_h(spec, s):
+        calls[0] += not isinstance(spec, Thinned)
+        return h(spec, s)
+
+    monkeypatch.setattr(pgf_module, "_h", counting_h)
+    getattr(Pgf(spec), method)(0.5)
+    assert 0 < calls[0] <= 300
 
 
 def test_deriv_finite_at_one_when_not_singular():
