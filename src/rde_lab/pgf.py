@@ -21,14 +21,17 @@ Four parametric variants are supported:
                              Its generating function is the least solution of
                              H(z) = G(p*H(z) + q*z) with G the base PGF.
 
-The thinned evaluation is Newton from h = 0 on the convex
-phi(h) = G(p*h + q*z) - h, which rises monotonically to the least root (the
-correct fixed point) without overshooting; where a thinned base reads an
-infinite slope, the step is the plain iteration h = G(w).  The solve gives
-H'(z) with H(z), so a thinned base (at most MAX_THINNING_DEPTH levels) is
-solved once a step.  At a double root (binary base, p = 1/2, z = 1) floats
-resolve it only to about sqrt(eps), where ``Pgf.deriv`` reads +inf;
-``Pgf.eval_bounds`` returns a bracket around H, which the two-cycle scans use.
+A thinned base composes: Thinned(Thinned(B, p1), p2) has the law of B
+thinned once with cut probability q = q1*q2, and the flat equation's least
+root is the nested H.  ``flat_thinning`` walks a chain (at most
+MAX_THINNING_DEPTH levels) to that (base, p, q) once, carrying q as the
+product, as 1 - p would round it away; every evaluation solves on a base
+that is not thinned.  The thinned evaluation is Newton from h = 0 on the
+convex phi(h) = G(p*h + q*z) - h, which rises monotonically to the least root
+(the correct fixed point) without overshooting, and gives H'(z) with H(z).
+At a double root (binary base, p = 1/2, z = 1) floats resolve it only to
+about sqrt(eps), where ``Pgf.deriv`` reads +inf; ``Pgf.eval_bounds`` returns
+a bracket around H, which the two-cycle scans use.
 
 H, H' and the bracket have one implementation, in plain float arithmetic:
 ``Pgf.eval_bounds`` and ``Pgf.deriv`` take a float s (a numpy float64 too)
@@ -37,7 +40,7 @@ which it maps over the same float path element by element, so an element's
 value is the float's bit for bit.  NaN, complex, bool and other non-real s,
 and s outside [0,1], raise DomainError.  numpy is imported only by code that
 builds an array, so the float path runs without it.  Family sizes are
-sampled in ``rde_lab.sizes``.
+sampled, and their exact series computed, in ``rde_lab.sizes``.
 """
 
 from __future__ import annotations
@@ -45,12 +48,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import DomainError, SpecValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # an infinite family in integer sample arrays: it stores no children, and every finite N is >= 1
 INF_SENTINEL = 0
@@ -63,7 +63,7 @@ MAX_FAMILY_SIZE = 2**53
 # least geometric alpha: below about 6e-33 the float mu1 = 1 / (1 + sqrt(alpha)) is 1 and the mean equation fails
 ALPHA_FLOOR = 1e-32
 
-# most levels of thinning: each multiplies an evaluation's work several-fold, and adds a level of recursion
+# most levels of thinning: a chain evaluates as one level, but the validator and the JSON reader recurse once a level
 MAX_THINNING_DEPTH = 4
 
 
@@ -148,12 +148,28 @@ def require_analysis_assumptions(spec: OffspringSpec) -> None:
     validate_spec(spec)
     # a thinned N takes a finite k >= 2 iff its base does (the root's k base
     # children can all be cut), and a base on {1, inf} gives N in {1, inf}
-    base = spec
-    while isinstance(base, Thinned):
-        base = base.base
+    base = flat_thinning(spec)[0] if isinstance(spec, Thinned) else spec
     if isinstance(base, FinitePmf) and not any(k >= 2 and w > 0.0 for k, w in base.weights.items()):
         what = "finite pmf" if base is spec else "base pmf of the thinned spec"
         raise SpecValidationError(f"P(2 <= N < infinity) > 0 is required: {what} has no finite mass at k >= 2")
+
+
+def flat_thinning(spec: Thinned) -> tuple[OffspringSpec, float, float]:
+    """(base, p, q): the chain ``spec``, walked from the outside in, as one
+    thinning, with the same law, of a base that is not thinned.
+
+    Thinning B with (p1, q1) and the result with (p2, q2) cuts a line with
+    probability q = q2*q1, so p = p2 + q2*p1.  q is carried as that product,
+    not as 1 - p: with every p_i near 1, p rounds to 1.0 while q still holds
+    the cut probability, so no Thinned may be built from the flat p.  One
+    level gives (spec.p, 1.0 - spec.p).
+    """
+    p, q = spec.p, 1.0 - spec.p
+    base = spec.base
+    while isinstance(base, Thinned):
+        p, q = p + q * base.p, q * (1.0 - base.p)
+        base = base.base
+    return base, p, q
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +219,8 @@ def spec_from_json(obj: dict, _depth: int = 1) -> OffspringSpec:
 # ---------------------------------------------------------------------------
 # Evaluation engines
 # ---------------------------------------------------------------------------
-# Each takes a float s in [0,1] and computes in plain float arithmetic, with
+# Each takes a spec that is not thinned, or a flat thinning's (base, p, q),
+# and a float s in [0,1], and computes in plain float arithmetic, with
 # powers as ``**`` (libm's pow).
 
 def _h(spec: OffspringSpec, s: float) -> float:
@@ -212,14 +229,12 @@ def _h(spec: OffspringSpec, s: float) -> float:
     if isinstance(spec, Geometric):
         # (1 - s) + alpha*s is 1 - (1 - alpha)*s without its cancellation at s = 1
         return spec.alpha * s / ((1.0 - s) + spec.alpha * s)
-    if isinstance(spec, FinitePmf):
-        out = 0.0
-        for k, w in spec.weights.items():
-            if w != 0.0:
-                out = out + w * s ** k
-        return out
-    assert isinstance(spec, Thinned)
-    return _thinned(spec, s)[0]
+    assert isinstance(spec, FinitePmf)
+    out = 0.0
+    for k, w in spec.weights.items():
+        if w != 0.0:
+            out = out + w * s ** k
+    return out
 
 
 def _h_prime(spec: OffspringSpec, s: float) -> float:
@@ -227,36 +242,25 @@ def _h_prime(spec: OffspringSpec, s: float) -> float:
         return spec.d * s ** (spec.d - 1)
     if isinstance(spec, Geometric):
         return spec.alpha / ((1.0 - s) + spec.alpha * s) ** 2
-    if isinstance(spec, FinitePmf):
-        out = 0.0
-        for k, w in spec.weights.items():
-            if w != 0.0:
-                out = out + (w * k) * s ** (k - 1)
-        return out
-    assert isinstance(spec, Thinned)
-    return _thinned(spec, s)[1]
+    assert isinstance(spec, FinitePmf)
+    out = 0.0
+    for k, w in spec.weights.items():
+        if w != 0.0:
+            out = out + (w * k) * s ** (k - 1)
+    return out
 
 
-def _thinned(spec: Thinned, z: float) -> tuple[float, float]:
+def _thinned(base: OffspringSpec, p: float, q: float, z: float) -> tuple[float, float]:
     """(H(z), H'(z)) from one solve: H(z) is the least fixed point h of
     h -> G(p*h + q*z), and H'(z) = q*G'(w) / (1 - p*G'(w)) at w = p*h + q*z."""
-    p, q = spec.p, 1.0 - spec.p
-    base = spec.base
-    nested = isinstance(base, Thinned)
     h = 0.0
     # Newton from h = 0: phi(h) = G(p*h + q*z) - h is convex with phi(0) >= 0,
-    # so the iterates rise monotonically to the least root and never overshoot.
-    # A thinned base reads an infinite slope near its own critical point, where
-    # the step is the plain iteration h = G(w), which rises without overshooting too
+    # so the iterates rise monotonically to the least root and never overshoot
     for _ in range(200):
         w = p * h + q * z
-        if nested:
-            g, gp = _thinned(base, w)
-        else:
-            g, gp = _h(base, w), _h_prime(base, w)
+        g, gp = _h(base, w), _h_prime(base, w)
         excess = g - h
         margin = 1.0 - p * gp
-        margin = 1.0 if margin == -math.inf else margin
         h_new = h + excess / margin if excess > 0.0 and margin > 0.0 else h
         if not h_new > h:
             break  # the step that leaves h where it is took G' at the final h
@@ -286,25 +290,27 @@ def _unit_interval(s, what: str) -> float:
     return 0.0 if s < 0.0 else 1.0
 
 
-def _eval(spec: OffspringSpec, s) -> float:
-    # H(s) clipped to [0,1]: weights that sum to 1 within the validator's
-    # tolerance, or roundoff, could otherwise carry H past 1
-    h = _h(spec, _unit_interval(s, "evaluation"))
-    return 0.0 if h < 0.0 else 1.0 if h > 1.0 else float(h)
-
-
 class Pgf:
-    """Evaluator for H(s), H'(s), the defect P(N = infinity) and truncations.
+    """Evaluator for H(s), H'(s) and the defect P(N = infinity).
 
-    Holds only its validated spec, which nothing rebinds; safe to share
-    across concurrent tasks.
+    Holds only its validated spec and, for a thinned one, the spec's flat
+    (base, p, q), which nothing rebinds; safe to share across concurrent
+    tasks.
     """
 
-    __slots__ = ("spec",)
+    __slots__ = ("spec", "_flat")
 
     def __init__(self, spec: OffspringSpec):
         validate_spec(spec)
         self.spec = spec
+        self._flat = flat_thinning(spec) if isinstance(spec, Thinned) else None
+
+    def _eval(self, s) -> float:
+        # H(s) clipped to [0,1]: weights that sum to 1 within the validator's
+        # tolerance, or roundoff, could otherwise carry H past 1
+        z = _unit_interval(s, "evaluation")
+        h = _h(self.spec, z) if self._flat is None else _thinned(*self._flat, z)[0]
+        return 0.0 if h < 0.0 else 1.0 if h > 1.0 else float(h)
 
     def eval(self, s):
         """H(s) for s in [0,1], the mass at infinity contributing 0, clipped
@@ -312,13 +318,13 @@ class Pgf:
         real array, each element evaluated as a float, and a 0-d one gives a
         float too."""
         if isinstance(s, float) or isinstance(s, int):
-            return _eval(self.spec, s)
+            return self._eval(s)
         import numpy as np
 
         arr = np.asarray(s)
         if arr.dtype.kind not in "fiu":
             raise DomainError(f"pgf evaluation requires real s, got dtype {arr.dtype}")
-        out = [_eval(self.spec, x) for x in arr.astype(float).ravel().tolist()]
+        out = [self._eval(x) for x in arr.astype(float).ravel().tolist()]
         return out[0] if arr.ndim == 0 else np.array(out, dtype=float).reshape(arr.shape)
 
     def eval_bounds(self, s) -> tuple[float, float]:
@@ -328,90 +334,30 @@ class Pgf:
         Exact for non-thinned specs (lo = hi = H(s)).  For a thinned spec lo
         is the Newton value and hi = lo + delta, with delta doubled from the
         roundoff level while |phi(lo + delta)| stays within it, where
-        phi(h) = G(p*h + q*s) - h.  Past the root phi drops below the noise
-        and at a tangency it rises above it; phi is convex, so either way the
-        least root lies in [lo, hi].  Both ends lie in [0,1], as eval's do.
+        phi(h) = G(p*h + q*s) - h on the flat (base, p, q).  Past the root phi
+        drops below the noise and at a tangency it rises above it; phi is
+        convex, so either way the least root lies in [lo, hi].  Both ends lie
+        in [0,1], as eval's do.
         """
         z = _unit_interval(s, "evaluation")
         lo = self.eval(z)
-        spec = self.spec
-        if not isinstance(spec, Thinned):
+        if self._flat is None:
             return lo, lo
-        p, q = spec.p, 1.0 - spec.p
+        base, p, q = self._flat
         noise = 8.0 * sys.float_info.epsilon
         delta = noise
         while True:
             hi = min(lo + delta, 1.0)
-            if not (abs(_h(spec.base, p * hi + q * z) - hi) <= noise and hi < 1.0):
+            if not (abs(_h(base, p * hi + q * z) - hi) <= noise and hi < 1.0):
                 return lo, hi
             delta *= 2.0
 
     def deriv(self, s) -> float:
         """H'(s) for a float or an int s in [0,1], +inf at a square-root-type
         singularity; DomainError for any other s."""
-        return float(_h_prime(self.spec, _unit_interval(s, "derivative")))
+        z = _unit_interval(s, "derivative")
+        return float(_h_prime(self.spec, z) if self._flat is None else _thinned(*self._flat, z)[1])
 
     def defect(self) -> float:
         """P(N = infinity) = 1 - H(1)."""
         return max(0.0, 1.0 - float(self.eval(1.0)))
-
-    def pmf_prefix(self, n: int) -> tuple[np.ndarray, float]:
-        """(P(N=0..n-1), P(N >= n) including the infinite mass).
-
-        Parametric variants are read off directly.  Thinned ones are exact
-        too: W = p*H + q*z solves W = q*z + p*G(W) with W_0 = 0, and [z^k] G(W)
-        involves W_k only through g_1*W_k, so each order solves in closed form
-        from non-negative lower-order terms.  G enters through its own
-        pmf_prefix(n); the table pw[j, k] = [z^k] W^j stops at J, the largest
-        k < n with g_k > 0, for O(n^2 * J) time.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        import numpy as np
-
-        p = np.zeros(n)
-        spec = self.spec
-        if isinstance(spec, Deterministic):
-            if spec.d < n:
-                p[spec.d] = 1.0
-                return p, 0.0
-            return p, 1.0
-        if isinstance(spec, Geometric):
-            beta = 1.0 - spec.alpha
-            for k in range(1, n):
-                p[k] = spec.alpha * beta ** (k - 1)
-            return p, beta ** (n - 1)
-        if isinstance(spec, FinitePmf):
-            tail = float(spec.infinity_mass)
-            for k, w in spec.weights.items():
-                if k < n:
-                    p[k] = float(w)
-                else:
-                    tail += float(w)
-            return p, tail
-        assert isinstance(spec, Thinned)
-        g, _ = Pgf(spec.base).pmf_prefix(n)
-        big_j = int(np.flatnonzero(g).max(initial=1))  # >= 1 keeps W's own row
-        q = 1.0 - spec.p
-        pw = np.zeros((big_j + 1, n))
-        for k in range(1, n):
-            top = min(k, big_j)
-            pw[2:top + 1, k] = pw[1:top, k - 1:0:-1] @ pw[1, 1:k]
-            rest = g[2:top + 1] @ pw[2:top + 1, k]
-            pw[1, k] = (spec.p * rest + q * (k == 1)) / (1.0 - spec.p * g[1])
-            p[k] = g[1] * pw[1, k] + rest
-        return p, max(0.0, 1.0 - float(p.sum()))
-
-    def truncated(self, n: int) -> "Pgf":
-        """PGF of min(n, N): H_n(s) = sum_{k<n} P(N=k) s^k + P(N>=n) s^n.
-
-        The result is non-defective and dominates H pointwise.
-        """
-        if n < 1:
-            raise ValueError("truncation level must be >= 1")
-        p, tail = self.pmf_prefix(n)
-        weights = {k: float(p[k]) for k in range(1, n) if p[k] > 0.0}
-        weights[n] = weights.get(n, 0.0) + tail
-        total = sum(weights.values())
-        weights = {k: w / total for k, w in weights.items() if w > 0.0}
-        return Pgf(FinitePmf(weights=weights, infinity_mass=0.0))

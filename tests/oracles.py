@@ -11,7 +11,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from rde_lab.pgf import INF_SENTINEL
+from rde_lab.pgf import INF_SENTINEL, FinitePmf, Pgf
+from rde_lab.sizes import pmf_prefix
 
 
 def forest_tree(fams, rep_counts, rep: int):
@@ -69,6 +70,22 @@ def brute_force_root_probability(tree, mu1: float) -> float:
         weight = math.prod(mu1 if b == 1.0 else 1.0 - mu1 for b in bits)
         total += weight * root_value(tree, iter(bits))
     return total
+
+
+def truncated(pgf: Pgf, n: int) -> Pgf:
+    """PGF of min(n, N): H_n(s) = sum_{k<n} P(N=k) s^k + P(N>=n) s^n, from
+    the exact series ``pmf_prefix``.
+
+    The result is non-defective and dominates H pointwise.
+    """
+    if n < 1:
+        raise ValueError("truncation level must be >= 1")
+    p, tail = pmf_prefix(pgf.spec, n)
+    weights = {k: float(p[k]) for k in range(1, n) if p[k] > 0.0}
+    weights[n] = weights.get(n, 0.0) + tail
+    total = sum(weights.values())
+    weights = {k: w / total for k, w in weights.items() if w > 0.0}
+    return Pgf(FinitePmf(weights=weights, infinity_mass=0.0))
 
 
 def centered_fd(f, s: float, h: float = 1e-7) -> float:

@@ -25,7 +25,7 @@ from rde_lab.pgf import Deterministic, FinitePmf, Geometric, Pgf, Thinned
 from rde_lab.simulate import _sample_forest, endogeny_diagnostic, mc_moments
 from rde_lab.streams import derive
 
-from oracles import brute_force_root_probability, forest_tree, leaf_count
+from oracles import brute_force_root_probability, forest_tree, leaf_count, truncated
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DET2 = Deterministic(2)
@@ -151,15 +151,15 @@ def test_criterion_6_monte_carlo_concordance():
 def test_criterion_7_truncation_convergence():
     with _Timer(7, 60.0, "truncated family sizes: mean and m2 convergence"):
         pgf = Pgf(GEO)
-        mus = [solve_mu1(pgf.truncated(n)) for n in range(1, 21)]
+        mus = [solve_mu1(truncated(pgf, n)) for n in range(1, 21)]
         assert abs(mus[0] - 0.5) < 1e-12
         quad_root = (-1.25 + math.sqrt(1.25 ** 2 + 3.0)) / 1.5
         assert abs(mus[1] - quad_root) < 1e-9
         assert abs(mus[1] - 0.59067) < 1e-5
         for a, b in zip(mus, mus[1:]):
             assert a <= b + 1e-12
-        assert abs(solve_mu1(pgf.truncated(40)) - 2.0 / 3.0) < 1e-6
-        trunc16 = pgf.truncated(16).spec
+        assert abs(solve_mu1(truncated(pgf, 40)) - 2.0 / 3.0) < 1e-6
+        trunc16 = truncated(pgf, 16).spec
         mc_t = mc_moments(trunc16, solve_mu1(Pgf(trunc16)), 6, 2000, seed=71, node_cap=20_000_000)
         mc_u = mc_moments(GEO, solve_mu1(pgf), 6, 2000, seed=72, node_cap=20_000_000)
         combined = math.sqrt(mc_t.se_m2 ** 2 + mc_u.se_m2 ** 2)

@@ -32,6 +32,7 @@ from oracles import (
     decimal_pmf,
     decimal_thinned_binary,
     mean_orbit_limit,
+    truncated,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -393,20 +394,20 @@ def test_iterated_mu2_plus_on_an_unstable_interior_cycle():
 
 def test_truncation_endogeny_examples():
     # min(n, N) is endogenous iff H_n'(mu1_n) <= 1, the report's h_prime_mu1
-    assert build_fixed_point_report(DET2.truncated(2)).h_prime_mu1 == pytest.approx(2.0 * GOLDEN, abs=1e-10)
+    assert build_fixed_point_report(truncated(DET2, 2)).h_prime_mu1 == pytest.approx(2.0 * GOLDEN, abs=1e-10)
     # a bounded spec truncated above its bound is itself
-    assert build_fixed_point_report(DET2.truncated(5)).h_prime_mu1 == pytest.approx(2.0 * GOLDEN, abs=1e-10)
+    assert build_fixed_point_report(truncated(DET2, 5)).h_prime_mu1 == pytest.approx(2.0 * GOLDEN, abs=1e-10)
 
 
 def test_truncation_endogeny_is_h_prime_at_the_truncated_mu1():
     for pgf, n in ((DET2, 2), (GEO, 4), (GEO, 9), (FIN, 3), (TH05, 4)):
-        trunc = pgf.truncated(n)
+        trunc = truncated(pgf, n)
         got = build_fixed_point_report(trunc).h_prime_mu1
         assert got == pytest.approx(trunc.deriv(solve_mu1(trunc)), abs=1e-12)
 
 
 def test_truncation_mu1_monotone_to_limit():
-    mus = [solve_mu1(GEO.truncated(n)) for n in range(1, 21)]
+    mus = [solve_mu1(truncated(GEO, n)) for n in range(1, 21)]
     assert mus[0] == pytest.approx(0.5, abs=1e-12)
     # root of 0.75 x^2 + 1.25 x - 1 = 0
     quad = (-1.25 + math.sqrt(1.25 ** 2 + 3.0)) / 1.5
@@ -415,7 +416,7 @@ def test_truncation_mu1_monotone_to_limit():
     for a, b in zip(mus, mus[1:]):
         assert a <= b + 1e-12
     assert all(m <= mu1 + 1e-12 for m in mus)
-    assert solve_mu1(GEO.truncated(40)) == pytest.approx(2.0 / 3.0, abs=1e-6)
+    assert solve_mu1(truncated(GEO, 40)) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
 
 # ------------------------------------------------------------ basin of mean

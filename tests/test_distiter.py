@@ -28,7 +28,7 @@ from rde_lab.distiter import (
 )
 from rde_lab.errors import DomainError, ResourceError, SpecValidationError
 from rde_lab.pgf import ALPHA_FLOOR, INF_SENTINEL, Deterministic, FinitePmf, Geometric, Pgf, Thinned
-from rde_lab.sizes import sample_family_sizes
+from rde_lab.sizes import pmf_prefix, sample_family_sizes
 from rde_lab.streams import derive
 
 from oracles import chi_square_ok, conditional_root
@@ -320,7 +320,7 @@ def test_family_size_tally_follows_the_size_law(monkeypatch, spec, length):
     # cells: each size below length, then the finite sizes >= length and the
     # infinite family together, which also holds the rare draw that the
     # pruning budget calls infinite (ROADMAP D7)
-    probs, tail = Pgf(spec).pmf_prefix(length)
+    probs, tail = pmf_prefix(spec, length)
     probs[INF_SENTINEL] = tail
     counts = np.zeros(length)
     for k, c in tally.items():

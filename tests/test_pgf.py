@@ -21,10 +21,10 @@ from rde_lab.pgf import (
     spec_to_json,
     validate_spec,
 )
-from rde_lab.sizes import sample_family_sizes
+from rde_lab.sizes import pmf_prefix, sample_family_sizes
 from rde_lab.streams import derive
 
-from oracles import centered_fd, chi_square_ok, thinned_binary_closed_form, thinned_deterministic_pmf
+from oracles import centered_fd, chi_square_ok, thinned_binary_closed_form, thinned_deterministic_pmf, truncated
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -340,21 +340,83 @@ def test_a_critical_thinned_base_does_not_stop_the_newton_steps(p):
 
 @pytest.mark.parametrize("method", ["eval", "deriv"])
 def test_nested_thinning_solves_each_base_once_per_newton_step(monkeypatch, method):
-    # a Newton step of a level solves its thinned base once, for both G and G',
-    # and H' comes from the solve that gives H: 185 evaluations of the innermost
-    # base here, where solving the base again for G' costs about nine times as many
-    spec = DET2
+    # a chain is solved as one flat thinning of its innermost base, so at
+    # depth 4 it evaluates that base about as often as one level does (a
+    # chain solved level by level took 185 evaluations here)
+    chain = DET2
     for _ in range(4):
-        spec = Thinned(spec, 0.6)
+        chain = Thinned(chain, 0.6)
     calls, h = [0], pgf_module._h
 
     def counting_h(spec, s):
-        calls[0] += not isinstance(spec, Thinned)
+        assert not isinstance(spec, Thinned)
+        calls[0] += 1
         return h(spec, s)
 
     monkeypatch.setattr(pgf_module, "_h", counting_h)
-    getattr(Pgf(spec), method)(0.5)
-    assert 0 < calls[0] <= 300
+    for z in (0.3, 0.5, 1.0):
+        counts = []
+        for spec in (chain, Thinned(DET2, 0.6)):
+            calls[0] = 0
+            getattr(Pgf(spec), method)(z)
+            counts.append(calls[0])
+        assert 0 < counts[0] <= counts[1] + 2
+
+
+# chains listed from the inside out, over bases of each kind
+CHAIN_BASES = [DET2, Deterministic(3), Geometric(0.3), FinitePmf({2: 0.5, 3: 0.5})]
+CHAINS = [(0.3, 0.6), (0.5, 1e-15), (0.9, 0.5), (0.4, 0.4, 0.4), (0.6, 0.7, 0.3),
+          (0.3, 0.7, 0.6, 0.3), (0.2, 0.2, 0.2, 0.2)]
+
+
+def nest(base, chain):
+    for p in chain:
+        base = Thinned(base, p)
+    return base
+
+
+def test_flat_thinning_multiplies_the_cut_probabilities():
+    assert pgf_module.flat_thinning(Thinned(DET2, 0.3)) == (DET2, 0.3, 1.0 - 0.3)
+    base, p, q = pgf_module.flat_thinning(nest(Geometric(0.3), (0.3, 0.6, 0.7)))
+    assert base == Geometric(0.3)
+    assert q == (1.0 - 0.7) * (1.0 - 0.6) * (1.0 - 0.3)
+    assert p == pytest.approx(1.0 - 0.3 * 0.4 * 0.7, abs=1e-15)
+
+
+@pytest.mark.parametrize("chain", CHAINS, ids=str)
+@pytest.mark.parametrize("base", CHAIN_BASES, ids=["det2", "det3", "geometric0.3", "finite23"])
+def test_a_chain_solves_its_own_nested_equation(base, chain):
+    # H = H_inner(p H + q z) with H_inner the base one level in, and
+    # H' = q H_inner'(w) / (1 - p H_inner'(w)) at w = p H + q z, within a few
+    # ulps, and those of w's rounding times H_inner'(w); eval_bounds holds eval
+    spec = nest(base, chain)
+    pgf, inner = Pgf(spec), Pgf(spec.base)
+    p, q = spec.p, 1.0 - spec.p
+    eps = np.finfo(float).eps
+    for z in np.linspace(0.0, 1.0, 101).tolist():
+        h = pgf.eval(z)
+        lo, hi = pgf.eval_bounds(z)
+        assert lo <= h <= hi
+        if base == DET2 and chain == (0.5, 1e-15) and z == 1.0:
+            continue  # the double root, which floats resolve only to about sqrt(eps)
+        w = p * h + q * z
+        gp = inner.deriv(w)
+        assert abs(h - inner.eval(w)) <= 4.0 * eps * (1.0 + gp)
+        want = q * gp / (1.0 - p * gp)
+        assert abs(pgf.deriv(z) - want) <= 16.0 * eps * want * (1.0 + gp)
+
+
+def test_a_chain_whose_flat_p_rounds_to_one_evaluates():
+    # q = 2**-106 survives as a product, where 1 - p = 0
+    spec = nest(DET2, (1.0 - 2.0**-53, 1.0 - 2.0**-53))
+    assert pgf_module.flat_thinning(spec) == (DET2, 1.0, 2.0**-106)
+    pgf = Pgf(spec)
+    # H(z) = (p H + q z)^2 has its least root at (q z)^2 up to a relative O(q)
+    for z in (0.0, 0.5, 1.0):
+        assert pgf.eval(z) == (2.0**-106 * z) ** 2
+        assert pgf.deriv(z) == pytest.approx(2.0 * 2.0**-212 * z, rel=1e-15, abs=0.0)
+        lo, hi = pgf.eval_bounds(z)
+        assert lo == pgf.eval(z) <= hi <= 16.0 * np.finfo(float).eps  # the bracket's roundoff level
 
 
 def test_deriv_finite_at_one_when_not_singular():
@@ -365,10 +427,10 @@ def test_deriv_finite_at_one_when_not_singular():
 # ---------------------------------------------------------------- truncation
 
 def test_truncate_examples():
-    assert Pgf(GEO).truncated(1).spec == FinitePmf({1: 1.0}, 0.0)
-    t3 = Pgf(DET2).truncated(3)
+    assert truncated(Pgf(GEO), 1).spec == FinitePmf({1: 1.0}, 0.0)
+    t3 = truncated(Pgf(DET2), 3)
     assert t3.spec.weights == {2: 1.0}
-    t2 = Pgf(FIN).truncated(2)
+    t2 = truncated(Pgf(FIN), 2)
     assert t2.spec.weights == {2: 1.0}
 
 
@@ -380,24 +442,24 @@ def test_truncation_dominates_and_decreases():
         h = pgf.eval(zs)
         prev = None
         for n in range(1, 11):
-            hn = pgf.truncated(n).eval(zs)
+            hn = truncated(pgf, n).eval(zs)
             assert np.all(hn >= h - 1e-12)
             if prev is not None:
                 assert np.all(hn <= prev + 1e-12)
             prev = hn
-        assert np.max(np.abs(pgf.truncated(200).eval(zs) - h)) < 1e-6
+        assert np.max(np.abs(truncated(pgf, 200).eval(zs) - h)) < 1e-6
 
 
 def test_truncated_is_never_defective():
     for spec in (GEO, FIN, TH06):
         for n in (1, 2, 5):
-            assert Pgf(spec).truncated(n).defect() == pytest.approx(0.0, abs=1e-12)
+            assert truncated(Pgf(spec), n).defect() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_thinned_pmf_prefix_oracle():
     # binary base, p = 0.4: P(N=2) = q^2, P(N=3) = 2pq * q^2
     p, q = 0.4, 0.6
-    prefix, tail = Pgf(Thinned(DET2, p)).pmf_prefix(5)
+    prefix, tail = pmf_prefix(Thinned(DET2, p), 5)
     assert prefix[1] == pytest.approx(0.0, abs=1e-10)
     assert prefix[2] == pytest.approx(q * q, abs=1e-10)
     assert prefix[3] == pytest.approx(2 * p * q * q * q, abs=1e-10)
@@ -406,7 +468,7 @@ def test_thinned_pmf_prefix_oracle():
 
 @pytest.mark.parametrize("d, p", [(2, 0.3), (2, 0.5), (2, 0.6), (3, 0.4)])
 def test_thinned_pmf_prefix_matches_total_progeny(d, p):
-    prefix, tail = Pgf(Thinned(Deterministic(d), p)).pmf_prefix(1000)
+    prefix, tail = pmf_prefix(Thinned(Deterministic(d), p), 1000)
     exact = thinned_deterministic_pmf(d, p, 1000)
     assert np.max(np.abs(prefix - exact)) <= 1e-14
     assert tail == pytest.approx(1.0 - exact.sum(), abs=1e-12)
@@ -418,14 +480,14 @@ def test_thinned_pmf_prefix_matches_total_progeny(d, p):
 )
 def test_thinned_pmf_prefix_series_matches_eval(spec):
     pgf = Pgf(spec)
-    prefix, _ = pgf.pmf_prefix(1000)
+    prefix, _ = pmf_prefix(pgf.spec, 1000)
     zs = np.array([0.2, 0.5, 0.8])
     series = np.array([np.sum(prefix * z ** np.arange(prefix.size)) for z in zs])
     assert np.max(np.abs(series - pgf.eval(zs))) <= 1e-14
 
 
 def test_thinned_pmf_prefix_below_smallest_family():
-    prefix, tail = Pgf(Thinned(Deterministic(3), 0.4)).pmf_prefix(3)
+    prefix, tail = pmf_prefix(Thinned(Deterministic(3), 0.4), 3)
     assert not prefix.any() and tail == 1.0
 
 
@@ -490,7 +552,7 @@ def test_sample_thinned_infinity_probability(monkeypatch):
 
 def test_sample_thinned_pmf_matches_series_coefficients(monkeypatch):
     spec = Thinned(DET2, 0.4)
-    prefix, _ = Pgf(spec).pmf_prefix(6)
+    prefix, _ = pmf_prefix(spec, 6)
     monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
     draws = sample_family_sizes(spec, 200_000, derive(4, 0))
     for k in range(2, 6):
@@ -506,7 +568,7 @@ def test_sample_thinned_pmf_matches_series_coefficients(monkeypatch):
     ids=["finite-base", "finite-inf-base"],
 )
 def test_sample_thinned_finite_base_matches_series_coefficients(monkeypatch, spec):
-    prefix, _ = Pgf(spec).pmf_prefix(6)
+    prefix, _ = pmf_prefix(spec, 6)
     monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
     draws = sample_family_sizes(spec, 200_000, derive(6, 0))
     for k, target in [(k, prefix[k]) for k in range(1, 6)] + [(INF_SENTINEL, Pgf(spec).defect())]:
@@ -564,6 +626,31 @@ def test_thinned_table_reaches_h1(spec):
     assert values.tolist() == list(range(cdf.size)) + [INF_SENTINEL]
 
 
+def test_a_nested_spec_draws_from_the_table_of_its_flat_law():
+    # thinning det3 by 0.3 and then by 0.2 cuts a line with q = 0.7 * 0.8; the
+    # nested spec gets the one-level inverse-CDF table, where a pruning
+    # sampler that drew the inner thinning node by node ran out of memory
+    spec = Thinned(Thinned(Deterministic(3), 0.3), 0.2)
+    assert sizes_module._inverse_cdf_table(spec) is not None
+    draws = sample_family_sizes(spec, 200_000, derive(14, 0))
+    n = 64
+    exact = thinned_deterministic_pmf(3, 1.0 - 0.7 * 0.8, n)
+    counts = np.bincount(draws, minlength=n)[:n].astype(float)
+    counts[INF_SENTINEL] = draws.size - counts[1:].sum()
+    exact[INF_SENTINEL] = 1.0 - exact[1:].sum()
+    assert chi_square_ok(counts, exact)
+    assert np.max(np.abs(pmf_prefix(spec, n)[0][1:] - exact[1:])) <= 1e-14
+
+
+def test_a_unit_base_chain_whose_flat_p_rounds_to_one_keeps_its_table():
+    # every line of a unit base is one child, so N = 1; the series divides by
+    # 1 - p*g_1 = q, which the flat p, rounded to 1.0, would make 0
+    spec = Thinned(Thinned(FinitePmf({1: 1.0}), 1.0 - 2.0**-53), 1.0 - 2.0**-53)
+    probs, tail = pmf_prefix(spec, 4)
+    assert probs.tolist() == [0.0, 1.0, 0.0, 0.0] and tail == 0.0
+    assert sample_family_sizes(spec, 1000, derive(15, 0)).tolist() == [1] * 1000
+
+
 def test_critical_thinned_draws_take_the_budgeted_fallback(monkeypatch):
     # the p = 1/2 tail decays like k^-1/2, so no table within the work cap reaches H(1) = 1
     assert sizes_module._inverse_cdf_table(TH05) is None
@@ -576,16 +663,16 @@ def test_critical_thinned_draws_take_the_budgeted_fallback(monkeypatch):
 def test_geometric_base_table_stops_at_the_work_cap(monkeypatch):
     spec = Thinned(Geometric(0.3), 0.4)
     sizes = []
-    real_prefix = Pgf.pmf_prefix
+    real_prefix = sizes_module._thinned_prefix
 
-    def recording_prefix(self, n):
-        sizes.append((self.spec, n))
-        return real_prefix(self, n)
+    def recording_prefix(g, p, q):
+        sizes.append(g.size)
+        return real_prefix(g, p, q)
 
-    monkeypatch.setattr(Pgf, "pmf_prefix", recording_prefix)
+    monkeypatch.setattr(sizes_module, "_thinned_prefix", recording_prefix)
     assert sizes_module._thinned_cdf(spec) is None
     # the 256-entry table falls short of H(1); 512 entries would cost 512^2 * 511 > TABLE_WORK
-    assert [n for s, n in sizes if s == spec] == [256]
+    assert sizes == [256]
     assert 512 * 512 * 511 > sizes_module.TABLE_WORK >= 256 * 256 * 255
     monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
     assert sample_family_sizes(spec, 1000, derive(12, 0)).tobytes() == (
@@ -602,7 +689,7 @@ def test_geometric_base_table_stops_at_the_work_cap(monkeypatch):
 )
 def test_pruning_fallback_matches_series_coefficients(monkeypatch, spec):
     # the pruning process behind specs without a table, checked where the series is known
-    prefix, _ = Pgf(spec).pmf_prefix(6)
+    prefix, _ = pmf_prefix(spec, 6)
     monkeypatch.setattr(sizes_module, "SAMPLE_BUDGET", 10_000)
     draws = sizes_module._sample_thinned(spec, 100_000, derive(13, 0))
     for k, target in [(k, prefix[k]) for k in range(1, 6)] + [(INF_SENTINEL, Pgf(spec).defect())]:
