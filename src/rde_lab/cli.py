@@ -113,9 +113,11 @@ def _load_config(path: str | None, seed: int | None, out: str | None) -> dict:
             _int(config, key)
     if not isinstance(config.get("out", ""), str):
         raise ConfigError("config field 'out' must be a string")
-    # a file there fails before the command runs; the directory is made where a report is written
-    if Path(config.get("out", ".")).is_file():
-        raise ConfigError(f"output directory {config['out']!r} is a file")
+    # a file at the out path or above it fails before the command runs; the directory is made where a
+    # report is written, so a config rejected later leaves none
+    out_path = Path(config.get("out", "."))
+    if any(d.is_file() for d in (out_path, *out_path.parents)):
+        raise ConfigError(f"output directory {config['out']!r} is a file or lies below one")
     if not isinstance(config.get("traces", False), bool):
         raise ConfigError("config field 'traces' must be true or false")
     return config

@@ -33,9 +33,12 @@ At a double root (binary base, p = 1/2, z = 1) floats resolve it only to
 about sqrt(eps), where ``Pgf.deriv`` reads +inf; ``Pgf.eval_bounds`` returns
 a bracket around H, which the two-cycle scans use.
 
-H, H' and the bracket have one implementation, in plain float arithmetic:
-``Pgf.eval_bounds`` and ``Pgf.deriv`` take a float s (a numpy float64 too)
-or an int in [0,1].  ``Pgf.eval`` also takes an array,
+H, H' and the bracket have one implementation, in plain float arithmetic.
+``Pgf.__init__`` dispatches on the spec once and builds them as closures, so
+no evaluation tests the spec's kind, and a Pgf cannot be pickled.  Where a
+chain's flat p rounds to 1.0, Newton's margin 1 - p*G' is formed from the
+carried q.  ``Pgf.eval_bounds`` and ``Pgf.deriv`` take a float s (a numpy
+float64 too) or an int in [0,1].  ``Pgf.eval`` also takes an array,
 which it maps over the same float path element by element, so an element's
 value is the float's bit for bit.  NaN, complex, bool and other non-real s,
 and s outside [0,1], raise DomainError.  numpy is imported only by code that
@@ -48,7 +51,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from typing import Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .errors import DomainError, SpecValidationError
 
@@ -219,59 +222,58 @@ def spec_from_json(obj: dict, _depth: int = 1) -> OffspringSpec:
 # ---------------------------------------------------------------------------
 # Evaluation engines
 # ---------------------------------------------------------------------------
-# Each takes a spec that is not thinned, or a flat thinning's (base, p, q),
-# and a float s in [0,1], and computes in plain float arithmetic, with
-# powers as ``**`` (libm's pow).
+# Pgf.__init__ builds them once per spec: closures of a float s in [0,1] in
+# plain float arithmetic, with powers as ``**`` (libm's pow), so that no call
+# dispatches on the spec.
 
-def _h(spec: OffspringSpec, s: float) -> float:
+def _power_sum(terms: list) -> Callable[[float], float]:
+    """s -> the sum of c * s**k over the terms (k, c), added in their order."""
+    def power_sum(s: float) -> float:
+        out = 0.0
+        for k, c in terms:
+            out = out + c * s ** k
+        return out
+    return power_sum
+
+
+def _evaluators(spec: OffspringSpec) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """(G, G') of a spec that is not thinned."""
     if isinstance(spec, Deterministic):
-        return s ** spec.d
+        d = spec.d
+        return (lambda s: s ** d), (lambda s: d * s ** (d - 1))
     if isinstance(spec, Geometric):
+        a = spec.alpha
         # (1 - s) + alpha*s is 1 - (1 - alpha)*s without its cancellation at s = 1
-        return spec.alpha * s / ((1.0 - s) + spec.alpha * s)
-    assert isinstance(spec, FinitePmf)
-    out = 0.0
-    for k, w in spec.weights.items():
-        if w != 0.0:
-            out = out + w * s ** k
-    return out
+        return (lambda s: a * s / ((1.0 - s) + a * s)), (lambda s: a / ((1.0 - s) + a * s) ** 2)
+    # a FinitePmf, the one kind left once validate_spec has passed
+    terms = [(k, w) for k, w in spec.weights.items() if w != 0.0]
+    return _power_sum(terms), _power_sum([(k - 1, w * k) for k, w in terms])
 
 
-def _h_prime(spec: OffspringSpec, s: float) -> float:
-    if isinstance(spec, Deterministic):
-        return spec.d * s ** (spec.d - 1)
-    if isinstance(spec, Geometric):
-        return spec.alpha / ((1.0 - s) + spec.alpha * s) ** 2
-    assert isinstance(spec, FinitePmf)
-    out = 0.0
-    for k, w in spec.weights.items():
-        if w != 0.0:
-            out = out + (w * k) * s ** (k - 1)
-    return out
-
-
-def _thinned(base: OffspringSpec, p: float, q: float, z: float) -> tuple[float, float]:
-    """(H(z), H'(z)) from one solve: H(z) is the least fixed point h of
-    h -> G(p*h + q*z), and H'(z) = q*G'(w) / (1 - p*G'(w)) at w = p*h + q*z."""
+def _thinned(g, g_prime, p: float, q: float, z: float) -> tuple[float, float]:
+    """(H(z), H'(z)) from one solve on the base's (G, G'): H(z) is the least
+    fixed point h of h -> G(p*h + q*z), and H'(z) = q*G'(w) / (1 - p*G'(w))
+    at w = p*h + q*z.  Where a chain's flat p rounds to 1.0, 1 - p*G' would
+    lose q, so it is formed as (1 - G') + q*G', its value at p = 1 - q."""
     h = 0.0
     # Newton from h = 0: phi(h) = G(p*h + q*z) - h is convex with phi(0) >= 0,
     # so the iterates rise monotonically to the least root and never overshoot
     for _ in range(200):
         w = p * h + q * z
-        g, gp = _h(base, w), _h_prime(base, w)
-        excess = g - h
-        margin = 1.0 - p * gp
+        gp = g_prime(w)
+        excess = g(w) - h
+        margin = 1.0 - p * gp if p < 1.0 else (1.0 - gp) + q * gp
         h_new = h + excess / margin if excess > 0.0 and margin > 0.0 else h
         if not h_new > h:
             break  # the step that leaves h where it is took G' at the final h
         h = h_new
     else:
-        gp = _h_prime(base, p * h + q * z)
-    denom = 1.0 - p * gp
+        gp = g_prime(p * h + q * z)
+        margin = 1.0 - p * gp if p < 1.0 else (1.0 - gp) + q * gp
     # the implicit-function formula degenerates at the square-root branch
     # point where p*G'(w) = 1; the fixed point itself is only resolvable to
     # ~sqrt(eps) there, so anything below 1e-6 is an infinite slope
-    return h, (q * gp / denom if denom >= 1e-6 else math.inf)
+    return h, (q * gp / margin if margin >= 1e-6 else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +295,32 @@ def _unit_interval(s, what: str) -> float:
 class Pgf:
     """Evaluator for H(s), H'(s) and the defect P(N = infinity).
 
-    Holds only its validated spec and, for a thinned one, the spec's flat
-    (base, p, q), which nothing rebinds; safe to share across concurrent
-    tasks.
+    Holds its validated spec and the closures ``__init__`` builds for it
+    once: H, H' and, for a thinned spec, the bracket's
+    phi(h, z) = G(p*h + q*z) - h on the flat (base, p, q).  Nothing rebinds
+    them, so a Pgf is safe to share across concurrent tasks; it cannot be
+    pickled, as its closures cannot.
     """
 
-    __slots__ = ("spec", "_flat")
+    __slots__ = ("spec", "_h", "_h_prime", "_phi")
 
     def __init__(self, spec: OffspringSpec):
         validate_spec(spec)
         self.spec = spec
-        self._flat = flat_thinning(spec) if isinstance(spec, Thinned) else None
+        self._phi = None
+        if isinstance(spec, Thinned):
+            base, p, q = flat_thinning(spec)
+            g, g_prime = _evaluators(base)
+            self._h = lambda z: _thinned(g, g_prime, p, q, z)[0]
+            self._h_prime = lambda z: _thinned(g, g_prime, p, q, z)[1]
+            self._phi = lambda h, z: g(p * h + q * z) - h
+        else:
+            self._h, self._h_prime = _evaluators(spec)
 
     def _eval(self, s) -> float:
         # H(s) clipped to [0,1]: weights that sum to 1 within the validator's
         # tolerance, or roundoff, could otherwise carry H past 1
-        z = _unit_interval(s, "evaluation")
-        h = _h(self.spec, z) if self._flat is None else _thinned(*self._flat, z)[0]
+        h = self._h(_unit_interval(s, "evaluation"))
         return 0.0 if h < 0.0 else 1.0 if h > 1.0 else float(h)
 
     def eval(self, s):
@@ -341,22 +352,20 @@ class Pgf:
         """
         z = _unit_interval(s, "evaluation")
         lo = self.eval(z)
-        if self._flat is None:
+        if self._phi is None:
             return lo, lo
-        base, p, q = self._flat
         noise = 8.0 * sys.float_info.epsilon
         delta = noise
         while True:
             hi = min(lo + delta, 1.0)
-            if not (abs(_h(base, p * hi + q * z) - hi) <= noise and hi < 1.0):
+            if not (abs(self._phi(hi, z)) <= noise and hi < 1.0):
                 return lo, hi
             delta *= 2.0
 
     def deriv(self, s) -> float:
         """H'(s) for a float or an int s in [0,1], +inf at a square-root-type
         singularity; DomainError for any other s."""
-        z = _unit_interval(s, "derivative")
-        return float(_h_prime(self.spec, z) if self._flat is None else _thinned(*self._flat, z)[1])
+        return float(self._h_prime(_unit_interval(s, "derivative")))
 
     def defect(self) -> float:
         """P(N = infinity) = 1 - H(1)."""

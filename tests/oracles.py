@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from rde_lab.pgf import INF_SENTINEL, FinitePmf, Pgf
+from rde_lab.pgf import INF_SENTINEL, Deterministic, FinitePmf, Geometric, OffspringSpec, Pgf
 from rde_lab.sizes import pmf_prefix
 
 
@@ -86,6 +86,36 @@ def truncated(pgf: Pgf, n: int) -> Pgf:
     total = sum(weights.values())
     weights = {k: w / total for k, w in weights.items() if w > 0.0}
     return Pgf(FinitePmf(weights=weights, infinity_mass=0.0))
+
+
+def float_h(spec: OffspringSpec, s: float) -> float:
+    """H(s) of a spec that is not thinned, dispatched on the spec at each
+    call: the float reference that ``Pgf``'s closures must equal bit for bit."""
+    if isinstance(spec, Deterministic):
+        return s ** spec.d
+    if isinstance(spec, Geometric):
+        # (1 - s) + alpha*s is 1 - (1 - alpha)*s without its cancellation at s = 1
+        return spec.alpha * s / ((1.0 - s) + spec.alpha * s)
+    assert isinstance(spec, FinitePmf)
+    out = 0.0
+    for k, w in spec.weights.items():
+        if w != 0.0:
+            out = out + w * s ** k
+    return out
+
+
+def float_h_prime(spec: OffspringSpec, s: float) -> float:
+    """H'(s) of a spec that is not thinned, as ``float_h`` computes H."""
+    if isinstance(spec, Deterministic):
+        return spec.d * s ** (spec.d - 1)
+    if isinstance(spec, Geometric):
+        return spec.alpha / ((1.0 - s) + spec.alpha * s) ** 2
+    assert isinstance(spec, FinitePmf)
+    out = 0.0
+    for k, w in spec.weights.items():
+        if w != 0.0:
+            out = out + (w * k) * s ** (k - 1)
+    return out
 
 
 def centered_fd(f, s: float, h: float = 1e-7) -> float:

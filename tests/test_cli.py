@@ -573,9 +573,12 @@ def test_thinning_past_the_depth_limit_exits_2(tmp_path, command, levels):
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 @pytest.mark.parametrize("where", ["file", "below-a-file"])
-def test_out_at_a_file_exits_2_naming_the_path(tmp_path, command, where):
-    # a file at the out path is found before the command runs; a file above it, when
-    # the directory is made
+def test_out_at_a_file_exits_2_naming_the_path(tmp_path, monkeypatch, command, where):
+    # a file at the out path or above it is found before the command runs
+    def never(pgf):
+        raise AssertionError("the command ran before its out path was checked")
+
+    monkeypatch.setattr(analysis, "build_fixed_point_report", never)
     (tmp_path / "taken").write_text("")
     out = tmp_path / "taken" if where == "file" else tmp_path / "taken" / "sub"
     cfg = tmp_path / "cfg.json"
@@ -583,6 +586,20 @@ def test_out_at_a_file_exits_2_naming_the_path(tmp_path, command, where):
     result = invoke(["--config", str(cfg), "--out", str(out), command])
     assert result.exit_code == 2
     assert f"output directory {str(out)!r}" in result.output
+
+
+def test_transform_of_a_unit_base_chain_whose_flat_p_rounds_to_one_is_the_identity(tmp_path):
+    # N = 1 with probability 1, so H(z) = z and the defect is 0
+    unit = {"kind": "finite", "pmf": {"1": 1.0}}
+    spec = {"kind": "thinned", "p": 1.0 - 2.0**-53, "base": {"kind": "thinned", "p": 1.0 - 2.0**-53, "base": unit}}
+    result, out = run_cli(tmp_path, dict(DET2_CFG, spec=spec), "transform")
+    assert result.exit_code == 0
+    rows = (out / "transform.csv").read_text().splitlines()[1:]
+    assert len(rows) == 101
+    for row in rows:
+        z, h = row.split(",")[:2]
+        assert float(h) == float(z)
+    assert json.loads((out / "transform.json").read_text())["defect"] == 0.0
 
 
 @pytest.mark.parametrize("spec", [{"kind": "deterministic", "d": 2**53},

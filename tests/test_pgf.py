@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import rde_lab.pgf as pgf_module
 import rde_lab.sizes as sizes_module
+from rde_lab.analysis import unit_grid
 from rde_lab.errors import DomainError, SpecValidationError
 from rde_lab.pgf import (
     INF_SENTINEL,
@@ -24,7 +25,15 @@ from rde_lab.pgf import (
 from rde_lab.sizes import pmf_prefix, sample_family_sizes
 from rde_lab.streams import derive
 
-from oracles import centered_fd, chi_square_ok, thinned_binary_closed_form, thinned_deterministic_pmf, truncated
+from oracles import (
+    centered_fd,
+    chi_square_ok,
+    float_h,
+    float_h_prime,
+    thinned_binary_closed_form,
+    thinned_deterministic_pmf,
+    truncated,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -341,24 +350,29 @@ def test_a_critical_thinned_base_does_not_stop_the_newton_steps(p):
 @pytest.mark.parametrize("method", ["eval", "deriv"])
 def test_nested_thinning_solves_each_base_once_per_newton_step(monkeypatch, method):
     # a chain is solved as one flat thinning of its innermost base, so at
-    # depth 4 it evaluates that base about as often as one level does (a
+    # depth 4 it evaluates that base's G about as often as one level does (a
     # chain solved level by level took 185 evaluations here)
     chain = DET2
     for _ in range(4):
         chain = Thinned(chain, 0.6)
-    calls, h = [0], pgf_module._h
+    calls, evaluators = [0], pgf_module._evaluators
 
-    def counting_h(spec, s):
+    def counting_evaluators(spec):
         assert not isinstance(spec, Thinned)
-        calls[0] += 1
-        return h(spec, s)
+        g, g_prime = evaluators(spec)
 
-    monkeypatch.setattr(pgf_module, "_h", counting_h)
+        def counting_g(s):
+            calls[0] += 1
+            return g(s)
+        return counting_g, g_prime
+
+    monkeypatch.setattr(pgf_module, "_evaluators", counting_evaluators)
     for z in (0.3, 0.5, 1.0):
         counts = []
         for spec in (chain, Thinned(DET2, 0.6)):
+            pgf = Pgf(spec)
             calls[0] = 0
-            getattr(Pgf(spec), method)(z)
+            getattr(pgf, method)(z)
             counts.append(calls[0])
         assert 0 < counts[0] <= counts[1] + 2
 
@@ -417,6 +431,27 @@ def test_a_chain_whose_flat_p_rounds_to_one_evaluates():
         assert pgf.deriv(z) == pytest.approx(2.0 * 2.0**-212 * z, rel=1e-15, abs=0.0)
         lo, hi = pgf.eval_bounds(z)
         assert lo == pgf.eval(z) <= hi <= 16.0 * np.finfo(float).eps  # the bracket's roundoff level
+
+
+def test_a_unit_base_chain_whose_flat_p_rounds_to_one_is_the_identity():
+    # N = 1 with probability 1, so H(z) = z: Newton's margin 1 - p*G' reads 0
+    # at the flat p = 1.0, and is formed from the carried q = 2**-106 instead
+    pgf = Pgf(nest(FinitePmf({1: 1.0}), (1.0 - 2.0**-53, 1.0 - 2.0**-53)))
+    for z in unit_grid(101):
+        assert pgf.eval(z) == z
+        lo, hi = pgf.eval_bounds(z)
+        assert lo <= z <= hi
+    assert pgf.defect() == 0.0
+
+
+@pytest.mark.parametrize("spec", [DET2, Deterministic(3), Geometric(0.3), FinitePmf({1: 0.3, 2: 0.4, 3: 0.2}, 0.1),
+                                  FinitePmf({k: 1.0 / 1024 for k in range(1, 1025)})],
+                         ids=["det2", "det3", "geometric0.3", "finite-inf", "uniform-1024"])
+def test_the_built_evaluators_equal_the_dispatched_reference_bit_for_bit(spec):
+    pgf = Pgf(spec)
+    for z in unit_grid(101):
+        assert pgf.eval(z) == min(max(float_h(spec, z), 0.0), 1.0)  # eval clips to [0,1]
+        assert pgf.deriv(z) == float_h_prime(spec, z)
 
 
 def test_deriv_finite_at_one_when_not_singular():
